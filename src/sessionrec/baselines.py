@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +29,12 @@ def sknn_scores(
     recommendation" rather than ranking on ties.
     """
     scores = np.zeros(n_items)
-    for sid, sim in neighbor_entries:
-        for item in sorted(index.distinct[sid]):
-            scores[item] += sim
+    if not neighbor_entries:
+        return scores
+    sids, sims = zip(*neighbor_entries)
+    items, counts = index.session_items(np.array(sids, dtype=np.int64))
+    # unbuffered, in neighbor order: each item sums its similarities as a loop would
+    np.add.at(scores, items, np.repeat(sims, counts))
     return scores
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import gradkit as gk
 from .corpus import (
     SessionCorpus,
@@ -413,7 +415,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     yhat, _ = forward(prefix, sessions, params, model_config)
     scores = yhat.values
     # stable ranking: probability descending, item index ascending on ties
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[: args.top]
+    order = np.lexsort((np.arange(len(scores)), -scores))[: args.top].tolist()
     _emit([{"item": corpus.vocab.key(i), "score": float(scores[i])} for i in order])
     return 0
 

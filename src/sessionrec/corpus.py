@@ -90,9 +90,6 @@ class ItemVocab:
             raise CorpusError(f"item index out of range: {index}")
         return self._keys[index]
 
-    def count(self, index: int) -> int:
-        return self._counts[index]
-
     @property
     def keys(self) -> list[str]:
         return list(self._keys)

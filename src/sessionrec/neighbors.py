@@ -4,13 +4,24 @@ Similarity is the cosine between binary item-occurrence vectors: the number of
 shared distinct items divided by sqrt(l(a) * l(b)), where l() is the distinct
 item count by default (raw click count behind ``raw_length=True``). Recency is
 session id order, since ids are assigned chronologically.
+
+The index is a set of numpy arrays. Each item's posting list holds the ids of
+the training sessions containing it in ascending order; each session's
+distinct items sit in one flat array cut by offsets (CSR form). Training
+sessions must be in chronological order (start times never decrease), so the
+sessions that start before a cutoff time form an id prefix found by bisection,
+and only the newest ``m`` eligible ids of each posting list can be candidates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from numbers import Real
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .corpus import SessionCorpus
 from .errors import RetrievalError
@@ -19,38 +30,69 @@ Neighbors = list[tuple[int, float]]
 """(session id, similarity) pairs, similarity descending, newer first on ties."""
 
 
-@dataclass
+@dataclass(eq=False)
 class InvertedIndex:
-    """Per-item posting lists over the training partition, newest session first."""
+    """Posting lists and per-session arrays over the training partition."""
 
-    postings: dict[int, list[int]]
-    distinct: list[frozenset[int]]  # distinct items per session, indexed by id
-    distinct_count: list[int]
-    raw_len: list[int]
-    start_time: list[int]
+    postings: dict[int, np.ndarray]  # item -> ids of sessions containing it, ascending
+    items: np.ndarray  # distinct items of every session, ascending within a session
+    offsets: np.ndarray  # session s holds items[offsets[s]:offsets[s + 1]]
+    raw_len: np.ndarray  # click count per session
+    start_time: np.ndarray  # non-decreasing in session id
 
     def __len__(self) -> int:
-        return len(self.distinct)
+        return len(self.raw_len)
+
+    def session_items(self, sids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct items of the given sessions, concatenated in their order,
+        and the number contributed by each session."""
+        starts = self.offsets[sids]
+        counts = self.offsets[sids + 1] - starts
+        # position j of segment s is starts[s] + j; arange supplies j plus the
+        # lengths of the segments before s, which the repeat takes back off
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return self.items[np.arange(len(shift)) + shift], counts
 
 
 def build_index(corpus: SessionCorpus) -> InvertedIndex:
     """Index the training sessions of a corpus for candidate lookup."""
-    postings: dict[int, list[int]] = {}
-    distinct: list[frozenset[int]] = []
-    distinct_count: list[int] = []
-    raw_len: list[int] = []
-    start_time: list[int] = []
-    for s in corpus.train_sessions():
-        items = frozenset(s.items)
-        for item in sorted(items):
-            postings.setdefault(item, []).append(s.id)
-        distinct.append(items)
-        distinct_count.append(len(items))
-        raw_len.append(len(s.items))
-        start_time.append(s.start_time)
-    for lst in postings.values():
-        lst.reverse()  # ids were appended chronologically; flip to newest-first
-    return InvertedIndex(postings, distinct, distinct_count, raw_len, start_time)
+    sessions = corpus.train_sessions()
+    n = len(sessions)
+    start_time = np.array([s.start_time for s in sessions], dtype=np.int64)
+    if np.any(start_time[1:] < start_time[:-1]):
+        raise RetrievalError("training sessions are not in chronological order")
+    raw_len = np.array([len(s.items) for s in sessions], dtype=np.int64)
+    clicks = np.fromiter(
+        chain.from_iterable(s.items for s in sessions), dtype=np.int64, count=int(raw_len.sum())
+    )
+    # One key per click, ordered by session and then item; a sort puts the
+    # repeats of an item within a session next to each other.
+    width = int(clicks.max()) + 1 if len(clicks) else 1
+    keys = np.repeat(np.arange(n, dtype=np.int64), raw_len) * width + clicks
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    sids, items = np.divmod(keys, width)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sids, minlength=n), out=offsets[1:])
+
+    # A stable sort by item keeps the ids of each posting list ascending.
+    order = np.argsort(items, kind="stable")
+    posted, by_item = sids[order], items[order]
+    bounds = np.flatnonzero(np.concatenate(([True], by_item[1:] != by_item[:-1], [True])))
+    postings = {
+        item: posted[lo:hi]
+        for item, lo, hi in zip(
+            by_item[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()
+        )
+    }
+    return InvertedIndex(postings, items, offsets, raw_len, start_time)
+
+
+def _check_count(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RetrievalError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise RetrievalError(f"{name} must be >= 1, got {value}")
 
 
 def candidates(
@@ -66,15 +108,24 @@ def candidates(
     """
     if not prefix:
         raise RetrievalError("cannot retrieve candidates for an empty prefix")
-    if m < 1:
-        raise RetrievalError(f"candidate budget must be >= 1, got {m}")
-    pool: set[int] = set()
+    _check_count("candidate budget", m)
+    cutoff = len(index) if now is None else int(np.searchsorted(index.start_time, now))
+    windows = []
     for item in dict.fromkeys(prefix):
-        pool.update(index.postings.get(item, ()))
-    eligible = sorted(pool, reverse=True)
-    if now is not None:
-        eligible = [sid for sid in eligible if index.start_time[sid] < now]
-    return eligible[:m]
+        ids = index.postings.get(item)
+        if ids is None:
+            continue
+        hi = int(ids.searchsorted(cutoff))
+        if hi:
+            windows.append(ids[max(0, hi - m) : hi])
+    if not windows:
+        return []
+    pool = windows[0]
+    if len(windows) > 1:
+        pool = np.concatenate(windows)
+        pool.sort()
+        pool = pool[np.concatenate((pool[1:] != pool[:-1], [True]))][-m:]
+    return pool[::-1].tolist()
 
 
 def similarity(
@@ -107,18 +158,25 @@ def neighbors(
     threshold are discarded; the survivors are ranked by similarity with ties
     going to the more recent session, and the best ``k`` are returned.
     """
-    if k < 1:
-        raise RetrievalError(f"neighbor count must be >= 1, got {k}")
+    _check_count("neighbor count", k)
+    if not isinstance(threshold, Real):
+        raise RetrievalError(f"threshold must be a number, got {threshold!r}")
     if not 0.0 <= threshold <= 1.0:
         raise RetrievalError(f"threshold must be in [0, 1], got {threshold}")
-    query = set(prefix)
+    if not isinstance(raw_length, bool):
+        raise RetrievalError(f"raw_length must be true or false, got {raw_length!r}")
+    found = np.array(candidates(index, prefix, m=m, now=now), dtype=np.int64)
+    if not len(found):
+        return []
+    query = np.array(sorted(set(prefix)), dtype=np.int64)
     lq = len(prefix) if raw_length else len(query)
-    scored: Neighbors = []
-    for sid in candidates(index, prefix, m=m, now=now):
-        shared = len(query & index.distinct[sid])
-        ls = index.raw_len[sid] if raw_length else index.distinct_count[sid]
-        sim = shared / math.sqrt(lq * ls)
-        if sim >= threshold:
-            scored.append((sid, sim))
-    scored.sort(key=lambda t: (-t[1], -t[0]))
-    return scored[:k]
+    items, counts = index.session_items(found)
+    slot = np.minimum(query.searchsorted(items), len(query) - 1)
+    bounds = np.cumsum(counts) - counts
+    shared = np.add.reduceat(query[slot] == items, bounds, dtype=np.int64)
+    ls = index.raw_len[found] if raw_length else counts
+    sim = shared / np.sqrt(lq * ls)
+    kept = np.flatnonzero(sim >= threshold)
+    # candidates are newest first, so ties on similarity break toward the newer id
+    best = kept[np.lexsort((kept, -sim[kept]))][:k]
+    return list(zip(found[best].tolist(), sim[best].tolist()))

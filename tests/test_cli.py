@@ -237,6 +237,22 @@ def test_unknown_item_key_is_a_runtime_error(corpus_dir, capsys):
     assert "no-such-item" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "settings", [{"k": "5"}, {"m": 2.5}, {"threshold": "0.5"}], ids=["k", "m", "threshold"]
+)
+def test_wrong_typed_retrieval_settings_are_runtime_errors(corpus_dir, tmp_path, capsys, settings):
+    cfg_file = tmp_path / "retrieval.json"
+    cfg_file.write_text(json.dumps(settings))
+    corpus = load_corpus(corpus_dir)
+    code = main([
+        "neighbors", "--corpus", str(corpus_dir), "--session", corpus.vocab.key(0),
+        "--config", str(cfg_file),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_train_writes_checkpoints_and_summary(train_dir, capsys):
     assert (train_dir / "epoch_0.ckpt").exists()
     assert (train_dir / "log.jsonl").exists()
@@ -282,6 +298,16 @@ def test_recommend_ranks_items(train_dir, corpus_dir, capsys):
     assert scores == sorted(scores, reverse=True)
     known = set(corpus.vocab.keys)
     assert all(row["item"] in known for row in doc)
+    # every item, probability descending and item index ascending on ties
+    code, doc = run_json(capsys, [
+        "recommend", "--checkpoint", str(train_dir / "epoch_0.ckpt"),
+        "--corpus", str(corpus_dir),
+        "--session", corpus.vocab.key(0), "--top", str(len(corpus.vocab)),
+    ])
+    assert code == 0
+    keys = [(-row["score"], corpus.vocab.index(row["item"])) for row in doc]
+    assert keys == sorted(keys)
+    assert len(keys) == len(corpus.vocab)
 
 
 def test_recommend_finds_corpus_from_run_config(train_dir, capsys):

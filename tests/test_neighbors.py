@@ -111,6 +111,39 @@ def test_candidates_validation():
         candidates(idx, [0], m=0)
 
 
+few_item_seqs = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(few_item_seqs, min_size=1, max_size=60),
+    few_item_seqs,
+    st.integers(min_value=1, max_value=8),
+    st.one_of(st.none(), st.integers(0, 700)),
+)
+def test_candidates_match_newest_first_scan(sessions, prefix, m, now_offset):
+    # three items over up to 60 sessions: posting lists outgrow m, so the
+    # per-list cap and the "now" cutoff are exercised together
+    c = corpus_from_items(sessions)
+    idx = build_index(c)
+    now = None if now_offset is None else 100 + now_offset
+    got = candidates(idx, prefix, m=m, now=now)
+    query = set(prefix)
+    want = [
+        s.id for s in reversed(c.train_sessions())
+        if (now is None or s.start_time < now) and query & set(s.items)
+    ][:m]
+    assert got == want
+    assert all(type(sid) is int for sid in got)
+
+
+def test_build_index_rejects_unordered_start_times():
+    vocab = ItemVocab(["a", "b"], [1, 1])
+    c = SessionCorpus([Session(0, [0, 1], 200), Session(1, [1], 100)], vocab, 2)
+    with pytest.raises(RetrievalError, match="chronological"):
+        build_index(c)
+
+
 # ---------------------------------------------------------------------------
 # neighbors
 
@@ -148,6 +181,20 @@ def test_neighbors_parameter_validation():
         neighbors(idx, [0], k=0)
     with pytest.raises(RetrievalError):
         neighbors(idx, [0], threshold=1.5)
+    wrong_types = [
+        {"k": "5"}, {"k": True}, {"m": 2.5}, {"m": False},
+        {"threshold": "0.5"}, {"threshold": None}, {"raw_length": 1},
+    ]
+    for bad in wrong_types:
+        with pytest.raises(RetrievalError):
+            neighbors(idx, [0], **bad)
+
+
+def test_neighbors_return_python_numbers():
+    idx = build_index(corpus_from_items([[0, 1], [0, 2]]))
+    got = neighbors(idx, [0, 1], threshold=0.0)
+    assert got == [(0, 1.0), (1, 0.5)]
+    assert all(type(sid) is int and type(sim) is float for sid, sim in got)
 
 
 @settings(max_examples=60, deadline=None)
