@@ -45,7 +45,7 @@ train_config = TrainConfig(
     lr=3e-3,
     intra_decay_every=100,
     inter_decay_every=100,
-    k=10,
+    retrieval=RetrievalConfig(k=10),
     seed=0,
     patience=0,
 )
@@ -56,7 +56,7 @@ print(f"trained {len(result.history)} epochs in {time.perf_counter() - started:.
 print("losses:", [round(h["loss"], 3) for h in result.history])
 
 report = evaluate_model(
-    result.params, model_config, corpus, retrieval=train_config.retrieval()
+    result.params, model_config, corpus, retrieval=train_config.retrieval
 )
 print("model   :", report.to_dict())
 

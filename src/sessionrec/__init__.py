@@ -40,7 +40,6 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
-    RetrievalConfig,
     evaluate_baseline,
     evaluate_model,
     rank_of,
@@ -64,7 +63,14 @@ from .model import (
     score_and_predict,
     session_readout,
 )
-from .neighbors import InvertedIndex, build_index, candidates, neighbors, similarity
+from .neighbors import (
+    InvertedIndex,
+    RetrievalConfig,
+    build_index,
+    candidates,
+    neighbors,
+    similarity,
+)
 from .training import TrainConfig, TrainResult, group_learning_rates, train
 
 __version__ = "0.1.0"

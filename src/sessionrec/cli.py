@@ -2,10 +2,11 @@
 
 One executable, six subcommands: preprocess, neighbors, graph, train, evaluate,
 recommend. Results go to stdout as JSON; diagnostics go to stderr. Exit codes:
-0 success, 1 usage error, 2 runtime failure. Settings resolve with CLI flags
-beating a --config JSON file beating built-in defaults, and every command that
-writes an output directory drops the resolved configuration next to its
-outputs as run_config.json.
+0 success, 1 usage error, 2 runtime failure (bad config values included).
+Settings resolve with CLI flags beating a --config JSON file beating the
+retrieval settings saved in a checkpoint beating built-in defaults, and every
+command that writes an output directory drops the resolved configuration next
+to its outputs as run_config.json.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import gradkit as gk
 from .corpus import (
+    PreprocessConfig,
     SessionCorpus,
     drop_unseen_test_sessions,
     filter_corpus,
@@ -34,21 +36,18 @@ from .corpus import (
     take_recent_fraction,
 )
 from .errors import ConfigError, SessionRecError
-from .evaluation import (
-    BASELINES,
-    RetrievalConfig,
-    evaluate_baseline,
-    evaluate_model,
-)
+from .evaluation import BASELINES, evaluate_baseline, evaluate_model
+from .files import write_atomic
 from .graphs import build_inter_graph, build_intra_graph
 from .model import (
     LOSS_FORMS,
     VARIANTS,
     ModelConfig,
+    ModelParams,
     bind_params,
     forward,
 )
-from .neighbors import build_index, neighbors
+from .neighbors import RetrievalConfig, build_index, neighbors
 from .training import TrainConfig, train
 
 DATA_DIR_ENV = "SESSIONREC_DATA"
@@ -66,110 +65,70 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Every tunable, flattened; the serialized form of a run's settings."""
+    """A run's settings: the package's config sections under one flat namespace.
 
-    # model architecture
-    dim: int = 100
-    heads: int = 8
-    gat_layers: int = 2
-    ggnn_steps: int = 1
-    variant: str = "full"
-    leaky_slope: float = 0.2
-    loss_form: str = "binary_ce"
-    share_readout: bool = False
-    separate_embeddings: bool = False
-    # optimization
-    epochs: int = 30
-    batch_size: int = 128
-    lr: float = 1e-3
-    lr_decay: float = 0.1
-    intra_decay_every: int = 3
-    inter_decay_every: int = 5
-    patience: int = 3
-    val_fraction: float = 0.05
-    # neighbor retrieval
-    k: int = 120
-    threshold: float = 0.5
-    m: int = 1000
-    raw_length: bool = False
-    # preprocessing
-    min_support: int = 5
-    min_len: int = 2
-    test_window: int = 86400
-    fraction: Optional[str] = None
-    # global
-    seed: int = 0
-    threads: int = 1
+    Flags, ``--config`` keys and run_config.json use each field's own name;
+    the model's vocab_size is not a setting, since it comes from the corpus.
+    """
+
+    # a stand-in vocab_size; cmd_train replaces it with the corpus's
+    model: ModelConfig = field(default_factory=lambda: ModelConfig(vocab_size=1))
+    train: TrainConfig = field(default_factory=TrainConfig)
+    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
+
+    def settings(self) -> dict[str, object]:
+        """Each setting's name mapped to the section that holds it."""
+        found = (self.model, self.train, self.train.retrieval, self.preprocess)
+        return {
+            f.name: section
+            for section in found
+            for f in fields(section)
+            if f.name not in ("vocab_size", "retrieval")
+        }
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            dim=self.dim,
-            heads=self.heads,
-            gat_layers=self.gat_layers,
-            ggnn_steps=self.ggnn_steps,
-            variant=self.variant,
-            leaky_slope=self.leaky_slope,
-            loss_form=self.loss_form,
-            share_readout=self.share_readout,
-            separate_embeddings=self.separate_embeddings,
-        )
-
-    def to_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            lr_decay=self.lr_decay,
-            intra_decay_every=self.intra_decay_every,
-            inter_decay_every=self.inter_decay_every,
-            k=self.k,
-            threshold=self.threshold,
-            m=self.m,
-            raw_length=self.raw_length,
-            seed=self.seed,
-            patience=self.patience,
-            val_fraction=self.val_fraction,
-        )
-
-    def to_retrieval(self) -> RetrievalConfig:
-        return RetrievalConfig(
-            k=self.k, threshold=self.threshold, m=self.m, raw_length=self.raw_length
-        )
+        return {name: getattr(section, name) for name, section in self.settings().items()}
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overlaid by the --config file, overlaid by explicit flags."""
+def _read_json(path: Union[str, Path]) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return doc
+
+
+def resolve_config(
+    args: argparse.Namespace, saved: Optional[RetrievalConfig] = None
+) -> RunConfig:
+    """Defaults, overlaid by a checkpoint's saved retrieval settings, then by
+    the --config file, then by explicit flags; every section is validated."""
     cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}") from None
-        if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
-            doc = doc["config"]  # accept a previously written run_config.json
-        if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, value in doc.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-    for key in known:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    if saved is not None:
+        cfg.train.retrieval = saved
+    owner = cfg.settings()
+    from_file = {}
+    if getattr(args, "config", None):
+        doc = _read_json(args.config)
+        # a previously written run_config.json holds its settings under "config"
+        from_file = doc["config"] if isinstance(doc.get("config"), dict) else doc
+    flags = {n: v for n in owner if (v := getattr(args, n, None)) is not None}
+    for name, value in [*from_file.items(), *flags.items()]:
+        if name not in owner:
+            raise ConfigError(f"unknown config key {name!r}")
+        setattr(owner[name], name, value)
+    cfg.model.validate()
+    cfg.train.validate()
+    cfg.preprocess.validate()
     return cfg
 
 
 def write_run_config(directory: Path, command: str, cfg: RunConfig, paths: dict) -> None:
     doc = {"command": command, "paths": paths, "config": cfg.to_dict()}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    (directory / RUN_CONFIG_FILENAME).write_text(text, encoding="utf-8")
+    write_atomic(directory / RUN_CONFIG_FILENAME, text.encode("utf-8"))
 
 
 def _corpus_dir(args: argparse.Namespace) -> Path:
@@ -210,14 +169,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         skip_header=args.skip_header,
     )
     corpus = ingest_events(events)
-    corpus = filter_corpus(corpus, min_support=cfg.min_support, min_len=cfg.min_len)
-    window = cfg.test_window
+    prep = cfg.preprocess
+    corpus = filter_corpus(corpus, min_support=prep.min_support, min_len=prep.min_len)
     if args.test_days is not None:
-        window = int(args.test_days * 86400)
-        cfg.test_window = window
-    corpus = split_by_time(corpus, window)
-    if cfg.fraction:
-        corpus = take_recent_fraction(corpus, cfg.fraction)
+        prep.test_window = int(args.test_days * 86400)
+    corpus = split_by_time(corpus, prep.test_window)
+    if prep.fraction:
+        corpus = take_recent_fraction(corpus, prep.fraction)
         corpus = drop_unseen_test_sessions(corpus)
     corpus.validate()
     out = Path(args.output)
@@ -240,14 +198,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     corpus = load_corpus(_corpus_dir(args))
     prefix = _map_keys(corpus, _parse_session_arg(args.session))
     index = build_index(corpus)
-    found = neighbors(
-        index,
-        prefix,
-        k=cfg.k,
-        threshold=cfg.threshold,
-        m=cfg.m,
-        raw_length=cfg.raw_length,
-    )
+    found = neighbors(index, prefix, **vars(cfg.train.retrieval))
     _emit([{"session": sid, "similarity": sim} for sid, sim in found])
     return 0
 
@@ -256,11 +207,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     keys = _parse_session_arg(args.session)
     corpus = None
-    if args.with_neighbors or getattr(args, "corpus", None) or os.environ.get(DATA_DIR_ENV):
-        if args.with_neighbors:
-            corpus = load_corpus(_corpus_dir(args))
-        elif getattr(args, "corpus", None):
-            corpus = load_corpus(Path(args.corpus))
+    if args.with_neighbors or args.corpus:
+        corpus = load_corpus(_corpus_dir(args))
     if corpus is not None:
         prefix = _map_keys(corpus, keys)
         name_of = corpus.vocab.key
@@ -275,10 +223,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     neighbor_sessions = []
     if args.with_neighbors:
         index = build_index(corpus)
-        found = neighbors(
-            index, prefix, k=cfg.k, threshold=cfg.threshold, m=cfg.m,
-            raw_length=cfg.raw_length,
-        )
+        found = neighbors(index, prefix, **vars(cfg.train.retrieval))
         neighbor_sessions = [corpus.sessions[sid] for sid, _ in found]
 
     intra = build_intra_graph(prefix)
@@ -306,11 +251,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     corpus = load_corpus(_corpus_dir(args))
-    model_config = cfg.to_model_config(len(corpus.vocab))
+    model_config = replace(cfg.model, vocab_size=len(corpus.vocab))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_run_config(out, "train", cfg, {"corpus": str(_corpus_dir(args)), "out": str(out)})
-    result = train(corpus, model_config, cfg.to_train_config(), out_dir=out)
+    result = train(corpus, model_config, cfg.train, out_dir=out)
     _emit(
         {
             "epochs_run": len(result.history),
@@ -332,85 +277,64 @@ def _parse_cutoffs(text: str) -> list[int]:
     return cutoffs
 
 
+def _load_checkpoint(
+    args: argparse.Namespace, corpus: SessionCorpus
+) -> tuple[ModelParams, ModelConfig, RunConfig]:
+    """Bind a checkpoint to the corpus; settings resolve over its saved retrieval."""
+    store, meta = gk.load_params(args.checkpoint)
+    model_config = ModelConfig.from_dict(meta.get("model"))
+    if model_config.vocab_size != len(corpus.vocab):
+        raise ConfigError(
+            "checkpoint was trained on a different vocabulary "
+            f"({model_config.vocab_size} items vs {len(corpus.vocab)})"
+        )
+    saved = meta.get("retrieval")
+    cfg = resolve_config(args, None if saved is None else RetrievalConfig.from_dict(saved))
+    return bind_params(store, model_config), model_config, cfg
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
     corpus = load_corpus(_corpus_dir(args))
     cutoffs = _parse_cutoffs(args.at)
     if args.baseline is None and args.checkpoint is None:
         raise UsageError("evaluate needs --checkpoint or --baseline")
 
     if args.baseline is not None:
-        report = evaluate_baseline(
-            args.baseline, corpus, cfg.to_retrieval(), cutoffs, threads=cfg.threads
-        )
+        cfg = resolve_config(args)
+        report = evaluate_baseline(args.baseline, corpus, cfg.train.retrieval, cutoffs)
     else:
-        store, meta = gk.load_params(args.checkpoint)
-        model_config = ModelConfig.from_dict(meta.get("model", {}))
-        if model_config.vocab_size != len(corpus.vocab):
-            raise ConfigError(
-                "checkpoint was trained on a different vocabulary "
-                f"({model_config.vocab_size} items vs {len(corpus.vocab)})"
-            )
-        params = bind_params(store, model_config)
-        retrieval = cfg.to_retrieval()
-        saved = meta.get("retrieval")
-        if saved and not _retrieval_flags_given(args):
-            retrieval = RetrievalConfig(**saved)
-        report = evaluate_model(
-            params, model_config, corpus, retrieval, cutoffs, threads=cfg.threads
-        )
+        params, model_config, cfg = _load_checkpoint(args, corpus)
+        report = evaluate_model(params, model_config, corpus, cfg.train.retrieval, cutoffs)
 
     payload = report.to_dict()
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        write_atomic(out / "report.json", text.encode("utf-8"))
         write_run_config(out, "evaluate", cfg, {"corpus": str(_corpus_dir(args))})
     _emit(payload)
     return 0
 
 
-def _retrieval_flags_given(args: argparse.Namespace) -> bool:
-    return any(
-        getattr(args, name, None) is not None
-        for name in ("k", "threshold", "m", "raw_length")
-    )
-
-
 def cmd_recommend(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
     corpus_dir = None
     if getattr(args, "corpus", None) or os.environ.get(DATA_DIR_ENV):
         corpus_dir = _corpus_dir(args)
     else:
         sibling = Path(args.checkpoint).parent / RUN_CONFIG_FILENAME
         if sibling.exists():
-            doc = json.loads(sibling.read_text(encoding="utf-8"))
-            stored = doc.get("paths", {}).get("corpus")
-            if stored:
-                corpus_dir = Path(stored)
+            paths = _read_json(sibling).get("paths")
+            if isinstance(paths, dict) and isinstance(paths.get("corpus"), str):
+                corpus_dir = Path(paths["corpus"])
     if corpus_dir is None:
         raise UsageError("--corpus is required (no run_config.json next to checkpoint)")
     corpus = load_corpus(corpus_dir)
-
-    store, meta = gk.load_params(args.checkpoint)
-    model_config = ModelConfig.from_dict(meta.get("model", {}))
-    if model_config.vocab_size != len(corpus.vocab):
-        raise ConfigError("checkpoint vocabulary does not match the corpus")
-    params = bind_params(store, model_config)
-    retrieval = cfg.to_retrieval()
-    saved = meta.get("retrieval")
-    if saved and not _retrieval_flags_given(args):
-        retrieval = RetrievalConfig(**saved)
+    params, model_config, cfg = _load_checkpoint(args, corpus)
 
     prefix = _map_keys(corpus, _parse_session_arg(args.session))
     index = build_index(corpus)
-    found = neighbors(
-        index, prefix, k=retrieval.k, threshold=retrieval.threshold,
-        m=retrieval.m, raw_length=retrieval.raw_length,
-    )
+    found = neighbors(index, prefix, **vars(cfg.train.retrieval))
     sessions = [corpus.sessions[sid] for sid, _ in found]
     yhat, _ = forward(prefix, sessions, params, model_config)
     scores = yhat.values
@@ -426,7 +350,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
     common.add_argument("--config", default=None, help="JSON config file")
 
     retrieval = _Parser(add_help=False)

@@ -16,14 +16,30 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from .config import check_at_least, check_types
 from .errors import CorpusError
+from .files import write_atomic
 
 CORPUS_FORMAT_VERSION = 1
 VOCAB_FORMAT_VERSION = 1
 CORPUS_FILENAME = "corpus.bin"
 VOCAB_FILENAME = "vocab.json"
+
+
+@dataclass
+class PreprocessConfig:
+    """Filter and split settings of the preprocess command."""
+
+    min_support: int = 5
+    min_len: int = 2
+    test_window: int = 86400  # seconds
+    fraction: Optional[str] = None  # e.g. "1/4": keep that share of recent training
+
+    def validate(self) -> None:
+        check_types(self)
+        check_at_least(self, 1, "min_support", "min_len")
 
 
 @dataclass(frozen=True)
@@ -259,7 +275,9 @@ def _rebuild(
 
 
 def filter_corpus(
-    corpus: SessionCorpus, min_support: int = 5, min_len: int = 2
+    corpus: SessionCorpus,
+    min_support: int = PreprocessConfig.min_support,
+    min_len: int = PreprocessConfig.min_len,
 ) -> SessionCorpus:
     """Iterate support and length filters to a fixed point, then re-index densely.
 
@@ -355,7 +373,10 @@ def take_recent_fraction(
     corpus should follow up with :func:`drop_unseen_test_sessions`. Accepts
     fractions as "1/4" strings, floats, or Fraction instances.
     """
-    frac = Fraction(fraction)
+    try:
+        frac = Fraction(fraction)
+    except (ValueError, ZeroDivisionError):
+        raise CorpusError(f"fraction must read like '1/4' or 0.25, got {fraction!r}") from None
     if not 0 < frac <= 1:
         raise CorpusError(f"fraction must be in (0, 1], got {frac}")
     n_train = corpus.train_count
@@ -394,14 +415,14 @@ def save_corpus(corpus: SessionCorpus, directory: Union[str, Path]) -> None:
     for s in corpus.sessions:
         parts.append(struct.pack("<qI", s.start_time, len(s.items)))
         parts.append(struct.pack(f"<{len(s.items)}I", *s.items))
-    (directory / CORPUS_FILENAME).write_bytes(b"".join(parts))
+    write_atomic(directory / CORPUS_FILENAME, b"".join(parts))
     vocab_doc = {
         "version": VOCAB_FORMAT_VERSION,
         "items": corpus.vocab.keys,
         "counts": corpus.vocab.counts,
     }
     text = json.dumps(vocab_doc, ensure_ascii=False, separators=(",", ":")) + "\n"
-    (directory / VOCAB_FILENAME).write_text(text, encoding="utf-8")
+    write_atomic(directory / VOCAB_FILENAME, text.encode("utf-8"))
 
 
 def load_corpus(directory: Union[str, Path]) -> SessionCorpus:

@@ -9,7 +9,6 @@ reciprocal ranks, zero beyond the cutoff.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -19,19 +18,9 @@ from .baselines import ItemKnn, pop_scores, sknn_scores
 from .corpus import SessionCorpus, TrainingExample, augment
 from .errors import ConfigError
 from .model import ModelConfig, ModelParams, forward
-from .neighbors import InvertedIndex, build_index, neighbors
+from .neighbors import InvertedIndex, RetrievalConfig, build_index, neighbors
 
 BASELINES = ("pop", "sknn", "itemknn")
-
-
-@dataclass
-class RetrievalConfig:
-    """Neighbor search knobs shared by training and evaluation."""
-
-    k: int = 120
-    threshold: float = 0.5
-    m: int = 1000
-    raw_length: bool = False
 
 
 @dataclass
@@ -85,19 +74,12 @@ def report_from_ranks(
 def _collect_ranks(
     cases: Sequence[TrainingExample],
     score_one: Callable[[TrainingExample], Optional[np.ndarray]],
-    threads: int = 1,
 ) -> list[Optional[int]]:
-    """Rank every case; cases are independent, so threads only change speed."""
-    def rank_case(ex: TrainingExample) -> Optional[int]:
-        scores = score_one(ex)
-        if scores is None:
-            return None
-        return rank_of(scores, ex.label)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(rank_case, cases))
-    return [rank_case(ex) for ex in cases]
+    """Rank every case; a case scored None (no neighbors) is a miss."""
+    return [
+        None if (scores := score_one(ex)) is None else rank_of(scores, ex.label)
+        for ex in cases
+    ]
 
 
 def test_examples(corpus: SessionCorpus) -> list[TrainingExample]:
@@ -114,7 +96,6 @@ def evaluate_model(
     corpus: SessionCorpus,
     retrieval: RetrievalConfig = RetrievalConfig(),
     cutoffs: Sequence[int] = (5, 10),
-    threads: int = 1,
     index: Optional[InvertedIndex] = None,
     cases: Optional[Sequence[TrainingExample]] = None,
 ) -> EvalReport:
@@ -132,20 +113,12 @@ def evaluate_model(
         raise ConfigError("no test cases to evaluate")
 
     def score_one(ex: TrainingExample) -> np.ndarray:
-        nbrs = neighbors(
-            index,
-            ex.prefix,
-            k=retrieval.k,
-            threshold=retrieval.threshold,
-            m=retrieval.m,
-            now=ex.start_time,
-            raw_length=retrieval.raw_length,
-        )
+        nbrs = neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval))
         sessions = [corpus.sessions[sid] for sid, _ in nbrs]
         yhat, _ = forward(ex.prefix, sessions, params, config)
         return yhat.values
 
-    return report_from_ranks(_collect_ranks(cases, score_one, threads), cutoffs)
+    return report_from_ranks(_collect_ranks(cases, score_one), cutoffs)
 
 
 def evaluate_baseline(
@@ -153,7 +126,6 @@ def evaluate_baseline(
     corpus: SessionCorpus,
     retrieval: RetrievalConfig = RetrievalConfig(),
     cutoffs: Sequence[int] = (5, 10),
-    threads: int = 1,
     cases: Optional[Sequence[TrainingExample]] = None,
 ) -> EvalReport:
     """Next-item metrics for one of the reference baselines.
@@ -180,17 +152,9 @@ def evaluate_baseline(
         n_items = len(corpus.vocab)
 
         def score_one(ex: TrainingExample) -> Optional[np.ndarray]:
-            nbrs = neighbors(
-                index,
-                ex.prefix,
-                k=retrieval.k,
-                threshold=retrieval.threshold,
-                m=retrieval.m,
-                now=ex.start_time,
-                raw_length=retrieval.raw_length,
-            )
+            nbrs = neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval))
             if not nbrs:
                 return None
             return sknn_scores(nbrs, index, n_items)
 
-    return report_from_ranks(_collect_ranks(cases, score_one, threads), cutoffs)
+    return report_from_ranks(_collect_ranks(cases, score_one), cutoffs)

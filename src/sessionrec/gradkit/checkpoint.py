@@ -28,6 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..errors import CheckpointError
+from ..files import write_atomic
 from .params import ParamStore
 
 MAGIC = b"SGRK"
@@ -54,7 +55,7 @@ def save_params(
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_params(path: Union[str, Path]) -> tuple[ParamStore, dict]:
@@ -71,6 +72,8 @@ def load_params(path: Union[str, Path]) -> tuple[ParamStore, dict]:
     offset = 9
     try:
         meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise CheckpointError("checkpoint metadata is not a JSON object")
         offset += meta_len
         (count,) = struct.unpack_from("<I", blob, offset)
         offset += 4

@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import gradkit as gk
+from .config import check_at_least, check_types, section_from_dict
 from .corpus import Session
 from .errors import ConfigError
 from .gradkit import ParamSpec, ParamStore, Tensor
@@ -47,16 +48,8 @@ class ModelConfig:
     separate_embeddings: bool = False
 
     def validate(self) -> None:
-        if self.vocab_size < 1:
-            raise ConfigError("vocab_size must be >= 1")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
-        if self.heads < 1:
-            raise ConfigError("heads must be >= 1")
-        if self.gat_layers < 1:
-            raise ConfigError("gat_layers must be >= 1")
-        if self.ggnn_steps < 1:
-            raise ConfigError("ggnn_steps must be >= 1")
+        check_types(self)
+        check_at_least(self, 1, "vocab_size", "dim", "heads", "gat_layers", "ggnn_steps")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.loss_form not in LOSS_FORMS:
@@ -66,11 +59,12 @@ class ModelConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        cfg = cls(**{k: v for k, v in doc.items() if k in known})
-        cfg.validate()
-        return cfg
+    def from_dict(cls, doc: object) -> "ModelConfig":
+        """Build and validate from a JSON object; keys this version lacks are ignored."""
+        if isinstance(doc, dict):
+            known = {f.name for f in fields(cls)}
+            doc = {k: v for k, v in doc.items() if k in known}
+        return section_from_dict(cls, doc)
 
 
 @dataclass

@@ -23,11 +23,33 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import check_at_least, check_types, section_from_dict
 from .corpus import SessionCorpus
-from .errors import RetrievalError
+from .errors import ConfigError, RetrievalError
 
 Neighbors = list[tuple[int, float]]
 """(session id, similarity) pairs, similarity descending, newer first on ties."""
+
+
+@dataclass
+class RetrievalConfig:
+    """Neighbor search knobs shared by training, evaluation and serving.
+
+    ``neighbors(index, prefix, now=..., **vars(config))`` runs one search.
+    """
+
+    k: int = 120
+    threshold: float = 0.5
+    m: int = 1000
+    raw_length: bool = False
+
+    from_dict = classmethod(section_from_dict)
+
+    def validate(self) -> None:
+        check_types(self)
+        check_at_least(self, 1, "k", "m")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
 
 
 @dataclass(eq=False)
@@ -98,7 +120,7 @@ def _check_count(name: str, value: object) -> None:
 def candidates(
     index: InvertedIndex,
     prefix: Sequence[int],
-    m: int = 1000,
+    m: int = RetrievalConfig.m,
     now: Optional[int] = None,
 ) -> list[int]:
     """The ``m`` most recent indexed sessions sharing an item with the prefix.
@@ -146,11 +168,11 @@ def similarity(
 def neighbors(
     index: InvertedIndex,
     prefix: Sequence[int],
-    k: int = 120,
-    threshold: float = 0.5,
-    m: int = 1000,
+    k: int = RetrievalConfig.k,
+    threshold: float = RetrievalConfig.threshold,
+    m: int = RetrievalConfig.m,
     now: Optional[int] = None,
-    raw_length: bool = False,
+    raw_length: bool = RetrievalConfig.raw_length,
 ) -> Neighbors:
     """Top-k most similar past sessions for a prefix.
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -22,10 +23,11 @@ import numpy as np
 
 from . import gradkit as gk
 from .corpus import SessionCorpus, TrainingExample, augment
-from .errors import NumericsError, TrainingError
-from .evaluation import RetrievalConfig, evaluate_model
+from .config import check_at_least, check_types
+from .errors import ConfigError, NumericsError, TrainingError
+from .evaluation import evaluate_model
 from .model import ModelConfig, ModelParams, build_params, forward, loss
-from .neighbors import InvertedIndex, Neighbors, build_index, neighbors
+from .neighbors import InvertedIndex, Neighbors, RetrievalConfig, build_index, neighbors
 
 logger = logging.getLogger(__name__)
 
@@ -42,21 +44,22 @@ class TrainConfig:
     lr_decay: float = 0.1
     intra_decay_every: int = 3
     inter_decay_every: int = 5
-    k: int = 120
-    threshold: float = 0.5
-    m: int = 1000
-    raw_length: bool = False
     seed: int = 0
     patience: int = 3
     val_fraction: float = 0.05
+    retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
 
-    def retrieval(self) -> RetrievalConfig:
-        return RetrievalConfig(
-            k=self.k, threshold=self.threshold, m=self.m, raw_length=self.raw_length
-        )
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def validate(self) -> None:
+        check_types(self)
+        check_at_least(self, 1, "epochs", "batch_size", "intra_decay_every", "inter_decay_every")
+        check_at_least(self, 0, "seed", "patience")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if not 0.0 <= self.val_fraction <= 1.0:
+            raise ConfigError(f"val_fraction must be in [0, 1], got {self.val_fraction}")
+        self.retrieval.validate()
 
 
 @dataclass
@@ -94,15 +97,7 @@ def precompute_neighbors(
     for ex in examples:
         key = (ex.session_id, len(ex.prefix))
         if key not in cache:
-            cache[key] = neighbors(
-                index,
-                ex.prefix,
-                k=retrieval.k,
-                threshold=retrieval.threshold,
-                m=retrieval.m,
-                now=ex.start_time,
-                raw_length=retrieval.raw_length,
-            )
+            cache[key] = neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval))
     return cache
 
 
@@ -138,6 +133,7 @@ def train(
     Recall@10 when measured, wall time).
     """
     model_config.validate()
+    config.validate()
     if model_config.vocab_size != len(corpus.vocab):
         raise TrainingError(
             f"model vocab_size {model_config.vocab_size} != corpus items {len(corpus.vocab)}"
@@ -161,9 +157,8 @@ def train(
     for s in val_sessions:
         val_examples.extend(augment(s))
 
-    retrieval = config.retrieval()
     index = build_index(corpus)
-    cache = precompute_neighbors(index, fit_examples + val_examples, retrieval)
+    cache = precompute_neighbors(index, fit_examples + val_examples, config.retrieval)
 
     params = build_params(model_config, config.seed)
     store = params.store
@@ -226,7 +221,7 @@ def train(
                 params,
                 model_config,
                 corpus,
-                retrieval,
+                config.retrieval,
                 cutoffs=(10,),
                 index=index,
                 cases=val_examples,
@@ -247,12 +242,7 @@ def train(
                 store,
                 meta={
                     "model": model_config.to_dict(),
-                    "retrieval": {
-                        "k": config.k,
-                        "threshold": config.threshold,
-                        "m": config.m,
-                        "raw_length": config.raw_length,
-                    },
+                    "retrieval": asdict(config.retrieval),
                     "epoch": epoch,
                     "seed": config.seed,
                 },

@@ -17,7 +17,7 @@ from sessionrec import gradkit as gk
 from sessionrec.baselines import sknn_scores
 from sessionrec.cli import main
 from sessionrec.corpus import augment, filter_corpus, split_by_time
-from sessionrec.evaluation import evaluate_model, report_from_ranks
+from sessionrec.evaluation import RetrievalConfig, evaluate_model, report_from_ranks
 from sessionrec.graphs import build_inter_graph, build_intra_graph
 from sessionrec.model import FusionParams, fuse, gat_alphas
 from sessionrec.synthetic import (
@@ -214,7 +214,7 @@ def test_overfits_deterministic_chains():
         lr=3e-3,
         intra_decay_every=100,
         inter_decay_every=100,
-        k=10,
+        retrieval=RetrievalConfig(k=10),
         seed=0,
         patience=0,
     )
@@ -224,7 +224,7 @@ def test_overfits_deterministic_chains():
         result.params,
         config,
         corpus,
-        retrieval=train_config.retrieval(),
+        retrieval=train_config.retrieval,
         cutoffs=(5,),
         cases=cases,
     )
@@ -259,7 +259,7 @@ def test_neighbor_context_beats_intra_only():
                 lr=3e-3,
                 intra_decay_every=100,
                 inter_decay_every=100,
-                k=6,
+                retrieval=RetrievalConfig(k=6),
                 seed=seed,
                 patience=0,
             )
@@ -268,7 +268,7 @@ def test_neighbor_context_beats_intra_only():
                 result.params,
                 config,
                 corpus,
-                retrieval=train_config.retrieval(),
+                retrieval=train_config.retrieval,
                 cutoffs=(5,),
             )
             scores.append(report.recall[5])
@@ -287,12 +287,14 @@ def test_fixed_seed_reproduces_losses_and_report():
         600,
     )
     config = sr.ModelConfig(vocab_size=len(corpus.vocab), dim=16, heads=4)
-    train_config = TrainConfig(epochs=3, batch_size=32, k=10, seed=11, patience=0)
+    train_config = TrainConfig(
+        epochs=3, batch_size=32, retrieval=RetrievalConfig(k=10), seed=11, patience=0
+    )
     runs = []
     for _ in range(2):
         result = train(corpus, config, train_config)
         report = evaluate_model(
-            result.params, config, corpus, retrieval=train_config.retrieval(), threads=1
+            result.params, config, corpus, retrieval=train_config.retrieval
         )
         runs.append(([h["loss"] for h in result.history], report))
     assert runs[0][0] == runs[1][0]

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from sessionrec import gradkit as gk
 from sessionrec.cli import DATA_DIR_ENV, RunConfig, build_parser, main, resolve_config
 from sessionrec.corpus import load_corpus
 from sessionrec.errors import ConfigError
@@ -131,19 +132,19 @@ def test_flags_beat_config_file_beats_defaults(tmp_path):
     cfg_file.write_text(json.dumps({"k": 7, "threshold": 0.25}))
 
     defaults = resolve_config(parse(["neighbors", "--session", "a"]))
-    assert defaults.k == RunConfig().k == 120
+    assert defaults.train.retrieval.k == RunConfig().train.retrieval.k == 120
 
     from_file = resolve_config(
         parse(["neighbors", "--session", "a", "--config", str(cfg_file)])
     )
-    assert from_file.k == 7
-    assert from_file.threshold == 0.25
+    assert from_file.train.retrieval.k == 7
+    assert from_file.train.retrieval.threshold == 0.25
 
     overridden = resolve_config(
         parse(["neighbors", "--session", "a", "--config", str(cfg_file), "--k", "9"])
     )
-    assert overridden.k == 9
-    assert overridden.threshold == 0.25
+    assert overridden.train.retrieval.k == 9
+    assert overridden.train.retrieval.threshold == 0.25
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -159,8 +160,8 @@ def test_config_accepts_a_written_run_config(corpus_dir):
         parse(["neighbors", "--session", "a",
                "--config", str(corpus_dir / "run_config.json")])
     )
-    assert cfg.min_support == 2
-    assert cfg.test_window == 200
+    assert cfg.preprocess.min_support == 2
+    assert cfg.preprocess.test_window == 200
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +322,90 @@ def test_recommend_finds_corpus_from_run_config(train_dir, capsys):
     ])
     assert code == 0
     assert len(doc) == 10  # default --top
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("train", {"dim": "64"}),
+        ("train", {"lr": "x"}),
+        ("train", {"epochs": -1}),
+        ("train", {"threads": 1}),
+        ("train", ["--batch-size", "0"]),
+        ("preprocess", {"min_support": "2"}),
+    ],
+    ids=["dim", "lr", "epochs", "stale-threads", "batch-size", "min-support"],
+)
+def test_bad_settings_exit_two_with_one_error_line(
+    corpus_dir, events_csv, tmp_path, capsys, command, extra
+):
+    if command == "train":
+        argv = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "run")]
+    else:
+        argv = ["preprocess", "--input", str(events_csv), "--output", str(tmp_path / "c")]
+    if isinstance(extra, dict):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(extra))
+        extra = ["--config", str(cfg_file)]
+    assert main(argv + extra) == 2
+    assert one_error_line(capsys)
+
+
+def damaged_checkpoint(train_dir, directory, damage):
+    store, meta = gk.load_params(train_dir / "epoch_0.ckpt")
+    path = directory / "epoch_0.ckpt"
+    if damage == "no-model":
+        del meta["model"]
+    elif damage == "unknown-retrieval-key":
+        meta["retrieval"]["bogus"] = 1
+    elif damage == "string-dim":
+        meta["model"]["dim"] = "8"
+    else:  # a corrupt run_config.json beside an intact checkpoint
+        (directory / "run_config.json").write_text("{not json")
+    gk.save_params(path, store, meta=meta)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, damage",
+    [
+        (command, damage)
+        for command in ("evaluate", "recommend")
+        for damage in ("no-model", "unknown-retrieval-key", "string-dim")
+    ]
+    + [("recommend", "corrupt-run-config")],
+)
+def test_damaged_checkpoints_exit_two_with_one_error_line(
+    train_dir, corpus_dir, tmp_path, capsys, command, damage
+):
+    path = damaged_checkpoint(train_dir, tmp_path, damage)
+    key = load_corpus(corpus_dir).vocab.key(0)
+    if command == "evaluate":
+        argv = ["evaluate", "--corpus", str(corpus_dir), "--checkpoint", str(path)]
+    else:
+        argv = ["recommend", "--checkpoint", str(path), "--session", key]
+        if damage != "corrupt-run-config":  # that case finds its corpus through the file
+            argv += ["--corpus", str(corpus_dir)]
+    assert main(argv) == 2
+    assert one_error_line(capsys)
+
+
+def test_config_file_retrieval_beats_checkpoint_settings(train_dir, corpus_dir, tmp_path, capsys):
+    strict = tmp_path / "strict.json"
+    strict.write_text(json.dumps({"k": 1, "threshold": 1.0}))
+    base = [
+        "recommend", "--checkpoint", str(train_dir / "epoch_0.ckpt"),
+        "--corpus", str(corpus_dir), "--session", load_corpus(corpus_dir).vocab.key(0),
+    ]
+    _, saved = run_json(capsys, base)
+    _, from_file = run_json(capsys, base + ["--config", str(strict)])
+    _, from_flags = run_json(capsys, base + ["--k", "1", "--threshold", "1.0"])
+    _, flag_over_file = run_json(capsys, base + ["--config", str(strict), "--threshold", "0.1"])
+    assert from_file != saved
+    assert from_file == from_flags
+    assert flag_over_file != from_file

@@ -227,19 +227,6 @@ def test_evaluate_model_reports_sane_metrics():
     assert report.recall[10] == 1.0
 
 
-def test_evaluate_model_threads_do_not_change_the_report():
-    corpus = corpus_of(
-        [[0, 1, 2], [1, 2], [2, 3], [0, 3, 1]],
-        [[1, 2, 3], [0, 1]],
-    )
-    params, cfg = tiny_model(corpus)
-    one = evaluate_model(params, cfg, corpus, RetrievalConfig(threshold=0.0))
-    four = evaluate_model(
-        params, cfg, corpus, RetrievalConfig(threshold=0.0), threads=4
-    )
-    assert one == four
-
-
 def test_evaluate_model_accepts_custom_cases_and_index():
     corpus = corpus_of([[0, 1, 2], [1, 2]], [[0, 1, 2]])
     params, cfg = tiny_model(corpus)

@@ -1,5 +1,7 @@
 """The autodiff tape: op semantics, gradient fidelity, optimizer, persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -462,3 +464,28 @@ def test_checkpoint_truncation_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(CheckpointError):
         gk.load_params(path)
+
+
+def test_checkpoint_metadata_must_be_an_object(tmp_path):
+    path = tmp_path / "x.ckpt"
+    gk.save_params(path, store_with([("w", (2,), "inter")]), ["not", "an", "object"])
+    with pytest.raises(CheckpointError, match="metadata"):
+        gk.load_params(path)
+
+
+def test_failed_checkpoint_write_leaves_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "x.ckpt"
+    gk.save_params(path, store_with([("w", (64,), "inter")]), {"epoch": 0})
+    before = path.read_bytes()
+
+    def torn_write(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        gk.save_params(path, store_with([("w", (64,), "inter")], seed=1), {"epoch": 1})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

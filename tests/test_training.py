@@ -18,7 +18,7 @@ from sessionrec.training import (
     precompute_neighbors,
     train,
 )
-from sessionrec.neighbors import build_index
+from sessionrec.neighbors import RetrievalConfig, build_index
 
 
 def direct_corpus(train_items, test_items=(), train_count=None):
@@ -87,7 +87,7 @@ def test_precomputed_neighbors_never_peek_forward_or_at_self():
         TrainingExample((0,), 1, session_id=sid, start_time=corpus.sessions[sid].start_time)
         for sid in (1, 2)
     ]
-    cache = precompute_neighbors(index, examples, TrainConfig().retrieval())
+    cache = precompute_neighbors(index, examples, TrainConfig().retrieval)
     assert [sid for sid, _ in cache[(1, 1)]] == [0]
     assert [sid for sid, _ in cache[(2, 1)]] == [1, 0]  # equal similarity, newer first
     for (owner, _), entries in cache.items():
@@ -105,7 +105,9 @@ def small_chain():
 
 
 def fast_train_config(**overrides):
-    base = dict(epochs=2, batch_size=64, seed=1, patience=0, threshold=0.1)
+    base = dict(
+        epochs=2, batch_size=64, seed=1, patience=0, retrieval=RetrievalConfig(threshold=0.1)
+    )
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -176,7 +178,7 @@ def test_early_stopping_on_stagnant_validation():
     model_cfg = ModelConfig(vocab_size=3, dim=4, heads=2, gat_layers=1)
     cfg = TrainConfig(
         epochs=8, batch_size=8, lr=1e-13, seed=0,
-        patience=1, val_fraction=0.5, threshold=0.0,
+        patience=1, val_fraction=0.5, retrieval=RetrievalConfig(threshold=0.0),
     )
     result = train(corpus, model_cfg, cfg)
     # at a frozen learning rate validation cannot improve after epoch 0
@@ -187,7 +189,9 @@ def test_early_stopping_on_stagnant_validation():
 def test_validation_recall_is_logged_when_enabled():
     corpus = direct_corpus([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]])
     model_cfg = ModelConfig(vocab_size=3, dim=4, heads=2, gat_layers=1)
-    cfg = TrainConfig(epochs=1, patience=2, val_fraction=0.5, threshold=0.0, seed=0)
+    cfg = TrainConfig(
+        epochs=1, patience=2, val_fraction=0.5, retrieval=RetrievalConfig(threshold=0.0), seed=0
+    )
     result = train(corpus, model_cfg, cfg)
     assert 0.0 <= result.history[0]["val_recall10"] <= 1.0
 
