@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .corpus import (
 )
 from .errors import ConfigError, SessionRecError
 from .evaluation import BASELINES, evaluate_baseline, evaluate_model
-from .files import write_atomic
+from .files import read_json_object, write_atomic
 from .graphs import build_inter_graph, build_intra_graph
 from .model import (
     LOSS_FORMS,
@@ -90,16 +91,6 @@ class RunConfig:
         return {name: getattr(section, name) for name, section in self.settings().items()}
 
 
-def _read_json(path: Union[str, Path]) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return doc
-
-
 def resolve_config(
     args: argparse.Namespace, saved: Optional[RetrievalConfig] = None
 ) -> RunConfig:
@@ -111,7 +102,7 @@ def resolve_config(
     owner = cfg.settings()
     from_file = {}
     if getattr(args, "config", None):
-        doc = _read_json(args.config)
+        doc = read_json_object(args.config, ConfigError)
         # a previously written run_config.json holds its settings under "config"
         from_file = doc["config"] if isinstance(doc.get("config"), dict) else doc
     flags = {n: v for n in owner if (v := getattr(args, n, None)) is not None}
@@ -160,6 +151,14 @@ def _emit(payload) -> None:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    prep = cfg.preprocess
+    if args.test_days is not None:
+        window = args.test_days * 86400
+        if not (math.isfinite(window) and window > 0):
+            raise UsageError(
+                f"--test-days must give a positive, finite window, got {args.test_days}"
+            )
+        prep.test_window = int(window)
     events = read_events_csv(
         args.input,
         delimiter=args.delimiter,
@@ -169,10 +168,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         skip_header=args.skip_header,
     )
     corpus = ingest_events(events)
-    prep = cfg.preprocess
     corpus = filter_corpus(corpus, min_support=prep.min_support, min_len=prep.min_len)
-    if args.test_days is not None:
-        prep.test_window = int(args.test_days * 86400)
     corpus = split_by_time(corpus, prep.test_window)
     if prep.fraction:
         corpus = take_recent_fraction(corpus, prep.fraction)
@@ -318,13 +314,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise UsageError(f"--top must be at least 1, got {args.top}")
     corpus_dir = None
     if getattr(args, "corpus", None) or os.environ.get(DATA_DIR_ENV):
         corpus_dir = _corpus_dir(args)
     else:
         sibling = Path(args.checkpoint).parent / RUN_CONFIG_FILENAME
         if sibling.exists():
-            paths = _read_json(sibling).get("paths")
+            paths = read_json_object(sibling, ConfigError).get("paths")
             if isinstance(paths, dict) and isinstance(paths.get("corpus"), str):
                 corpus_dir = Path(paths["corpus"])
     if corpus_dir is None:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .config import check_at_least, check_types
 from .errors import CorpusError
-from .files import write_atomic
+from .files import read_json_object, write_atomic
 
 CORPUS_FORMAT_VERSION = 1
 VOCAB_FORMAT_VERSION = 1
@@ -453,13 +453,15 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
     if train_count > n_sessions:
         raise CorpusError("corpus.bin train boundary out of range")
 
-    try:
-        vocab_doc = json.loads((directory / VOCAB_FILENAME).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CorpusError(f"cannot read vocabulary from {directory}: {exc}") from None
+    vocab_doc = read_json_object(directory / VOCAB_FILENAME, CorpusError)
     if vocab_doc.get("version") != VOCAB_FORMAT_VERSION:
         raise CorpusError("unsupported vocab format version")
-    vocab = ItemVocab(vocab_doc["items"], vocab_doc["counts"])
+    keys, counts = vocab_doc.get("items"), vocab_doc.get("counts")
+    if not (isinstance(keys, list) and all(isinstance(k, str) for k in keys)):
+        raise CorpusError("vocab.json items must be a list of strings")
+    if not (isinstance(counts, list) and all(type(c) is int for c in counts)):
+        raise CorpusError("vocab.json counts must be a list of integers")
+    vocab = ItemVocab(keys, counts)
     corpus = SessionCorpus(sessions, vocab, train_count)
     corpus.validate()
     return corpus

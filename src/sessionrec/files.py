@@ -1,7 +1,9 @@
-"""All-or-nothing replacement of the files the package writes."""
+"""All-or-nothing replacement of the files the package writes, and a checked
+reader for the JSON objects it reads back."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 from typing import Union
@@ -18,3 +20,16 @@ def write_atomic(path: Union[str, Path], data: bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def read_json_object(path: Union[str, Path], error: type[Exception]) -> dict:
+    """Decode the JSON object stored in ``path``. An unreadable file, bad
+    UTF-8, bad or too deeply nested JSON, or a document that is not an
+    object raises ``error``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path} must hold a JSON object")
+    return doc

@@ -95,7 +95,7 @@ def load_params(path: Union[str, Path]) -> tuple[ParamStore, dict]:
             data = np.frombuffer(blob, dtype="<f8", count=n_bytes // 8, offset=offset)
             offset += n_bytes
             store.add(name, data.reshape(shape).copy(), group)
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError, RecursionError) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from None
     if offset != len(blob):
         raise CheckpointError("checkpoint has trailing bytes")

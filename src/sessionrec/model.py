@@ -14,8 +14,8 @@ constant tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -95,9 +95,15 @@ class ReadoutParams:
 
 
 @dataclass
-class GatHead:
-    w: Tensor     # (d_out, d_in)
-    attn: Tensor  # (2 * d_out,)
+class GatLayer:
+    """Every head of one attention layer, stacked.
+
+    Head k owns rows k*d:(k+1)*d of ``w`` and row k of ``attn``, which holds
+    its self half followed by its peer half.
+    """
+
+    w: Tensor     # (heads * d, d_in)
+    attn: Tensor  # (heads, 2d)
 
 
 @dataclass
@@ -116,14 +122,9 @@ class ModelParams:
     embedding_inter: Tensor
     intra: IntraParams
     intra_readout: ReadoutParams
-    inter_layers: list[list[GatHead]]
+    inter_layers: list[GatLayer]
     inter_readout: ReadoutParams
     fusion: FusionParams
-
-
-def _gat_layer_width(config: ModelConfig, layer: int) -> int:
-    """Input width of GAT layer ``layer``: d for the first, heads*d after concat."""
-    return config.dim if layer == 0 else config.heads * config.dim
 
 
 def param_specs(config: ModelConfig) -> list[ParamSpec]:
@@ -152,12 +153,11 @@ def param_specs(config: ModelConfig) -> list[ParamSpec]:
         ParamSpec("intra.u_cand", (d, d), "intra_shared"),
     ]
     specs += _readout_specs("intra_readout", d, "intra_shared")
+    width = config.heads * d
     for layer in range(config.gat_layers):
-        d_in = _gat_layer_width(config, layer)
-        for head in range(config.heads):
-            prefix = f"inter.layer{layer}.head{head}"
-            specs.append(ParamSpec(f"{prefix}.w", (d, d_in), "inter"))
-            specs.append(ParamSpec(f"{prefix}.attn", (2 * d,), "inter"))
+        d_in = d if layer == 0 else width  # the previous layer's heads, concatenated
+        specs.append(ParamSpec(f"inter.layer{layer}.w", (width, d_in), "inter"))
+        specs.append(ParamSpec(f"inter.layer{layer}.attn", (config.heads, 2 * d), "inter"))
     if not config.share_readout:
         specs += _readout_specs("inter_readout", d, "inter")
     specs += [
@@ -178,58 +178,40 @@ def _readout_specs(prefix: str, d: int, group: str) -> list[ParamSpec]:
     ]
 
 
-def bind_params(store: ParamStore, config: ModelConfig) -> ModelParams:
-    """Wrap a store's tensors in the named views the encoders consume."""
-    def readout(prefix: str) -> ReadoutParams:
-        return ReadoutParams(
-            q=store[f"{prefix}.q"],
-            w_last=store[f"{prefix}.w_last"],
-            w_node=store[f"{prefix}.w_node"],
-            bias=store[f"{prefix}.bias"],
-            w_compress=store[f"{prefix}.w_compress"],
-        )
+def _view(cls: type, store: ParamStore, prefix: str):
+    """A params dataclass whose field ``f`` is the stored tensor ``{prefix}.{f}``."""
+    return cls(**{f.name: store[f"{prefix}.{f.name}"] for f in fields(cls)})
 
-    intra = IntraParams(
-        w_out=store["intra.w_out"],
-        w_in=store["intra.w_in"],
-        b_out=store["intra.b_out"],
-        b_in=store["intra.b_in"],
-        w_update=store["intra.w_update"],
-        u_update=store["intra.u_update"],
-        w_reset=store["intra.w_reset"],
-        u_reset=store["intra.u_reset"],
-        w_cand=store["intra.w_cand"],
-        u_cand=store["intra.u_cand"],
-    )
-    layers = [
-        [
-            GatHead(
-                w=store[f"inter.layer{layer}.head{head}.w"],
-                attn=store[f"inter.layer{layer}.head{head}.attn"],
+
+def bind_params(store: ParamStore, config: ModelConfig) -> ModelParams:
+    """Wrap a store's tensors in the named views the encoders consume.
+
+    The store must hold exactly the names and shapes ``param_specs(config)``
+    declares; the first mismatch raises ConfigError.
+    """
+    expected = {spec.name: spec.shape for spec in param_specs(config)}
+    found = {name: tensor.shape for name, tensor in store.items()}
+    for name in dict.fromkeys([*expected, *found]):
+        if found.get(name) != expected.get(name):
+            raise ConfigError(
+                f"parameter {name} does not fit the model config: stored "
+                f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
             )
-            for head in range(config.heads)
-        ]
-        for layer in range(config.gat_layers)
-    ]
-    intra_readout = readout("intra_readout")
-    inter_readout = intra_readout if config.share_readout else readout("inter_readout")
+    intra_readout = _view(ReadoutParams, store, "intra_readout")
     embedding = store["embedding"]
-    embedding_inter = (
-        store["embedding_inter"] if config.separate_embeddings else embedding
-    )
     return ModelParams(
         store=store,
         embedding=embedding,
-        embedding_inter=embedding_inter,
-        intra=intra,
+        embedding_inter=store["embedding_inter"] if config.separate_embeddings else embedding,
+        intra=_view(IntraParams, store, "intra"),
         intra_readout=intra_readout,
-        inter_layers=layers,
-        inter_readout=inter_readout,
-        fusion=FusionParams(
-            w_inter=store["fusion.w_inter"],
-            w_intra=store["fusion.w_intra"],
-            bias=store["fusion.bias"],
+        inter_layers=[
+            _view(GatLayer, store, f"inter.layer{layer}") for layer in range(config.gat_layers)
+        ],
+        inter_readout=(
+            intra_readout if config.share_readout else _view(ReadoutParams, store, "inter_readout")
         ),
+        fusion=_view(FusionParams, store, "fusion"),
     )
 
 
@@ -331,7 +313,7 @@ def gat_alphas(mask: np.ndarray, wh: Tensor, attn: Tensor, slope: float = 0.2) -
 def gat_layer(
     mask: np.ndarray,
     h: Tensor,
-    heads: Sequence[GatHead],
+    layer: GatLayer,
     average: bool,
     slope: float = 0.2,
     uniform: bool = False,
@@ -347,21 +329,17 @@ def gat_layer(
 
     The heads are independent maps of the same input, so they run stacked
     over (H, N, .) tensors. The projection is one 2-D product against the
-    concatenated weights, whose gradient is a single GEMM with no permuted copy.
+    stacked weights, whose gradient is a single GEMM with no permuted copy.
     """
     n = mask.shape[0]
-    stack = len(heads)
-    d_out = heads[0].w.shape[0]
-    w = gk.concat([head.w for head in heads])                         # (H*d_out, d_in)
+    stack, d_out = layer.attn.shape[0], layer.attn.shape[1] // 2
     wh = gk.transpose(
-        gk.reshape(h @ gk.transpose(w), (n, stack, d_out)), (1, 0, 2)
+        gk.reshape(h @ gk.transpose(layer.w), (n, stack, d_out)), (1, 0, 2)
     )                                                                 # (H, N, d_out)
     if uniform:
         alpha = gk.Tensor(mask / mask.sum(axis=1, keepdims=True))     # (N, N)
     else:
-        attn = gk.reshape(
-            gk.concat([head.attn for head in heads]), (2 * stack, d_out, 1)
-        )
+        attn = gk.reshape(layer.attn, (2 * stack, d_out, 1))
         alpha = _stacked_alphas(mask, wh, attn, slope)                # (H, N, N)
     aggregates = alpha @ wh                                           # (H, N, d_out)
     if average:
@@ -371,15 +349,15 @@ def gat_layer(
 
 
 def inter_encode(
-    graph: InterGraph, rows: Tensor, layers: Sequence[Sequence[GatHead]],
+    graph: InterGraph, rows: Tensor, layers: Sequence[GatLayer],
     slope: float = 0.2, uniform: bool = False,
 ) -> Tensor:
     """Stack GAT layers over the neighbor graph; final layer head-averages to (N, d)."""
     mask = graph.mask()
     h = rows
     last = len(layers) - 1
-    for i, heads in enumerate(layers):
-        h = gat_layer(mask, h, heads, average=(i == last), slope=slope, uniform=uniform)
+    for i, layer in enumerate(layers):
+        h = gat_layer(mask, h, layer, average=(i == last), slope=slope, uniform=uniform)
     return h
 
 

@@ -215,13 +215,22 @@ def ref_gat_alphas(adjacency, h, w, attn, slope=0.2):
     return out
 
 
+def ref_head_params(v, layer, heads):
+    """Split a layer's stacked tensors into per-head (w, attn) pairs.
+
+    ``inter.layer{l}.w`` is (heads*d, d_in) with head k in rows k*d:(k+1)*d;
+    ``inter.layer{l}.attn`` is (heads, 2d) with head k in row k.
+    """
+    w = v[f"inter.layer{layer}.w"]
+    attn = v[f"inter.layer{layer}.attn"]
+    d = w.shape[0] // heads
+    return [(w[k * d : (k + 1) * d], attn[k]) for k in range(heads)]
+
+
 def ref_inter_encode(adjacency, rows, v, heads, layers, slope=0.2, uniform=False):
     h = np.asarray(rows, dtype=np.float64)
     for layer in range(layers):
-        head_params = [
-            (v[f"inter.layer{layer}.head{k}.w"], v[f"inter.layer{layer}.head{k}.attn"])
-            for k in range(heads)
-        ]
+        head_params = ref_head_params(v, layer, heads)
         h = ref_gat_layer(
             adjacency, h, head_params, average=(layer == layers - 1),
             slope=slope, uniform=uniform,
@@ -389,17 +398,17 @@ def plant_straddling_attention(values, adjacency, node_rows, heads, layers,
     h = np.asarray(node_rows, dtype=np.float64)
     n = h.shape[0]
     for layer in range(layers):
-        head_params = []
-        for k in range(heads):
-            w = values[f"inter.layer{layer}.head{k}.w"]
+        attn = np.array(values[f"inter.layer{layer}.attn"], dtype=np.float64)
+        for k, (w, _) in enumerate(ref_head_params(values, layer, heads)):
             z = h @ w.T
             a_peer, *_ = np.linalg.lstsq(z, pattern, rcond=None)
             a_self = rng.normal(0.0, 1.0, w.shape[0])
             span = np.abs(z @ a_self).max()
             a_self *= 0.25 / max(span, 1e-12)
-            values[f"inter.layer{layer}.head{k}.attn"] = np.concatenate(
-                [a_self, a_peer]
-            )
-            head_params.append((w, values[f"inter.layer{layer}.head{k}.attn"]))
-        h = ref_gat_layer(adjacency, h, head_params, average=(layer == layers - 1))
+            attn[k] = np.concatenate([a_self, a_peer])
+        values[f"inter.layer{layer}.attn"] = attn
+        h = ref_gat_layer(
+            adjacency, h, ref_head_params(values, layer, heads),
+            average=(layer == layers - 1),
+        )
     return values

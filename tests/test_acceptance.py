@@ -60,9 +60,8 @@ def test_gradients_match_central_differences():
         seed=rng,
     )
     for layer in range(config.gat_layers):
-        for head in range(config.heads):
-            name = f"inter.layer{layer}.head{head}.attn"
-            store[name].values[...] = values[name]
+        name = f"inter.layer{layer}.attn"
+        store[name].values[...] = values[name]
 
     def objective(*_):
         yhat, _ = sr.forward(prefix, neighbor_sessions, params, config)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sessionrec import gradkit as gk
@@ -117,6 +118,27 @@ def test_bad_cutoffs_are_usage_errors(corpus_dir, capsys):
         "evaluate", "--corpus", str(corpus_dir), "--baseline", "pop", "--at", "0,5",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("days", ["nan", "inf", "-inf", "0", "-1", "1e305"])
+def test_bad_test_days_are_usage_errors(events_csv, tmp_path, capsys, days):
+    code = main([
+        "preprocess", "--input", str(events_csv), "--output", str(tmp_path / "c"),
+        "--test-days", days,
+    ])
+    assert code == 1
+    assert "--test-days" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_top_below_one_is_a_usage_error(train_dir, corpus_dir, capsys, top):
+    code = main([
+        "recommend", "--checkpoint", str(train_dir / "epoch_0.ckpt"),
+        "--corpus", str(corpus_dir), "--session", load_corpus(corpus_dir).vocab.key(0),
+        "--top", top,
+    ])
+    assert code == 1
+    assert "--top" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +387,22 @@ def damaged_checkpoint(train_dir, directory, damage):
         meta["retrieval"]["bogus"] = 1
     elif damage == "string-dim":
         meta["model"]["dim"] = "8"
+    elif damage == "dim-16":
+        meta["model"]["dim"] = 16
+    elif damage == "three-heads":
+        meta["model"]["heads"] = 3
+    elif damage == "per-head-layout":  # inter.layer{l}.head{k}.{w,attn}, one pair per head
+        heads = meta["model"]["heads"]
+        per_head = gk.ParamStore()
+        for name, tensor in store.items():
+            if name.startswith("inter.layer"):
+                layer, part = name.rsplit(".", 1)
+                for k, block in enumerate(np.split(tensor.values, heads)):
+                    shaped = block.reshape(-1) if part == "attn" else block
+                    per_head.add(f"{layer}.head{k}.{part}", shaped, store.group(name))
+            else:
+                per_head.add(name, tensor.values, store.group(name))
+        store = per_head
     else:  # a corrupt run_config.json beside an intact checkpoint
         (directory / "run_config.json").write_text("{not json")
     gk.save_params(path, store, meta=meta)
@@ -376,7 +414,10 @@ def damaged_checkpoint(train_dir, directory, damage):
     [
         (command, damage)
         for command in ("evaluate", "recommend")
-        for damage in ("no-model", "unknown-retrieval-key", "string-dim")
+        for damage in (
+            "no-model", "unknown-retrieval-key", "string-dim",
+            "dim-16", "three-heads", "per-head-layout",
+        )
     ]
     + [("recommend", "corrupt-run-config")],
 )
@@ -409,3 +450,12 @@ def test_config_file_retrieval_beats_checkpoint_settings(train_dir, corpus_dir, 
     assert from_file != saved
     assert from_file == from_flags
     assert flag_over_file != from_file
+
+
+def test_corrupt_vocab_exits_two_with_one_error_line(corpus_dir, tmp_path, capsys):
+    broken = tmp_path / "corpus"
+    broken.mkdir()
+    (broken / "corpus.bin").write_bytes((corpus_dir / "corpus.bin").read_bytes())
+    (broken / "vocab.json").write_text('{"version": 1, "items": 5, "counts": []}')
+    assert main(["neighbors", "--corpus", str(broken), "--session", "a"]) == 2
+    assert one_error_line(capsys)

@@ -294,3 +294,27 @@ def test_corpus_roundtrip_bytes_stable(tmp_path):
 def test_load_missing_directory(tmp_path):
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "nope")
+
+
+@pytest.mark.parametrize(
+    "contents",
+    [
+        b"{not json",
+        b"[1,2]",
+        b'{"version":1}',
+        b'{"version":1,"items":5,"counts":[]}',
+        b"\xff\xfe",
+        b'{"version":1,"items":[1,2],"counts":[1,1]}',
+        b'{"version":1,"items":["a","b"],"counts":[1,"1"]}',
+        b"[" * 100_000,
+    ],
+    ids=[
+        "not-json", "list", "no-items", "items-number", "bad-utf8", "int-items", "str-count",
+        "deep-nesting",
+    ],
+)
+def test_corrupt_vocab_is_a_corpus_error(tmp_path, contents):
+    save_corpus(split_by_time(split_fixture(), test_window=100), tmp_path)
+    (tmp_path / "vocab.json").write_bytes(contents)
+    with pytest.raises(CorpusError):
+        load_corpus(tmp_path)

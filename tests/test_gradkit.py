@@ -1,5 +1,6 @@
 """The autodiff tape: op semantics, gradient fidelity, optimizer, persistence."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -448,13 +449,18 @@ def test_checkpoint_rejects_corruption(tmp_path):
     store = store_with([("w", (2,), "inter")])
     path = tmp_path / "x.ckpt"
     gk.save_params(path, store, {})
-    blob = bytearray(path.read_bytes())
+    intact = path.read_bytes()
+    blob = bytearray(intact)
     blob[0] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
         gk.load_params(path)
     with pytest.raises(CheckpointError):
         gk.load_params(tmp_path / "missing.ckpt")
+    deep = b"[" * 100_000  # metadata nested past the decoder's recursion limit
+    path.write_bytes(intact[:5] + struct.pack("<I", len(deep)) + deep + intact[11:])
+    with pytest.raises(CheckpointError):
+        gk.load_params(path)
 
 
 def test_checkpoint_truncation_detected(tmp_path):

@@ -21,7 +21,7 @@ from sessionrec import gradkit as gk
 from sessionrec.errors import ConfigError
 from sessionrec.graphs import build_inter_graph, build_intra_graph
 from sessionrec.model import (
-    GatHead,
+    GatLayer,
     ModelConfig,
     build_params,
     forward,
@@ -77,9 +77,9 @@ def test_param_inventory_shapes_and_groups():
     d = cfg.dim
     assert specs["embedding"].shape == (12, d)
     assert specs["intra.w_update"].shape == (d, 2 * d)
-    assert specs["inter.layer0.head0.w"].shape == (d, d)
-    assert specs["inter.layer1.head2.w"].shape == (d, cfg.heads * d)
-    assert specs["inter.layer1.head0.attn"].shape == (2 * d,)
+    assert specs["inter.layer0.w"].shape == (cfg.heads * d, d)
+    assert specs["inter.layer1.w"].shape == (cfg.heads * d, cfg.heads * d)
+    assert specs["inter.layer1.attn"].shape == (cfg.heads, 2 * d)
     assert specs["fusion.bias"].shape == (d,)
     for name, s in specs.items():
         expected = "inter" if name.startswith(("inter.", "inter_readout.")) else "intra_shared"
@@ -153,11 +153,19 @@ def gat_fixture(n_heads=3, d=6, width=None):
     return graph, h, heads
 
 
+def stacked_layer(heads):
+    """Per-head (w, attn) pairs stacked into one layer, head k in row block k."""
+    return GatLayer(
+        w=gk.Tensor(np.concatenate([w for w, _ in heads])),
+        attn=gk.Tensor(np.stack([a for _, a in heads])),
+    )
+
+
 def test_gat_layer_matches_reference():
     graph, h, heads = gat_fixture()
-    native_heads = [GatHead(w=gk.Tensor(w), attn=gk.Tensor(a)) for w, a in heads]
+    native_layer = stacked_layer(heads)
     for average in (False, True):
-        mine = gat_layer(graph.mask(), gk.Tensor(h), native_heads, average=average).values
+        mine = gat_layer(graph.mask(), gk.Tensor(h), native_layer, average=average).values
         ref = ref_gat_layer(graph.adjacency, h, heads, average=average)
         assert mine.shape == ref.shape
         assert np.allclose(mine, ref, atol=1e-10)
@@ -165,9 +173,9 @@ def test_gat_layer_matches_reference():
 
 def test_gat_layer_uniform_attention_matches_reference():
     graph, h, heads = gat_fixture()
-    native_heads = [GatHead(w=gk.Tensor(w), attn=gk.Tensor(a)) for w, a in heads]
+    native_layer = stacked_layer(heads)
     mine = gat_layer(
-        graph.mask(), gk.Tensor(h), native_heads, average=True, uniform=True
+        graph.mask(), gk.Tensor(h), native_layer, average=True, uniform=True
     ).values
     ref = ref_gat_layer(graph.adjacency, h, heads, average=True, uniform=True)
     assert np.allclose(mine, ref, atol=1e-10)
@@ -343,4 +351,4 @@ def test_full_loss_is_differentiable_end_to_end():
     assert np.abs(by_name["embedding"]).max() > 0
     assert np.abs(by_name["fusion.bias"]).max() > 0
     assert np.abs(by_name["intra.w_update"]).max() > 0
-    assert np.abs(by_name["inter.layer0.head0.w"]).max() > 0
+    assert np.abs(by_name["inter.layer0.w"]).max() > 0
