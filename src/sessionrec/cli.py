@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import gradkit as gk
 from .corpus import (
+    Event,
     PreprocessConfig,
     SessionCorpus,
     drop_unseen_test_sessions,
@@ -40,14 +42,7 @@ from .errors import ConfigError, SessionRecError
 from .evaluation import BASELINES, evaluate_baseline, evaluate_model
 from .files import read_json_object, write_atomic
 from .graphs import build_inter_graph, build_intra_graph
-from .model import (
-    LOSS_FORMS,
-    VARIANTS,
-    ModelConfig,
-    ModelParams,
-    bind_params,
-    forward,
-)
+from .model import ModelConfig, ModelParams, bind_params, forward
 from .neighbors import RetrievalConfig, build_index, neighbors
 from .training import TrainConfig, train
 
@@ -87,9 +82,6 @@ class RunConfig:
             if f.name not in ("vocab_size", "retrieval")
         }
 
-    def to_dict(self) -> dict:
-        return {name: getattr(section, name) for name, section in self.settings().items()}
-
 
 def resolve_config(
     args: argparse.Namespace, saved: Optional[RetrievalConfig] = None
@@ -117,7 +109,8 @@ def resolve_config(
 
 
 def write_run_config(directory: Path, command: str, cfg: RunConfig, paths: dict) -> None:
-    doc = {"command": command, "paths": paths, "config": cfg.to_dict()}
+    config = {name: getattr(section, name) for name, section in cfg.settings().items()}
+    doc = {"command": command, "paths": paths, "config": config}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     write_atomic(directory / RUN_CONFIG_FILENAME, text.encode("utf-8"))
 
@@ -202,19 +195,12 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     keys = _parse_session_arg(args.session)
-    corpus = None
     if args.with_neighbors or args.corpus:
         corpus = load_corpus(_corpus_dir(args))
-    if corpus is not None:
         prefix = _map_keys(corpus, keys)
-        name_of = corpus.vocab.key
-    else:
-        local: dict[str, int] = {}
-        for key in keys:
-            local.setdefault(key, len(local))
-        prefix = [local[key] for key in keys]
-        names = list(local)
-        name_of = lambda i: names[i]
+    else:  # a one-session corpus indexes the session's own items
+        corpus = ingest_events(Event("session", 0, key) for key in keys)
+        prefix = corpus.sessions[0].items
 
     neighbor_sessions = []
     if args.with_neighbors:
@@ -227,14 +213,14 @@ def cmd_graph(args: argparse.Namespace) -> int:
     _emit(
         {
             "intra": {
-                "nodes": [name_of(i) for i in intra.node_items],
+                "nodes": [corpus.vocab.key(i) for i in intra.node_items],
                 "a_out": intra.a_out.tolist(),
                 "a_in": intra.a_in.tolist(),
                 "alias": intra.alias,
                 "last_slot": intra.last_slot,
             },
             "inter": {
-                "nodes": [name_of(i) for i in inter.node_items],
+                "nodes": [corpus.vocab.key(i) for i in inter.node_items],
                 "adjacency": inter.adjacency,
                 "session_slots": inter.session_slots,
                 "last_slot": inter.last_slot,
@@ -345,27 +331,32 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- parsing
 
 
+def _add_settings(p: _Parser, *sections: type) -> None:
+    """Add --config and one --field-name flag per setting of the given sections.
+
+    A flag takes its field's ``int`` or ``float`` type, else ``str``; a ``bool``
+    field becomes a switch. Every flag defaults to None, so resolve_config can
+    tell a flag that was given from one that was not.
+    """
+    p.add_argument("--config", default=None, help="JSON config file")
+    for name, section in RunConfig().settings().items():
+        if type(section) in sections:
+            hint = typing.get_type_hints(type(section))[name]
+            flag = "--" + name.replace("_", "-")
+            note = f"{type(section).__name__}.{name}, default {getattr(section, name)}"
+            if hint is bool:
+                p.add_argument(flag, action="store_const", const=True, default=None, help=note)
+            else:
+                kind = hint if hint in (int, float) else str
+                p.add_argument(flag, type=kind, default=None, help=note)
+
+
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--config", default=None, help="JSON config file")
-
-    retrieval = _Parser(add_help=False)
-    retrieval.add_argument("--k", type=int, default=None, help="neighbors to keep")
-    retrieval.add_argument("--threshold", type=float, default=None, help="similarity floor")
-    retrieval.add_argument("--m", type=int, default=None, help="candidate budget")
-    retrieval.add_argument(
-        "--raw-length", dest="raw_length", action="store_const", const=True,
-        default=None, help="use raw click counts in the similarity denominator",
-    )
-
     parser = _Parser(prog="sessionrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser(
-        "preprocess", parents=[common],
-        help="events file -> filtered, time-split corpus directory",
-    )
+    p = sub.add_parser("preprocess", help="events file -> filtered, time-split corpus directory")
+    _add_settings(p, PreprocessConfig)
     p.add_argument("--input", required=True, help="CSV/TSV events file")
     p.add_argument("--output", required=True, help="corpus output directory")
     p.add_argument("--delimiter", default=",")
@@ -373,58 +364,34 @@ def build_parser() -> _Parser:
     p.add_argument("--time-col", type=int, default=1)
     p.add_argument("--item-col", type=int, default=2)
     p.add_argument("--skip-header", action="store_true")
-    p.add_argument("--min-support", dest="min_support", type=int, default=None)
-    p.add_argument("--min-len", dest="min_len", type=int, default=None)
-    p.add_argument("--test-window", dest="test_window", type=int, default=None,
-                   help="test window in seconds")
     p.add_argument("--test-days", type=float, default=None,
-                   help="test window in days (overrides --test-window)")
-    p.add_argument("--fraction", default=None,
-                   help='keep only this fraction of recent training sessions, e.g. "1/4"')
+                   help="test window in days (overrides --test-window, in seconds)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser(
-        "neighbors", parents=[common, retrieval],
-        help="retrieve the most similar past sessions for an ad-hoc session",
+        "neighbors", help="retrieve the most similar past sessions for an ad-hoc session"
     )
+    _add_settings(p, RetrievalConfig)
     p.add_argument("--corpus", default=None, help="corpus directory")
     p.add_argument("--session", required=True, help="comma-separated item keys")
     p.set_defaults(func=cmd_neighbors)
 
-    p = sub.add_parser(
-        "graph", parents=[common, retrieval],
-        help="print a session's graphs as JSON",
-    )
+    p = sub.add_parser("graph", help="print a session's graphs as JSON")
+    _add_settings(p, RetrievalConfig)
     p.add_argument("--corpus", default=None, help="corpus directory")
     p.add_argument("--session", required=True, help="comma-separated item keys")
     p.add_argument("--with-neighbors", action="store_true",
                    help="include retrieved neighbors in the undirected graph")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser(
-        "train", parents=[common, retrieval],
-        help="fit the model and write per-epoch checkpoints",
-    )
+    p = sub.add_parser("train", help="fit the model and write per-epoch checkpoints")
+    _add_settings(p, ModelConfig, TrainConfig, RetrievalConfig)
     p.add_argument("--corpus", default=None, help="corpus directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None, help="embedding width")
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--gat-layers", dest="gat_layers", type=int, default=None)
-    p.add_argument("--ggnn-steps", dest="ggnn_steps", type=int, default=None)
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--loss-form", dest="loss_form", choices=LOSS_FORMS, default=None)
-    p.add_argument("--patience", type=int, default=None,
-                   help="early-stop patience in epochs (0 disables)")
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser(
-        "evaluate", parents=[common, retrieval],
-        help="next-item metrics for a checkpoint or a baseline",
-    )
+    p = sub.add_parser("evaluate", help="next-item metrics for a checkpoint or a baseline")
+    _add_settings(p, RetrievalConfig)
     p.add_argument("--corpus", default=None, help="corpus directory")
     p.add_argument("--checkpoint", default=None, help="checkpoint file")
     p.add_argument("--baseline", choices=BASELINES, default=None)
@@ -433,9 +400,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
-        "recommend", parents=[common, retrieval],
-        help="rank items for an ad-hoc session with a trained checkpoint",
+        "recommend", help="rank items for an ad-hoc session with a trained checkpoint"
     )
+    _add_settings(p, RetrievalConfig)
     p.add_argument("--checkpoint", required=True, help="checkpoint file")
     p.add_argument("--session", required=True, help="comma-separated item keys")
     p.add_argument("--top", type=int, default=10)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .config import check_at_least, check_types
 from .errors import CorpusError
@@ -61,10 +61,6 @@ class Session:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def distinct(self) -> list[int]:
-        """Distinct items in first-occurrence order."""
-        return list(dict.fromkeys(self.items))
 
 
 @dataclass(frozen=True)
@@ -227,35 +223,20 @@ def ingest_events(events: Iterable[Event]) -> SessionCorpus:
     if not groups:
         raise CorpusError("no events to ingest")
 
-    ordered: list[tuple[int, list[tuple[int, str]]]] = []
+    kept: list[tuple[int, list[str]]] = []
     for key in groups:  # dict order = first appearance, kept stable for tied starts
         evs = sorted(groups[key], key=lambda e: e[0])
-        ordered.append((evs[0][0], evs))
-    ordered.sort(key=lambda t: t[0])
-
-    key_to_idx: dict[str, int] = {}
-    counts: list[int] = []
-    sessions: list[Session] = []
-    for sid, (start, evs) in enumerate(ordered):
-        items = []
-        for _ts, item_key in evs:
-            idx = key_to_idx.get(item_key)
-            if idx is None:
-                idx = len(key_to_idx)
-                key_to_idx[item_key] = idx
-                counts.append(0)
-            counts[idx] += 1
-            items.append(idx)
-        sessions.append(Session(sid, items, start))
-    vocab = ItemVocab(list(key_to_idx), counts)
-    return SessionCorpus(sessions, vocab, train_count=len(sessions))
+        kept.append((evs[0][0], [item_key for _ts, item_key in evs]))
+    kept.sort(key=lambda t: t[0])
+    return _rebuild(kept, str, train_count=len(kept))
 
 
 def _rebuild(
-    kept: list[tuple[int, list[int]]], old_vocab: ItemVocab, train_count: int
+    kept: list[tuple[int, list]], key_of: Callable[[Any], str], train_count: int
 ) -> SessionCorpus:
-    """Re-assign dense session ids and dense item indices (first-occurrence order)."""
-    remap: dict[int, int] = {}
+    """Re-assign dense session ids and dense item indices (first-occurrence order);
+    ``key_of`` maps each item in ``kept`` to its raw key."""
+    remap: dict = {}
     keys: list[str] = []
     counts: list[int] = []
     sessions: list[Session] = []
@@ -266,7 +247,7 @@ def _rebuild(
             if new is None:
                 new = len(remap)
                 remap[old] = new
-                keys.append(old_vocab.key(old))
+                keys.append(key_of(old))
                 counts.append(0)
             counts[new] += 1
             mapped.append(new)
@@ -310,7 +291,7 @@ def filter_corpus(
             raise CorpusError("filtering removed every session")
         if not changed:
             break
-    return _rebuild(kept, corpus.vocab, train_count=len(kept))
+    return _rebuild(kept, corpus.vocab.key, train_count=len(kept))
 
 
 def split_by_time(corpus: SessionCorpus, test_window: int) -> SessionCorpus:
@@ -338,15 +319,10 @@ def split_by_time(corpus: SessionCorpus, test_window: int) -> SessionCorpus:
     if not train or not test:
         raise CorpusError("degenerate split: empty train or test partition")
 
-    train_items: set[int] = set()
-    for s in train:
-        train_items.update(s.items)
-    test = [s for s in test if all(i in train_items for i in s.items)]
-    if not test:
+    split = drop_unseen_test_sessions(SessionCorpus(train + test, corpus.vocab, len(train)))
+    if split.train_count == len(split.sessions):
         raise CorpusError("every test session contains items unseen in training")
-
-    kept = [(s.start_time, list(s.items)) for s in train + test]
-    return _rebuild(kept, corpus.vocab, train_count=len(train))
+    return split
 
 
 def drop_unseen_test_sessions(corpus: SessionCorpus) -> SessionCorpus:
@@ -361,7 +337,7 @@ def drop_unseen_test_sessions(corpus: SessionCorpus) -> SessionCorpus:
         train_items.update(s.items)
     test = [s for s in corpus.test_sessions() if all(i in train_items for i in s.items)]
     kept = [(s.start_time, list(s.items)) for s in train + test]
-    return _rebuild(kept, corpus.vocab, train_count=len(train))
+    return _rebuild(kept, corpus.vocab.key, train_count=len(train))
 
 
 def take_recent_fraction(
@@ -383,7 +359,7 @@ def take_recent_fraction(
     keep = math.ceil(frac * n_train)
     kept_train = corpus.sessions[n_train - keep : n_train]
     kept = [(s.start_time, list(s.items)) for s in kept_train + corpus.test_sessions()]
-    return _rebuild(kept, corpus.vocab, train_count=keep)
+    return _rebuild(kept, corpus.vocab.key, train_count=keep)
 
 
 def augment(session: Session) -> list[TrainingExample]:
@@ -454,13 +430,14 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
         raise CorpusError("corpus.bin train boundary out of range")
 
     vocab_doc = read_json_object(directory / VOCAB_FILENAME, CorpusError)
-    if vocab_doc.get("version") != VOCAB_FORMAT_VERSION:
+    version = vocab_doc.get("version")
+    if type(version) is not int or version != VOCAB_FORMAT_VERSION:
         raise CorpusError("unsupported vocab format version")
     keys, counts = vocab_doc.get("items"), vocab_doc.get("counts")
     if not (isinstance(keys, list) and all(isinstance(k, str) for k in keys)):
         raise CorpusError("vocab.json items must be a list of strings")
-    if not (isinstance(counts, list) and all(type(c) is int for c in counts)):
-        raise CorpusError("vocab.json counts must be a list of integers")
+    if not (isinstance(counts, list) and all(type(c) is int and c >= 0 for c in counts)):
+        raise CorpusError("vocab.json counts must be a list of non-negative integers")
     vocab = ItemVocab(keys, counts)
     corpus = SessionCorpus(sessions, vocab, train_count)
     corpus.validate()

@@ -186,15 +186,15 @@ def _view(cls: type, store: ParamStore, prefix: str):
 def bind_params(store: ParamStore, config: ModelConfig) -> ModelParams:
     """Wrap a store's tensors in the named views the encoders consume.
 
-    The store must hold exactly the names and shapes ``param_specs(config)``
-    declares; the first mismatch raises ConfigError.
+    The store must hold exactly the names, shapes and learning-rate groups
+    ``param_specs(config)`` declares; the first mismatch raises ConfigError.
     """
-    expected = {spec.name: spec.shape for spec in param_specs(config)}
-    found = {name: tensor.shape for name, tensor in store.items()}
+    expected = {spec.name: (spec.shape, spec.group) for spec in param_specs(config)}
+    found = {name: (tensor.shape, store.group(name)) for name, tensor in store.items()}
     for name in dict.fromkeys([*expected, *found]):
         if found.get(name) != expected.get(name):
             raise ConfigError(
-                f"parameter {name} does not fit the model config: stored "
+                f"parameter {name} does not fit the model config: stored (shape, group) "
                 f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
             )
     intra_readout = _view(ReadoutParams, store, "intra_readout")

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import sessionrec as sr
 from sessionrec import Event, build_index, ingest_events, neighbors
@@ -194,6 +195,7 @@ def test_rank_fixture_metrics():
     assert abs(report.mrr[10] - 0.4444) < 1e-4
 
 
+@pytest.mark.slow
 def test_overfits_deterministic_chains():
     """A d=32 model memorizes three deterministic item chains.
 
@@ -231,6 +233,7 @@ def test_overfits_deterministic_chains():
     assert time.perf_counter() - started < 300.0
 
 
+@pytest.mark.slow
 def test_neighbor_context_beats_intra_only():
     """Retrieved sessions carry signal the current session cannot.
 

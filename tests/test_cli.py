@@ -9,9 +9,12 @@ import pytest
 
 from sessionrec import gradkit as gk
 from sessionrec.cli import DATA_DIR_ENV, RunConfig, build_parser, main, resolve_config
-from sessionrec.corpus import load_corpus
+from sessionrec.corpus import PreprocessConfig, load_corpus
 from sessionrec.errors import ConfigError
+from sessionrec.model import ModelConfig
+from sessionrec.neighbors import RetrievalConfig
 from sessionrec.synthetic import chain_events, write_events_csv
+from sessionrec.training import TrainConfig
 
 
 @pytest.fixture(autouse=True)
@@ -167,6 +170,50 @@ def test_flags_beat_config_file_beats_defaults(tmp_path):
     )
     assert overridden.train.retrieval.k == 9
     assert overridden.train.retrieval.threshold == 0.25
+
+
+SECTION_COMMANDS = {
+    ModelConfig: ["train"],
+    TrainConfig: ["train"],
+    RetrievalConfig: ["neighbors", "graph", "train", "evaluate", "recommend"],
+    PreprocessConfig: ["preprocess"],
+}
+REQUIRED_FLAGS = {
+    "preprocess": ["--input", "x.csv", "--output", "out"],
+    "neighbors": ["--session", "a"],
+    "graph": ["--session", "a"],
+    "train": ["--out", "run"],
+    "evaluate": [],
+    "recommend": ["--checkpoint", "x.ckpt", "--session", "a"],
+}
+STRING_SETTINGS = {"variant": "intra_only", "loss_form": "categorical_ce", "fraction": "1/4"}
+
+
+def other_valid_value(name, default):
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default / 2
+    return STRING_SETTINGS[name]
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (command, name)
+        for name, section in RunConfig().settings().items()
+        for command in SECTION_COMMANDS[type(section)]
+    ],
+)
+def test_every_setting_has_a_flag_on_each_command_that_resolves_it(command, name):
+    default = getattr(RunConfig().settings()[name], name)
+    value = other_valid_value(name, default)
+    flag = "--" + name.replace("_", "-")
+    given = [flag] if isinstance(value, bool) else [flag, str(value)]
+    cfg = resolve_config(parse([command, *REQUIRED_FLAGS[command], *given]))
+    assert getattr(cfg.settings()[name], name) == value != default
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -359,9 +406,10 @@ def one_error_line(capsys):
         ("train", {"epochs": -1}),
         ("train", {"threads": 1}),
         ("train", ["--batch-size", "0"]),
+        ("train", ["--variant", "bogus"]),
         ("preprocess", {"min_support": "2"}),
     ],
-    ids=["dim", "lr", "epochs", "stale-threads", "batch-size", "min-support"],
+    ids=["dim", "lr", "epochs", "stale-threads", "batch-size", "variant", "min-support"],
 )
 def test_bad_settings_exit_two_with_one_error_line(
     corpus_dir, events_csv, tmp_path, capsys, command, extra
@@ -403,6 +451,12 @@ def damaged_checkpoint(train_dir, directory, damage):
             else:
                 per_head.add(name, tensor.values, store.group(name))
         store = per_head
+    elif damage == "wrong-group":  # the fusion gate moved onto the inter decay schedule
+        regrouped = gk.ParamStore()
+        for name, tensor in store.items():
+            group = "inter" if name.startswith("fusion.") else store.group(name)
+            regrouped.add(name, tensor.values, group)
+        store = regrouped
     else:  # a corrupt run_config.json beside an intact checkpoint
         (directory / "run_config.json").write_text("{not json")
     gk.save_params(path, store, meta=meta)
@@ -416,7 +470,7 @@ def damaged_checkpoint(train_dir, directory, damage):
         for command in ("evaluate", "recommend")
         for damage in (
             "no-model", "unknown-retrieval-key", "string-dim",
-            "dim-16", "three-heads", "per-head-layout",
+            "dim-16", "three-heads", "per-head-layout", "wrong-group",
         )
     ]
     + [("recommend", "corrupt-run-config")],

@@ -307,10 +307,12 @@ def test_load_missing_directory(tmp_path):
         b'{"version":1,"items":[1,2],"counts":[1,1]}',
         b'{"version":1,"items":["a","b"],"counts":[1,"1"]}',
         b"[" * 100_000,
+        b'{"version":true,"items":["a","b"],"counts":[1,1]}',
+        b'{"version":1,"items":["a","b"],"counts":[1,-1]}',
     ],
     ids=[
         "not-json", "list", "no-items", "items-number", "bad-utf8", "int-items", "str-count",
-        "deep-nesting",
+        "deep-nesting", "bool-version", "negative-count",
     ],
 )
 def test_corrupt_vocab_is_a_corpus_error(tmp_path, contents):
