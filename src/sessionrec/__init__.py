@@ -46,13 +46,22 @@ from .evaluation import (
     report_from_ranks,
     test_examples,
 )
-from .graphs import InterGraph, IntraGraph, build_inter_graph, build_intra_graph
+from .graphs import (
+    InterGraph,
+    IntraGraph,
+    PackedGraphs,
+    build_inter_graph,
+    build_intra_graph,
+    pack_inter,
+    pack_intra,
+)
 from .model import (
     ModelConfig,
     ModelParams,
     bind_params,
     build_params,
     forward,
+    forward_batch,
     fuse,
     gat_alphas,
     gat_layer,

@@ -17,10 +17,13 @@ import numpy as np
 from .baselines import ItemKnn, pop_scores, sknn_scores
 from .corpus import SessionCorpus, TrainingExample, augment
 from .errors import ConfigError
-from .model import ModelConfig, ModelParams, forward
+from .model import ModelConfig, ModelParams, forward_batch
 from .neighbors import InvertedIndex, RetrievalConfig, build_index, neighbors
 
 BASELINES = ("pop", "sknn", "itemknn")
+# Cases per packed forward in evaluate_model. The tape holds (E, heads, d)
+# per-edge blocks for a whole chunk, so this bounds evaluation memory.
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -102,7 +105,8 @@ def evaluate_model(
     """Next-item metrics for a trained model over the corpus test partition.
 
     Neighbor retrieval searches the training partition only, with each case's
-    session start time as "now". Pass ``cases`` to evaluate a custom case list
+    session start time as "now". Cases are scored EVAL_CHUNK at a time, each
+    chunk as one packed forward. Pass ``cases`` to evaluate a custom case list
     (the trainer's validation split does).
     """
     if index is None:
@@ -112,13 +116,19 @@ def evaluate_model(
     if not cases:
         raise ConfigError("no test cases to evaluate")
 
-    def score_one(ex: TrainingExample) -> np.ndarray:
-        nbrs = neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval))
-        sessions = [corpus.sessions[sid] for sid, _ in nbrs]
-        yhat, _ = forward(ex.prefix, sessions, params, config)
-        return yhat.values
-
-    return report_from_ranks(_collect_ranks(cases, score_one), cutoffs)
+    ranks: list[Optional[int]] = []
+    for start in range(0, len(cases), EVAL_CHUNK):
+        chunk = cases[start : start + EVAL_CHUNK]
+        neighbor_lists = [
+            [
+                corpus.sessions[sid]
+                for sid, _ in neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval))
+            ]
+            for ex in chunk
+        ]
+        yhat, _ = forward_batch([ex.prefix for ex in chunk], neighbor_lists, params, config)
+        ranks.extend(rank_of(scores, ex.label) for scores, ex in zip(yhat.values, chunk))
+    return report_from_ranks(ranks, cutoffs)
 
 
 def evaluate_baseline(

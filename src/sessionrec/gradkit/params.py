@@ -112,11 +112,17 @@ def adam_step(
     ``lr`` is either one float or a mapping from group name to learning rate.
     Parameters absent from ``grads`` keep their moments and step counters, so
     bias correction stays per-parameter correct when updates are sparse.
+    Every intermediate goes through two scratch buffers sized to the largest
+    parameter, with each expression evaluated in its textbook order, so the
+    update is bit-identical to the allocating formula and makes no
+    parameter-sized temporaries.
     """
+    largest = max((t.values.size for t in store.tensors()), default=0)
+    scratch_a, scratch_b = np.empty(largest), np.empty(largest)
     for name in store.names():
         if name not in grads:
             continue
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = np.ascontiguousarray(grads[name], dtype=np.float64)  # same layout as the moments
         p = store[name]
         if g.shape != p.values.shape:
             raise ShapeError(
@@ -136,12 +142,18 @@ def adam_step(
         store._steps[name] = t
         m = store._m[name]
         v = store._v[name]
+        a = scratch_a[: g.size].reshape(g.shape)
+        b = scratch_b[: g.size].reshape(g.shape)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=a)       # m += (1 - beta1) * g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.values -= step_lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1.0 - beta2, g, out=a)
+        v += np.multiply(a, g, out=a)                 # v += (1 - beta2) * g * g
+        np.divide(m, 1.0 - beta1**t, out=a)           # m_hat
+        np.multiply(step_lr, a, out=a)                # step_lr * m_hat
+        np.divide(v, 1.0 - beta2**t, out=b)           # v_hat
+        np.sqrt(b, out=b)
+        b += eps
+        p.values -= np.divide(a, b, out=a)            # step_lr * m_hat / (sqrt(v_hat) + eps)
         if not np.all(np.isfinite(p.values)):
             raise NumericsError(f"parameter {name} went non-finite after update")

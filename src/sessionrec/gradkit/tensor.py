@@ -4,8 +4,11 @@ Ops build a define-by-run graph: each result records its parent tensors and one
 vector-Jacobian closure per parent. ``tape`` linearizes the graph reachable
 from an output into topological order; ``backward`` walks that tape in reverse,
 accumulating gradients additively (so a tensor used twice gets both
-contributions). Every op checks its result for NaN/Inf and fails loudly,
-naming the op, instead of letting poison propagate.
+contributions). Every op that can make a non-finite value out of finite
+inputs checks its result for NaN/Inf and fails loudly, naming the op, instead
+of letting poison propagate. Ops that only rearrange or negate their inputs
+(neg, transpose, reshape, concat, slice_rows) or map them into a bounded range
+(sigmoid, tanh, clip, softmax) skip that screen.
 """
 
 from __future__ import annotations
@@ -102,6 +105,13 @@ class Tensor:
         return neg(self)
 
 
+def _unscreened(values: Array, parents: tuple, vjps: tuple, op: str) -> Tensor:
+    """A node whose values are finite whenever its (screened) inputs are."""
+    t = Tensor.__new__(Tensor)
+    t.values, t.parents, t.vjps, t.op, t.grad = values, parents, vjps, op, None
+    return t
+
+
 def _wrap(x: TensorLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -170,7 +180,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.values, (a,), (lambda g: -g,), op="neg")
+    return _unscreened(-a.values, (a,), (lambda g: -g,), "neg")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -219,14 +229,12 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     if axes is None:
         if a.ndim != 2:
             raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.shape}")
-        return Tensor(a.values.T, (a,), (lambda g: g.T,), op="transpose")
+        return _unscreened(a.values.T, (a,), (lambda g: g.T,), "transpose")
     axes = tuple(int(i) for i in axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"transpose axes {axes} are not a permutation for shape {a.shape}")
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    return Tensor(
-        a.values.transpose(axes), (a,), (lambda g: g.transpose(inverse),), op="transpose"
-    )
+    return _unscreened(a.values.transpose(axes), (a,), (lambda g: g.transpose(inverse),), "transpose")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -235,7 +243,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         out = a.values.reshape(tuple(shape))
     except ValueError:
         raise ShapeError(f"cannot reshape {original} to {tuple(shape)}") from None
-    return Tensor(out, (a,), (lambda g: g.reshape(original),), op="reshape")
+    return _unscreened(out, (a,), (lambda g: g.reshape(original),), "reshape")
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -257,7 +265,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             return g[tuple(index)]
         return vjp
 
-    return Tensor(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))), op="concat")
+    return _unscreened(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))), "concat")
 
 
 def slice_rows(a: Tensor, indices) -> Tensor:
@@ -266,28 +274,94 @@ def slice_rows(a: Tensor, indices) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"slice_rows expects a flat index list, got shape {idx.shape}")
     n = a.values.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ShapeError(f"slice_rows index out of range for axis of length {n}")
-    out = a.values[idx]
+    try:
+        out = a.values[idx.view(np.uintp)]  # a negative index reads as out of range
+    except IndexError:
+        raise ShapeError(f"slice_rows index out of range for axis of length {n}") from None
+    return _unscreened(out, (a,), (lambda g: _segment_rows(g, idx, n),), "slice_rows")
 
-    def vjp(g: Array) -> Array:
-        full = np.zeros_like(a.values)
-        np.add.at(full, idx, g)
-        return full
 
-    return Tensor(out, (a,), (vjp,), op="slice_rows")
+def segment_sum(x: Tensor, seg, n: int) -> Tensor:
+    """Sum rows into ``n`` segments: row s of the result adds every x[i] with seg[i] == s.
+
+    ``seg`` holds one id in [0, n) per row of ``x``; a segment no row names
+    comes out zero. The gradient is the row gather g[seg].
+    """
+    ids = np.asarray(seg, dtype=np.intp)
+    if x.ndim < 1 or ids.shape != x.shape[:1]:
+        raise ShapeError(f"segment_sum needs one id per row, got {ids.shape} ids for {x.shape}")
+    return Tensor(_segment_rows(x.values, ids, n), (x,), (lambda g: g[ids],), op="segment_sum")
+
+
+def _segment_rows(x: Array, ids: Array, n: int) -> Array:
+    """The scatter-add behind segment_sum and the slice_rows gradient.
+
+    A stable sort (skipped when the ids already ascend) groups equal ids into
+    runs, and each run is added up in row order, so results are deterministic.
+    """
+    if ids.size == 0:
+        return np.zeros((n,) + x.shape[1:])
+    step = ids[1:] - ids[:-1]
+    if step.size and np.minimum.reduce(step) < 0:
+        order = np.argsort(ids, kind="stable")
+        ids, x = ids[order], x[order]
+        step = ids[1:] - ids[:-1]
+    if ids[0] < 0 or ids[-1] >= n:
+        raise ShapeError(f"segment id out of range for {n} segments")
+    starts = np.concatenate(([1], step)).nonzero()[0]
+    sums = _run_sums(x, starts)
+    if len(starts) == n:  # every segment is present, in order
+        return sums
+    out = np.zeros((n,) + x.shape[1:])
+    out[ids[starts]] = sums
+    return out
+
+
+# np.add.reduceat steps through its input one element at a time, several times
+# slower per element than a row-wise add. _run_sums therefore adds rows rank by
+# rank once there are more than REDUCEAT_MAX_SIZE elements and the rank loop
+# moves at least RANK_BLOCK_MIN_SIZE elements per step on average.
+REDUCEAT_MAX_SIZE = 1 << 14
+RANK_BLOCK_MIN_SIZE = 1 << 10
+
+
+def _run_sums(x: Array, starts: Array) -> Array:
+    """Sum each run of rows x[starts[s]:starts[s + 1]] (the last run ends at len(x)).
+
+    Small inputs, and inputs with a few long runs, go to np.add.reduceat.
+    Otherwise the runs are taken longest first: row r of every run longer
+    than r is then one gather, added onto the first rows with one in-place add
+    per rank, so every run is summed in row order.
+    """
+    if x.size <= REDUCEAT_MAX_SIZE:
+        return np.add.reduceat(x, starts, axis=0)
+    lengths = np.diff(starts, append=len(x))
+    if lengths.max() * RANK_BLOCK_MIN_SIZE > x.size:
+        return np.add.reduceat(x, starts, axis=0)
+    longest_first = np.argsort(-lengths, kind="stable")
+    first_rows = starts[longest_first]
+    sums = x[first_rows]
+    longer_than = len(starts) - np.cumsum(np.bincount(lengths))
+    for rank in range(1, len(longer_than) - 1):
+        longer = longer_than[rank]
+        sums[:longer] += x[first_rows[:longer] + rank]
+    out = np.empty_like(sums)
+    out[longest_first] = sums
+    return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
     v = a.values
     e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
-    return Tensor(out, (a,), (lambda g: g * out * (1.0 - out),), op="sigmoid")
+    out = np.where(v >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return _unscreened(out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.values)
-    return Tensor(out, (a,), (lambda g: g * (1.0 - out * out),), op="tanh")
+    return _unscreened(out, (a,), (lambda g: g * (1.0 - out * out),), "tanh")
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -310,7 +384,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     v = a.values
     out = np.clip(v, lo, hi)
     mask = (v >= lo) & (v <= hi)
-    return Tensor(out, (a,), (lambda g: g * mask,), op="clip")
+    return _unscreened(out, (a,), (lambda g: g * mask,), "clip")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -323,7 +397,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         dot = (g * out).sum(axis=axis, keepdims=True)
         return out * (g - dot)
 
-    return Tensor(out, (a,), (vjp,), op="softmax")
+    return _unscreened(out, (a,), (vjp,), "softmax")
 
 
 def sum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:  # noqa: A001
@@ -380,23 +454,37 @@ def backward(
 ) -> Optional[list[Array]]:
     """Accumulate gradients of a scalar ``output`` through the recorded tape.
 
-    Sets ``.grad`` on every tensor in the tape. With ``wrt``, also returns the
-    gradient for each requested tensor (zeros if it never fed the output).
-    Each tape node is visited exactly once.
+    Sets ``.grad`` on the output, on every leaf of the tape and on each
+    ``wrt`` tensor. Any other node's gradient is dropped once its VJPs have
+    run, so the replay holds only the gradients still to be propagated. With
+    ``wrt``, also returns the gradient for each requested tensor (zeros if it
+    never fed the output). Each tape node is visited exactly once.
     """
     if output.values.size != 1:
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
     order = tape(output)
+    kept = {id(output)} | {id(t) for t in wrt or ()}
     grads: dict[int, Array] = {id(output): np.ones_like(output.values)}
+    owned: set[int] = set()  # sums made here, which nothing else references yet
+    found: dict[int, Array] = {}
     for node in reversed(order):
-        g = grads.get(id(node))
-        node.grad = g
+        g = grads.pop(id(node), None)
+        if not node.parents or id(node) in kept:
+            node.grad = g
+            found[id(node)] = g
         if g is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
             contribution = vjp(g)
-            seen = grads.get(id(parent))
-            grads[id(parent)] = contribution if seen is None else seen + contribution
+            key = id(parent)
+            seen = grads.get(key)
+            if seen is None:
+                grads[key] = contribution
+            elif key in owned:
+                seen += contribution
+            else:
+                grads[key] = seen + contribution
+                owned.add(key)
     if wrt is None:
         return None
-    return [grads.get(id(t), np.zeros_like(t.values)) for t in wrt]
+    return [g if (g := found.get(id(t))) is not None else np.zeros_like(t.values) for t in wrt]

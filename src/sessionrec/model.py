@@ -7,15 +7,18 @@ through stacked multi-head graph attention layers and compresses it the same
 way. A learned sigmoid gate blends the two session vectors, and the blend is
 scored against every item embedding with a softmax.
 
-All math runs on the gradkit tape, so one backward pass differentiates the
-whole composite. Non-learned graph structure (adjacency, masks) enters as
-constant tensors.
+A mini-batch runs as one packed pass (``forward_batch``): each branch lays its
+graphs end to end (:class:`~sessionrec.graphs.PackedGraphs`), every per-node
+map runs once over all node rows, and every graph operation is a gather plus a
+segment sum, so examples never mix. ``forward`` is a batch of one. All math
+runs on the gradkit tape, so one backward pass differentiates the whole
+composite; graph structure enters as constant index arrays and tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .config import check_at_least, check_types, section_from_dict
 from .corpus import Session
 from .errors import ConfigError
 from .gradkit import ParamSpec, ParamStore, Tensor
-from .graphs import InterGraph, IntraGraph, build_inter_graph, build_intra_graph
+from .graphs import PackedGraphs, build_inter_graph, build_intra_graph, pack_inter, pack_intra
 
 VARIANTS = ("full", "intra_only", "inter_only", "avg_pool", "mean_gat", "mean_readout")
 LOSS_FORMS = ("binary_ce", "categorical_ce")
@@ -221,228 +224,297 @@ def build_params(config: ModelConfig, seed: int) -> ModelParams:
 
 
 def ggnn_encode(
-    graph: IntraGraph, rows: Tensor, p: IntraParams, steps: int = 1
+    graph: PackedGraphs, rows: Tensor, p: IntraParams, steps: int = 1
 ) -> Tensor:
-    """Run the gated update over a session's transition graph.
+    """Run the gated update over packed transition graphs.
 
-    ``rows`` holds one embedding per graph node, (n, d). Each step gathers
-    messages along outgoing and incoming normalized adjacency, concatenates
-    them, and blends the result into the node state with update/reset gates.
+    ``rows`` holds one embedding per node row, (N, d). Each step projects
+    every row through the outgoing and incoming edge weights side by side,
+    gathers the projection at each edge's source, scales its two halves by
+    the edge's a_out and a_in weights and segment-sums into the destination,
+    so row i receives [a_out @ h W_out | a_in @ h W_in] of its own graph.
+    The messages are blended into the node state with GRU-style
+    update/reset gates; each gate reads its two inputs side by side,
+    [messages | state] @ [W | U]^T, in one product.
     """
-    a_out = gk.Tensor(graph.a_out)
-    a_in = gk.Tensor(graph.a_in)
+    n, d = rows.shape
+    scale = gk.Tensor(np.repeat(graph.weight, d, axis=1))                # (E, 2d)
+    w_msg = gk.concat([p.w_out, p.w_in], axis=1)                         # (d, 2d)
+    b_msg = gk.concat([p.b_out, p.b_in])                                 # (2d,)
+    w_z = gk.transpose(gk.concat([p.w_update, p.u_update], axis=1))      # (3d, d)
+    w_r = gk.transpose(gk.concat([p.w_reset, p.u_reset], axis=1))        # (3d, d)
+    w_c = gk.transpose(gk.concat([p.w_cand, p.u_cand], axis=1))          # (3d, d)
     h = rows
     for _ in range(steps):
-        msg_out = a_out @ (h @ p.w_out) + p.b_out        # (n, d)
-        msg_in = a_in @ (h @ p.w_in) + p.b_in            # (n, d)
-        a = gk.concat([msg_out, msg_in], axis=1)         # (n, 2d)
-        z = gk.sigmoid(a @ gk.transpose(p.w_update) + h @ gk.transpose(p.u_update))
-        r = gk.sigmoid(a @ gk.transpose(p.w_reset) + h @ gk.transpose(p.u_reset))
-        cand = gk.tanh(a @ gk.transpose(p.w_cand) + (r * h) @ gk.transpose(p.u_cand))
-        h = (1.0 - z) * h + z * cand
+        sent = gk.slice_rows(h @ w_msg, graph.src) * scale               # (E, 2d)
+        a = gk.segment_sum(sent, graph.dst, n) + b_msg                   # (N, 2d)
+        a_h = gk.concat([a, h], axis=1)                                  # (N, 3d)
+        z = gk.sigmoid(a_h @ w_z)
+        r = gk.sigmoid(a_h @ w_r)
+        cand = gk.tanh(gk.concat([a, r * h], axis=1) @ w_c)
+        h = h + z * (cand - h)
     return h
 
 
-def session_readout(
-    rows: Tensor, last_index: int, p: ReadoutParams, attention: bool = True
-) -> Tensor:
-    """Compress a sequence of vectors (m, d) into one session vector (d,).
+def _segment_mean(rows: Tensor, segments: np.ndarray, count: int) -> Tensor:
+    sizes = np.bincount(segments, minlength=count)
+    return gk.segment_sum(rows, segments, count) / gk.Tensor(sizes[:, None])
 
-    The attention weight of each row is q . sigmoid(W_last v_last + W_node v_i
+
+def session_readout(
+    rows: Tensor,
+    segments: np.ndarray,
+    last: np.ndarray,
+    p: ReadoutParams,
+    attention: bool = True,
+) -> Tensor:
+    """Compress each example's click-position rows into one session vector, (B, d).
+
+    ``rows`` (P, d) holds the examples' positions back to back, ``segments``
+    names each row's example and ``last`` indexes each example's final row.
+    The attention weight of row i is q . sigmoid(W_last v_last + W_node v_i
     + bias), deliberately left unnormalized (no softmax over rows). With
     ``attention=False`` the weighted sum is replaced by the row mean.
     """
-    s_last = gk.slice_rows(rows, [last_index])                        # (1, d)
+    count = len(last)
+    s_last = gk.slice_rows(rows, last)                                   # (B, d)
     if attention:
-        keys = gk.sigmoid(
-            s_last @ gk.transpose(p.w_last) + rows @ gk.transpose(p.w_node) + p.bias
-        )                                                             # (m, d)
-        alpha = keys @ p.q                                            # (m,)
-        s_global = alpha @ rows                                       # (d,)
+        paired = gk.concat([gk.slice_rows(rows, last[segments]), rows], axis=1)  # (P, 2d)
+        w_key = gk.transpose(gk.concat([p.w_last, p.w_node], axis=1))
+        alpha = gk.sigmoid(paired @ w_key + p.bias) @ p.q                # (P,)
+        s_global = gk.segment_sum(rows * gk.reshape(alpha, (-1, 1)), segments, count)
     else:
-        s_global = gk.mean(rows, axis=0)                              # (d,)
-    d = rows.shape[1]
-    both = gk.concat([gk.reshape(s_last, (d,)), s_global])            # (2d,)
-    return p.w_compress @ both                                        # (d,)
+        s_global = _segment_mean(rows, segments, count)                  # (B, d)
+    return gk.concat([s_last, s_global], axis=1) @ gk.transpose(p.w_compress)
 
 
-def _masked_softmax_rows(e: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis restricted to mask entries.
+def _edge_logits(
+    z: Tensor, attn: Tensor, src: np.ndarray, dst: np.ndarray, slope: float
+) -> Tensor:
+    """leaky_relu(a_self . z[dst] + a_peer . z[src]) per edge and head, (E, H, 1).
 
-    Non-edges are pushed to -1e30 before the exp, so they come out exactly
-    zero. The row max is subtracted as a constant: a softmax is invariant to
-    per-row shifts, so treating the shift as constant leaves the gradient
-    exact while keeping the exp in range. Both go in as one constant tensor.
+    ``z`` is (N, H, d_out) and ``attn`` (H, 2 d_out). One batched product
+    scores every node against both halves of its head's vector; the self
+    score of node i lands in row 2i and the peer score in row 2i + 1.
     """
-    offset = (mask - 1.0) * 1e30
-    shift = (e.values + offset).max(axis=-1, keepdims=True)
-    weights = gk.exp(e + gk.Tensor(offset - shift))
-    return weights / gk.sum(weights, axis=-1, keepdims=True)
+    n, heads, d_out = z.shape
+    halves = gk.reshape(attn, (heads, 2, d_out)) @ gk.transpose(z, (1, 2, 0))  # (H, 2, N)
+    scores = gk.reshape(gk.transpose(halves, (2, 1, 0)), (2 * n, heads, 1))
+    e = gk.slice_rows(scores, 2 * dst) + gk.slice_rows(scores, 2 * src + 1)
+    return gk.leaky_relu(e, slope)
 
 
-def _stacked_alphas(mask: np.ndarray, wh: Tensor, attn: Tensor, slope: float) -> Tensor:
-    """Attention of H heads at once: (H, N, d_out) nodes, (2H, d_out, 1) halves -> (H, N, N).
+def _edge_softmax_parts(e: Tensor, dst: np.ndarray, n: int) -> tuple[Tensor, Tensor]:
+    """exp(e) over each destination's edges and its sum per destination.
 
-    ``attn`` interleaves the heads' self and peer halves: rows 2k and 2k+1
-    belong to head k.
+    ``dst`` must ascend. Each segment's max is subtracted as a constant: a
+    softmax is invariant to per-segment shifts, so the gradient stays exact
+    while the exp stays in range.
     """
-    stack, n = wh.shape[0], wh.shape[1]
-    a_self = gk.slice_rows(attn, np.arange(0, 2 * stack, 2))          # (H, d_out, 1)
-    a_peer = gk.slice_rows(attn, np.arange(1, 2 * stack, 2))
-    e = gk.leaky_relu(
-        wh @ a_self + gk.reshape(wh @ a_peer, (stack, 1, n)), slope
-    )                                                                 # (H, N, N)
-    return _masked_softmax_rows(e, mask)
+    first = np.concatenate(([True], dst[1:] != dst[:-1]))
+    peaks = np.maximum.reduceat(e.values, first.nonzero()[0], axis=0)
+    weights = gk.exp(e - gk.Tensor(peaks[np.cumsum(first) - 1]))
+    return weights, gk.segment_sum(weights, dst, n)
 
 
 def gat_alphas(mask: np.ndarray, wh: Tensor, attn: Tensor, slope: float = 0.2) -> Tensor:
     """Attention rows of one head: a softmax over each node's masked neighborhood.
 
     ``wh`` is the head's projected node matrix (N, d_out) and ``attn`` holds
-    the self and peer halves of the scoring vector concatenated. Every row of
-    the result is a probability distribution over the node's neighbors (self
-    loop included); non-edges come out exactly zero.
+    the self and peer halves of the scoring vector concatenated. The edge
+    weights are scattered into a dense (N, N) block: every row of the result
+    is a probability distribution over the node's neighbors (self loop
+    included), and non-edges are exactly zero.
     """
     n, d_out = wh.shape
-    alpha = _stacked_alphas(
-        mask, gk.reshape(wh, (1, n, d_out)), gk.reshape(attn, (2, d_out, 1)), slope
-    )
-    return gk.reshape(alpha, (n, n))
+    dst, src = np.nonzero(mask)
+    z = gk.reshape(wh, (n, 1, d_out))
+    e = _edge_logits(z, gk.reshape(attn, (1, 2 * d_out)), src, dst, slope)
+    weights, totals = _edge_softmax_parts(e, dst, n)
+    alpha = gk.reshape(weights / gk.slice_rows(totals, dst), (len(dst),))
+    return gk.reshape(gk.segment_sum(alpha, dst * n + src, n * n), (n, n))
 
 
 def gat_layer(
-    mask: np.ndarray,
+    graph: PackedGraphs,
     h: Tensor,
     layer: GatLayer,
     average: bool,
     slope: float = 0.2,
     uniform: bool = False,
 ) -> Tensor:
-    """One multi-head graph attention layer over a dense 0/1 adjacency mask.
+    """One multi-head graph attention layer over a packed edge list.
 
-    Pairwise scores are leaky_relu(a . [W h_i || W h_j]), softmax-normalized
-    over each node's neighborhood (self loop included). Hidden layers apply the
+    Edge scores are leaky_relu(a . [W h_i || W h_j]), softmax-normalized over
+    each node's neighborhood (self loop included). Hidden layers apply the
     sigmoid per head and concatenate (N, heads * d_out); the output layer
     averages the per-head aggregates first and applies one sigmoid (N, d_out).
     With ``uniform=True`` attention is fixed at 1/|neighborhood| (structure
     only, no learned scores).
 
-    The heads are independent maps of the same input, so they run stacked
-    over (H, N, .) tensors. The projection is one 2-D product against the
-    stacked weights, whose gradient is a single GEMM with no permuted copy.
+    All heads share one projection GEMM over every packed row. Each edge
+    carries its source's projection scaled by the edge's unnormalized
+    weight; a segment sum into the destination, divided by the
+    destination's weight total, gives the attention-weighted mean.
     """
-    n = mask.shape[0]
-    stack, d_out = layer.attn.shape[0], layer.attn.shape[1] // 2
-    wh = gk.transpose(
-        gk.reshape(h @ gk.transpose(layer.w), (n, stack, d_out)), (1, 0, 2)
-    )                                                                 # (H, N, d_out)
+    n = h.shape[0]
+    heads, d_out = layer.attn.shape[0], layer.attn.shape[1] // 2
+    src, dst = graph.src, graph.dst
+    z = gk.reshape(h @ gk.transpose(layer.w), (n, heads, d_out))         # (N, H, d_out)
+    sent = gk.slice_rows(z, src)                                         # (E, H, d_out)
     if uniform:
-        alpha = gk.Tensor(mask / mask.sum(axis=1, keepdims=True))     # (N, N)
+        totals = gk.Tensor(np.bincount(dst, minlength=n)[:, None, None])
     else:
-        attn = gk.reshape(layer.attn, (2 * stack, d_out, 1))
-        alpha = _stacked_alphas(mask, wh, attn, slope)                # (H, N, N)
-    aggregates = alpha @ wh                                           # (H, N, d_out)
+        weights, totals = _edge_softmax_parts(_edge_logits(z, layer.attn, src, dst, slope), dst, n)
+        sent = sent * weights
+    aggregates = gk.segment_sum(sent, dst, n) / totals                   # (N, H, d_out)
     if average:
-        return gk.sigmoid(gk.mean(aggregates, axis=0))                # (N, d_out)
-    mixed = gk.transpose(gk.sigmoid(aggregates), (1, 0, 2))           # (N, H, d_out)
-    return gk.reshape(mixed, (n, stack * d_out))
+        return gk.sigmoid(gk.mean(aggregates, axis=1))                   # (N, d_out)
+    return gk.reshape(gk.sigmoid(aggregates), (n, heads * d_out))
 
 
 def inter_encode(
-    graph: InterGraph, rows: Tensor, layers: Sequence[GatLayer],
+    graph: PackedGraphs, rows: Tensor, layers: Sequence[GatLayer],
     slope: float = 0.2, uniform: bool = False,
 ) -> Tensor:
-    """Stack GAT layers over the neighbor graph; final layer head-averages to (N, d)."""
-    mask = graph.mask()
+    """Stack GAT layers over the packed neighbor graphs; the last head-averages to (N, d)."""
     h = rows
     last = len(layers) - 1
     for i, layer in enumerate(layers):
-        h = gat_layer(mask, h, layer, average=(i == last), slope=slope, uniform=uniform)
+        h = gat_layer(graph, h, layer, average=(i == last), slope=slope, uniform=uniform)
     return h
 
 
 def fuse(s_intra: Tensor, s_inter: Tensor, p: FusionParams) -> Tensor:
-    """Sigmoid-gated blend; each output coordinate stays between its two inputs."""
-    gate = gk.sigmoid(p.w_inter @ s_inter + p.w_intra @ s_intra + p.bias)  # (d,)
-    return gate * s_inter + (1.0 - gate) * s_intra
+    """Sigmoid-gated blend of (d,) or (B, d) session vectors.
+
+    Each output coordinate stays between its two inputs.
+    """
+    w_gate = gk.transpose(gk.concat([p.w_inter, p.w_intra], axis=1))    # (2d, d)
+    gate = gk.sigmoid(gk.concat([s_inter, s_intra], axis=-1) @ w_gate + p.bias)
+    return s_intra + gate * (s_inter - s_intra)
 
 
 def score_and_predict(s_h: Tensor, embedding: Tensor) -> Tensor:
-    """Dot the session vector against every item embedding, softmax to probabilities."""
-    return gk.softmax(embedding @ s_h, axis=-1)                       # (|I|,)
+    """Dot session vectors, (d,) or (B, d), against every item embedding; softmax per row."""
+    return gk.softmax(s_h @ gk.transpose(embedding), axis=-1)            # (..., |I|)
 
 
-def loss(yhat: Tensor, target: int, form: str = "binary_ce") -> Tensor:
-    """Training loss on the softmax output, target given as an item index.
+def _flat(t: Tensor) -> Tensor:
+    return t if t.ndim == 1 else gk.reshape(t, (t.size,))
 
-    "binary_ce" sums a two-sided cross-entropy over every item (the literal
-    objective this model trains with); "categorical_ce" is the standard
-    -log(p_target). Probabilities are clamped to [1e-12, 1 - 1e-12] before
-    any log.
+
+def loss(
+    yhat: Tensor, target: Union[int, Sequence[int]], form: str = "binary_ce"
+) -> Tensor:
+    """Training loss on the softmax output, targets given as item indices.
+
+    ``yhat`` is one row (V,) with one target, or a (B, V) block with one
+    target per row, whose row losses are summed. "binary_ce" sums a two-sided
+    cross-entropy over every item (the literal objective this model trains
+    with); "categorical_ce" is the standard -log(p_target). Probabilities are
+    clamped to [1e-12, 1 - 1e-12] before any log. The target entries are
+    gathered, so no one-hot block is built:
+    -sum_i [y_i log p_i + (1 - y_i) log(1 - p_i)]
+    = sum_t [log(1 - p_t) - log p_t] - sum_i log(1 - p_i).
     """
-    n = yhat.shape[0]
-    if not 0 <= target < n:
+    n = yhat.shape[-1]
+    rows = yhat.shape[0] if yhat.ndim == 2 else 1
+    targets = np.asarray(target, dtype=np.intp).reshape(-1)
+    if targets.shape != (rows,):
+        raise ConfigError(f"expected {rows} targets, got {target!r}")
+    if np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= n:
         raise ConfigError(f"target {target} out of range for {n} items")
-    p = gk.clip(yhat, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    if form == "categorical_ce":
-        return -gk.sum(gk.log(gk.slice_rows(p, [target])))
-    if form != "binary_ce":
+    if form not in LOSS_FORMS:
         raise ConfigError(f"unknown loss form {form!r}")
-    onehot = np.zeros(n)
-    onehot[target] = 1.0
-    y = gk.Tensor(onehot)
-    return -gk.sum(y * gk.log(p) + (1.0 - y) * gk.log(1.0 - p))
+    flat = np.arange(rows) * n + targets
+    p = gk.clip(yhat, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p_target = gk.slice_rows(_flat(p), flat)
+    if form == "categorical_ce":
+        return -gk.sum(gk.log(p_target))
+    log_miss = gk.log(1.0 - p)
+    return gk.sum(gk.slice_rows(_flat(log_miss), flat) - gk.log(p_target)) - gk.sum(log_miss)
 
 
-def forward(
-    prefix: Sequence[int],
-    neighbor_sessions: Sequence[Union[Session, Sequence[int]]],
+def _embedding_rows(
+    params: ModelParams, intra: Optional[PackedGraphs], inter: Optional[PackedGraphs]
+) -> tuple[Optional[Tensor], Optional[Tensor]]:
+    """Each branch's node rows, (N, d), with one gather per embedding table.
+
+    When both branches read the shared table, its rows for both are gathered
+    in one go and then split, so backward scatters one dense (V, d) gradient.
+    """
+    if intra is None or inter is None or params.embedding_inter is not params.embedding:
+        return (
+            None if intra is None else gk.slice_rows(params.embedding, intra.node_items),
+            None if inter is None else gk.slice_rows(params.embedding_inter, inter.node_items),
+        )
+    n_intra = len(intra.node_items)
+    both = gk.slice_rows(params.embedding, np.concatenate([intra.node_items, inter.node_items]))
+    return (
+        gk.slice_rows(both, np.arange(n_intra)),
+        gk.slice_rows(both, np.arange(n_intra, n_intra + len(inter.node_items))),
+    )
+
+
+def forward_batch(
+    prefixes: Sequence[Sequence[int]],
+    neighbor_lists: Sequence[Sequence[Union[Session, Sequence[int]]]],
     params: ModelParams,
     config: ModelConfig,
 ) -> tuple[Tensor, Tensor]:
-    """Score a session prefix against the whole vocabulary.
+    """Score B session prefixes, each with its neighbor sessions, in one packed pass.
 
-    Returns (probabilities over items, blended session vector). The variant
-    field controls ablations: "intra_only" ignores neighbors entirely,
-    "inter_only" drops the transition branch, "avg_pool" replaces the neighbor
-    encoder with a mean over all neighbor-graph embeddings, "mean_gat" fixes
-    uniform attention inside the GAT, and "mean_readout" swaps the neighbor
-    readout's weighted sum for a mean over click positions.
+    Returns (probabilities (B, |I|), blended session vectors (B, d)). Each
+    branch packs its B graphs end to end and runs its encoder and readout over
+    the whole block; rows of different examples never mix, so row b equals a
+    batch of one over example b. The variant field controls ablations: "intra_only" ignores neighbors
+    entirely, "inter_only" drops the transition branch, "avg_pool" replaces
+    the neighbor encoder with a mean over all neighbor-graph embeddings,
+    "mean_gat" fixes uniform attention inside the GAT, and "mean_readout"
+    swaps the neighbor readout's weighted sum for a mean over click positions.
     """
-    if not prefix:
+    if not prefixes or len(prefixes) != len(neighbor_lists):
+        raise ConfigError(
+            f"need one neighbor list per prefix, got {len(prefixes)} prefixes "
+            f"and {len(neighbor_lists)} neighbor lists"
+        )
+    if not all(prefixes):
         raise ConfigError("cannot score an empty prefix")
     variant = config.variant
+    count = len(prefixes)
+    intra = inter = None
+    if variant != "inter_only":
+        intra = pack_intra([build_intra_graph(prefix) for prefix in prefixes])
+    if variant != "intra_only":
+        inter = pack_inter(
+            [build_inter_graph(prefix, nbrs) for prefix, nbrs in zip(prefixes, neighbor_lists)]
+        )
+    rows_intra, rows_inter = _embedding_rows(params, intra, inter)
 
     s_intra = None
-    if variant != "inter_only":
-        graph = build_intra_graph(prefix)
-        rows = gk.slice_rows(params.embedding, graph.node_items)      # (n, d)
-        h = ggnn_encode(graph, rows, params.intra, config.ggnn_steps)
-        by_position = gk.slice_rows(h, graph.alias)                   # (|s|, d)
+    if intra is not None:
+        h = ggnn_encode(intra, rows_intra, params.intra, config.ggnn_steps)
         s_intra = session_readout(
-            by_position, len(graph.alias) - 1, params.intra_readout
+            gk.slice_rows(h, intra.positions), intra.position_graph, intra.last,
+            params.intra_readout,
         )
 
     s_inter = None
-    if variant != "intra_only":
-        graph = build_inter_graph(prefix, neighbor_sessions)
-        rows = gk.slice_rows(params.embedding_inter, graph.node_items)  # (N, d)
+    if inter is not None:
         if variant == "avg_pool":
-            s_inter = gk.mean(rows, axis=0)                           # (d,)
+            s_inter = _segment_mean(rows_inter, inter.node_graph, count)
         else:
             h = inter_encode(
-                graph,
-                rows,
+                inter,
+                rows_inter,
                 params.inter_layers,
                 slope=config.leaky_slope,
                 uniform=(variant == "mean_gat"),
             )
-            by_position = gk.slice_rows(h, graph.session_slots)       # (|s|, d)
             s_inter = session_readout(
-                by_position,
-                len(graph.session_slots) - 1,
-                params.inter_readout,
-                attention=(variant != "mean_readout"),
+                gk.slice_rows(h, inter.positions), inter.position_graph, inter.last,
+                params.inter_readout, attention=(variant != "mean_readout"),
             )
 
     if variant == "intra_only":
@@ -452,3 +524,17 @@ def forward(
     else:
         s_h = fuse(s_intra, s_inter, params.fusion)
     return score_and_predict(s_h, params.embedding), s_h
+
+
+def forward(
+    prefix: Sequence[int],
+    neighbor_sessions: Sequence[Union[Session, Sequence[int]]],
+    params: ModelParams,
+    config: ModelConfig,
+) -> tuple[Tensor, Tensor]:
+    """Score one session prefix against the whole vocabulary: a batch of one.
+
+    Returns (probabilities over items (|I|,), blended session vector (d,)).
+    """
+    yhat, s_h = forward_batch([prefix], [neighbor_sessions], params, config)
+    return gk.reshape(yhat, (yhat.size,)), gk.reshape(s_h, (s_h.size,))

@@ -3,8 +3,10 @@
 Parameters feeding the neighbor (graph attention) branch decay their learning
 rate every five epochs; everything else (embeddings, transition encoder,
 fusion, readouts on the intra side) decays every three. Examples are shuffled
-with a seeded generator and batched by prefix length, gradients are averaged
-over each batch, and a checkpoint plus one JSON log line is written per epoch.
+with a seeded generator and batched by prefix length. Each batch runs as one
+packed forward and one backward of its summed loss scaled by 1/B, so
+gradients are averaged over the batch, and a checkpoint plus one JSON log line
+is written per epoch.
 Early stopping watches Recall@10 on the most recent slice of the training
 sessions.
 """
@@ -26,7 +28,7 @@ from .corpus import SessionCorpus, TrainingExample, augment
 from .config import check_at_least, check_types
 from .errors import ConfigError, NumericsError, TrainingError
 from .evaluation import evaluate_model
-from .model import ModelConfig, ModelParams, build_params, forward, loss
+from .model import ModelConfig, ModelParams, build_params, forward_batch, loss
 from .neighbors import InvertedIndex, Neighbors, RetrievalConfig, build_index, neighbors
 
 logger = logging.getLogger(__name__)
@@ -119,6 +121,28 @@ def _length_bucketed_batches(
     return [batches[i] for i in rng.permutation(len(batches))]
 
 
+def _fit_batch(
+    examples: list[TrainingExample],
+    corpus: SessionCorpus,
+    cache: dict[tuple[int, int], Neighbors],
+    params: ModelParams,
+    model_config: ModelConfig,
+    tensors: list[gk.Tensor],
+) -> tuple[float, list[np.ndarray]]:
+    """One packed forward and one backward: (summed loss, gradients of its batch mean).
+
+    The tape dies on return, so it is freed before the optimizer step.
+    """
+    neighbor_lists = [
+        [corpus.sessions[sid] for sid, _ in cache[(ex.session_id, len(ex.prefix))]]
+        for ex in examples
+    ]
+    yhat, _ = forward_batch([ex.prefix for ex in examples], neighbor_lists, params, model_config)
+    objective = loss(yhat, [ex.label for ex in examples], model_config.loss_form)
+    grads = gk.backward(objective * (1.0 / len(examples)), wrt=tensors)
+    return objective.item(), grads
+
+
 def train(
     corpus: SessionCorpus,
     model_config: ModelConfig,
@@ -130,7 +154,8 @@ def train(
     Returns the trained parameters and per-epoch history. When ``out_dir`` is
     given, writes ``epoch_<n>.ckpt`` checkpoints and appends one line per epoch
     to ``log.jsonl`` (epoch, mean loss, group learning rates, validation
-    Recall@10 when measured, wall time).
+    Recall@10 when measured, seconds spent fitting and fitted examples per
+    second, wall time).
     """
     model_config.validate()
     config.validate()
@@ -181,31 +206,23 @@ def train(
         order = rng.permutation(len(fit_examples))
         batches = _length_bucketed_batches(fit_examples, order, config.batch_size, rng)
 
+        fit_started = time.perf_counter()
         loss_sum = 0.0
         for batch_no, batch in enumerate(batches):
-            grads = {name: np.zeros_like(t.values) for name, t in store.items()}
-            for idx in batch:
-                ex = fit_examples[idx]
-                nbr_sessions = [
-                    corpus.sessions[sid]
-                    for sid, _ in cache[(ex.session_id, len(ex.prefix))]
-                ]
-                try:
-                    yhat, _ = forward(ex.prefix, nbr_sessions, params, model_config)
-                    objective = loss(yhat, ex.label, model_config.loss_form)
-                    example_grads = gk.backward(objective, wrt=tensors)
-                except NumericsError as exc:
-                    raise TrainingError(
-                        f"non-finite value at epoch {epoch}, batch {batch_no}, "
-                        f"session {ex.session_id}: {exc}"
-                    ) from exc
-                loss_sum += objective.item()
-                for name, g in zip(names, example_grads):
-                    grads[name] += g
-            scale = 1.0 / len(batch)
-            for name in names:
-                grads[name] *= scale
-            gk.adam_step(store, grads, lrs)
+            examples = [fit_examples[idx] for idx in batch]
+            try:
+                batch_loss, grads = _fit_batch(
+                    examples, corpus, cache, params, model_config, tensors
+                )
+            except NumericsError as exc:
+                sessions = sorted({ex.session_id for ex in examples})
+                raise TrainingError(
+                    f"non-finite value at epoch {epoch}, batch {batch_no}, "
+                    f"sessions {sessions}: {exc}"
+                ) from exc
+            loss_sum += batch_loss
+            gk.adam_step(store, dict(zip(names, grads)), lrs)
+        fit_s = time.perf_counter() - fit_started
 
         mean_loss = loss_sum / len(fit_examples)
         entry = {
@@ -214,6 +231,8 @@ def train(
             "lr_intra_shared": lrs["intra_shared"],
             "lr_inter": lrs["inter"],
             "val_recall10": None,
+            "fit_s": fit_s,
+            "examples_per_s": len(fit_examples) / fit_s,
         }
 
         if val_examples:

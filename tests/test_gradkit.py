@@ -184,6 +184,33 @@ def test_grad_slice_rows_accumulates_duplicates():
     assert g[0].tolist() == [0.0, 0.0]
 
 
+def test_segment_sum_values_with_empty_segments_and_repeated_ids():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    out = gk.segment_sum(x, [3, 0, 3, 3], 5).values
+    assert out.tolist() == [[3.0, 4.0], [0.0, 0.0], [0.0, 0.0], [13.0, 16.0], [0.0, 0.0]]
+    assert gk.segment_sum(Tensor(np.zeros((0, 2))), [], 3).values.tolist() == [[0.0, 0.0]] * 3
+    with pytest.raises(ShapeError):
+        gk.segment_sum(x, [0, 1, 2, 5], 5)
+    with pytest.raises(ShapeError):
+        gk.segment_sum(x, [0, -1, 2, 3], 5)
+    with pytest.raises(ShapeError):
+        gk.segment_sum(x, [0, 1], 5)
+
+
+def test_grad_segment_sum():
+    # unsorted ids, a repeated id, and segments 1 and 4 left empty
+    x = t((6, 3))
+    weights = Tensor(RNG.normal(size=(5, 3)))
+    for ids in ([2, 0, 2, 3, 0, 2], [0, 0, 0, 0, 0, 0], [4, 3, 2, 1, 0, 0]):
+        fd_check(lambda x: gk.sum(gk.segment_sum(x, ids, 5) * weights), [x], tol=1e-7)
+    (g,) = gk.backward(gk.sum(gk.segment_sum(x, [2, 0, 2, 3, 0, 2], 5) * weights), wrt=[x])
+    assert (g == weights.values[[2, 0, 2, 3, 0, 2]]).all()
+    # 3-D rows, as the attention layers use them
+    y = t((4, 2, 3))
+    w3 = Tensor(RNG.normal(size=(3, 2, 3)))
+    fd_check(lambda y: gk.sum(gk.segment_sum(y, [1, 1, 0, 1], 3) * w3), [y], tol=1e-7)
+
+
 def test_grad_nonlinearities():
     x = t((6,))
     fd_check(lambda x: gk.sum(gk.sigmoid(x)), [x], tol=1e-6)
@@ -390,6 +417,33 @@ def test_adam_two_steps_match_hand_rollout():
     v = 0.999 * v + 0.001 * g2**2
     w = w - 0.1 * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8)
     assert np.allclose(store["w"].values, w, atol=1e-12)
+
+
+def test_adam_matches_the_allocating_formula_bit_for_bit():
+    """The scratch-buffer update equals the textbook expressions evaluated as written."""
+    rng = np.random.default_rng(31)
+    shapes = [("emb", (7, 3), "intra_shared"), ("vec", (4,), "inter"), ("w", (3, 5), "inter")]
+    store = store_with(shapes, seed=3)
+    params = {name: store[name].values.copy() for name, _, _ in shapes}
+    m = {name: np.zeros_like(v) for name, v in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    lr = {"intra_shared": 0.01, "inter": 0.003}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        grads = {name: rng.normal(0.0, 1.0, p.shape) for name, p in params.items()}
+        if t == 3:
+            del grads["vec"]  # a parameter without a gradient this step
+        gk.adam_step(store, grads, lr)
+        for name, g in grads.items():
+            step = store.step_count(name)
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+            m_hat = m[name] / (1.0 - beta1**step)
+            v_hat = v[name] / (1.0 - beta2**step)
+            params[name] = params[name] - lr[store.group(name)] * m_hat / (np.sqrt(v_hat) + eps)
+        for name, p in params.items():
+            assert (store[name].values == p).all(), (t, name)
+    assert store.step_count("vec") == 4
 
 
 def test_adam_per_group_learning_rates():

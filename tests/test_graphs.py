@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessionrec import build_inter_graph, build_intra_graph
+from sessionrec import build_inter_graph, build_intra_graph, pack_inter, pack_intra
 from sessionrec.errors import GraphError
 
 from reference_model import ref_inter_graph, ref_intra_graph
@@ -136,3 +136,52 @@ def test_inter_matches_reference(prefix, neighbors):
     assert g.adjacency == adjacency
     assert g.session_slots == slots
     assert g.last_slot == slots[-1]
+
+
+def test_inter_edge_list_is_sorted_with_both_directions_and_self_loops():
+    g = build_inter_graph([0, 1], [[1, 2], [3, 2]])
+    pairs = list(zip(g.dst.tolist(), g.src.tolist()))
+    assert pairs == sorted(pairs)
+    assert set(pairs) == {(i, j) for i, nbrs in enumerate(g.adjacency) for j in nbrs}
+    assert all((j, i) in pairs for i, j in pairs)
+    assert all((i, i) in pairs for i in range(len(g.node_items)))
+
+
+def test_packed_batch_offsets_each_graph_by_the_nodes_before_it():
+    graphs = [build_inter_graph([0, 1], [[1, 2]]), build_inter_graph([5], []), build_inter_graph([2, 2, 9])]
+    packed = pack_inter(graphs)
+    assert packed.node_items.tolist() == [0, 1, 2, 5, 2, 9]
+    assert packed.node_graph.tolist() == [0, 0, 0, 1, 2, 2]
+    assert packed.positions.tolist() == [0, 1, 3, 4, 4, 5]
+    assert packed.position_graph.tolist() == [0, 0, 1, 2, 2, 2]
+    assert packed.last.tolist() == [1, 2, 5]
+    offset = 0
+    start = 0
+    for g in graphs:
+        stop = start + len(g.src)
+        assert (packed.src[start:stop] == g.src + offset).all()
+        assert (packed.dst[start:stop] == g.dst + offset).all()
+        start, offset = stop, offset + len(g.node_items)
+    assert stop == len(packed.src)
+    assert (np.diff(packed.dst) >= 0).all()
+    assert packed.weight is None
+
+
+@given(st.lists(prefixes, min_size=1, max_size=4))
+@settings(max_examples=50)
+def test_packed_intra_edges_carry_the_adjacency_weights(batch):
+    graphs = [build_intra_graph(prefix) for prefix in batch]
+    packed = pack_intra(graphs)
+    n = len(packed.node_items)
+    a_out, a_in = np.zeros((n, n)), np.zeros((n, n))
+    a_out[packed.dst, packed.src] = packed.weight[:, 0]
+    a_in[packed.dst, packed.src] = packed.weight[:, 1]
+    expect_out, expect_in = np.zeros((n, n)), np.zeros((n, n))  # block diagonal
+    offset = 0
+    for g in graphs:
+        block = slice(offset, offset + len(g.node_items))
+        expect_out[block, block] = g.a_out
+        expect_in[block, block] = g.a_in
+        offset += len(g.node_items)
+    assert (a_out == expect_out).all()
+    assert (a_in == expect_in).all()

@@ -19,13 +19,15 @@ from reference_model import (
 )
 from sessionrec import gradkit as gk
 from sessionrec.errors import ConfigError
-from sessionrec.graphs import build_inter_graph, build_intra_graph
+from sessionrec.graphs import build_inter_graph, build_intra_graph, pack_inter, pack_intra
 from sessionrec.model import (
     GatLayer,
     ModelConfig,
     build_params,
     forward,
+    forward_batch,
     fuse,
+    gat_alphas,
     gat_layer,
     ggnn_encode,
     inter_encode,
@@ -115,7 +117,7 @@ def test_ggnn_matches_reference():
     graph = build_intra_graph([0, 1, 2, 1, 0, 3])
     rows = RNG.normal(0.0, 1.0, (len(graph.node_items), cfg.dim))
     for steps in (1, 3):
-        mine = ggnn_encode(graph, gk.Tensor(rows), params.intra, steps).values
+        mine = ggnn_encode(pack_intra([graph]), gk.Tensor(rows), params.intra, steps).values
         ref = ref_ggnn(graph.a_out, graph.a_in, rows, v, steps)
         assert np.allclose(mine, ref, atol=1e-10)
 
@@ -125,7 +127,8 @@ def test_readout_matches_reference_and_is_unnormalized():
     params = build_params(cfg, seed=12)
     v = params.store.values()
     rows = RNG.normal(0.0, 1.0, (5, cfg.dim))
-    mine = session_readout(gk.Tensor(rows), 4, params.intra_readout).values
+    one_example, last = np.zeros(5, dtype=int), np.array([4])
+    mine = session_readout(gk.Tensor(rows), one_example, last, params.intra_readout).values[0]
     assert np.allclose(mine, ref_readout(rows, v, "intra_readout"), atol=1e-10)
 
     # the attention weights are scores, not a distribution
@@ -133,8 +136,8 @@ def test_readout_matches_reference_and_is_unnormalized():
     assert abs(alphas.sum() - 1.0) > 1e-3
 
     mean_mine = session_readout(
-        gk.Tensor(rows), 4, params.intra_readout, attention=False
-    ).values
+        gk.Tensor(rows), one_example, last, params.intra_readout, attention=False
+    ).values[0]
     assert np.allclose(
         mean_mine, ref_readout(rows, v, "intra_readout", attention=False), atol=1e-10
     )
@@ -165,7 +168,7 @@ def test_gat_layer_matches_reference():
     graph, h, heads = gat_fixture()
     native_layer = stacked_layer(heads)
     for average in (False, True):
-        mine = gat_layer(graph.mask(), gk.Tensor(h), native_layer, average=average).values
+        mine = gat_layer(pack_inter([graph]), gk.Tensor(h), native_layer, average=average).values
         ref = ref_gat_layer(graph.adjacency, h, heads, average=average)
         assert mine.shape == ref.shape
         assert np.allclose(mine, ref, atol=1e-10)
@@ -175,7 +178,7 @@ def test_gat_layer_uniform_attention_matches_reference():
     graph, h, heads = gat_fixture()
     native_layer = stacked_layer(heads)
     mine = gat_layer(
-        graph.mask(), gk.Tensor(h), native_layer, average=True, uniform=True
+        pack_inter([graph]), gk.Tensor(h), native_layer, average=True, uniform=True
     ).values
     ref = ref_gat_layer(graph.adjacency, h, heads, average=True, uniform=True)
     assert np.allclose(mine, ref, atol=1e-10)
@@ -198,7 +201,7 @@ def test_stacked_gat_matches_reference():
     v = params.store.values()
     graph = build_inter_graph([0, 1, 2], [[2, 3, 4], [4, 5]])
     rows = RNG.normal(0.0, 1.0, (len(graph.node_items), cfg.dim))
-    mine = inter_encode(graph, gk.Tensor(rows), params.inter_layers).values
+    mine = inter_encode(pack_inter([graph]), gk.Tensor(rows), params.inter_layers).values
     ref = ref_inter_encode(graph.adjacency, rows, v, cfg.heads, cfg.gat_layers)
     assert np.allclose(mine, ref, atol=1e-10)
 
@@ -352,3 +355,88 @@ def test_full_loss_is_differentiable_end_to_end():
     assert np.abs(by_name["fusion.bias"]).max() > 0
     assert np.abs(by_name["intra.w_update"]).max() > 0
     assert np.abs(by_name["inter.layer0.w"]).max() > 0
+
+
+# ---------------------------------------------------------------------------
+# packed batches
+
+
+VARIANTS = ["full", "intra_only", "inter_only", "avg_pool", "mean_gat", "mean_readout"]
+MIXED_BATCH = [
+    ([0, 1, 2, 1], [[2, 3, 4], [5, 1]]),
+    ([3], []),
+    ([5, 5, 2], [[2, 2, 7]]),
+    ([1, 4], [[6], [4, 1, 0, 3], [7, 7]]),
+    ([6, 0, 6, 0, 6], []),
+    ([2], [[2, 5]]),
+    ([7, 3, 1], [[1, 3, 7], [0]]),
+    ([4, 4], [[4, 4, 4]]),
+]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_tape_has_as_many_nodes_as_a_batch_of_one(variant):
+    """No op runs per example: eight mixed examples record the tape of one."""
+    cfg = ModelConfig(vocab_size=8, dim=4, heads=2, gat_layers=2, variant=variant)
+    params = build_params(cfg, seed=6)
+    prefixes, neighbor_lists = zip(*MIXED_BATCH)
+    yhat8, _ = forward_batch(list(prefixes), list(neighbor_lists), params, cfg)
+    yhat1, _ = forward_batch([prefixes[0]], [neighbor_lists[0]], params, cfg)
+    eight = gk.tape(loss(yhat8, list(range(8))))
+    one = gk.tape(loss(yhat1, [0]))
+    assert len(eight) == len(one)
+
+
+batches = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 7), min_size=1, max_size=5),
+        st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4), max_size=3),
+        st.integers(0, 7),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(batches, st.sampled_from(VARIANTS))
+def test_batched_forward_and_gradients_match_examples_one_at_a_time(batch, variant):
+    cfg = ModelConfig(vocab_size=8, dim=4, heads=2, gat_layers=2, variant=variant)
+    params = build_params(cfg, seed=8)
+    tensors = params.store.tensors()
+    prefixes = [prefix for prefix, _, _ in batch]
+    neighbor_lists = [nbrs for _, nbrs, _ in batch]
+    targets = [target for _, _, target in batch]
+
+    yhat, s_h = forward_batch(prefixes, neighbor_lists, params, cfg)
+    batch_grads = gk.backward(loss(yhat, targets), wrt=tensors)
+    summed = [np.zeros_like(t.values) for t in tensors]
+    for b, (prefix, nbrs, target) in enumerate(batch):
+        one_yhat, one_s = forward(prefix, nbrs, params, cfg)
+        assert np.abs(yhat.values[b] - one_yhat.values).max() <= 1e-12
+        assert np.abs(s_h.values[b] - one_s.values).max() <= 1e-12
+        for total, g in zip(summed, gk.backward(loss(one_yhat, target), wrt=tensors)):
+            total += g
+    for name, g, want in zip(params.store.names(), batch_grads, summed):
+        scale = 1.0 + np.abs(want).max()
+        assert np.abs(g - want).max() <= 1e-12 * scale, name
+
+
+def test_loss_of_a_batch_sums_its_rows():
+    yhat = score_and_predict(gk.Tensor(RNG.normal(size=(3, 4))), gk.Tensor(RNG.normal(size=(7, 4))))
+    for form in ("binary_ce", "categorical_ce"):
+        rows = sum(ref_loss(yhat.values[b], t, form) for b, t in enumerate([2, 0, 6]))
+        assert np.isclose(loss(yhat, [2, 0, 6], form).item(), rows, atol=1e-10)
+    with pytest.raises(ConfigError):
+        loss(yhat, [2, 0])
+    with pytest.raises(ConfigError):
+        loss(yhat, [2, 0, 7])
+
+
+def test_gat_alphas_scatter_edge_weights_into_a_dense_block():
+    graph, h, heads = gat_fixture()
+    w, attn = heads[0]
+    dense = gat_alphas(graph.mask(), gk.Tensor(h @ w.T), gk.Tensor(attn)).values
+    for i, row in ref_gat_alphas(graph.adjacency, h, w, attn).items():
+        for j in range(len(graph.node_items)):
+            assert np.isclose(dense[i, j], row.get(j, 0.0), atol=1e-12)

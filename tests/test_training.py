@@ -7,7 +7,7 @@ import pytest
 
 from sessionrec import gradkit as gk
 from sessionrec.corpus import ItemVocab, Session, SessionCorpus, TrainingExample
-from sessionrec.errors import TrainingError
+from sessionrec.errors import NumericsError, TrainingError
 from sessionrec.model import ModelConfig
 from sessionrec.synthetic import chain_corpus
 from sessionrec.training import (
@@ -158,6 +158,9 @@ def test_training_writes_checkpoints_and_log(tmp_path):
         assert entry["lr_intra_shared"] == 1e-3
         assert entry["val_recall10"] is None  # patience=0 disables validation
         assert entry["wall_time"] > 0
+        assert 0 < entry["fit_s"] <= entry["wall_time"]
+        fitted = sum(len(s) - 1 for s in corpus.train_sessions())
+        assert entry["examples_per_s"] == pytest.approx(fitted / entry["fit_s"], rel=1e-12)
 
     store, meta = gk.load_params(tmp_path / "epoch_1.ckpt")
     assert meta["epoch"] == 1
@@ -224,3 +227,15 @@ def test_train_rejects_corpora_without_examples():
     cfg = TrainConfig(patience=0)
     with pytest.raises(TrainingError, match="no training examples"):
         train(corpus, ModelConfig(vocab_size=2, dim=4, heads=2, gat_layers=1), cfg)
+
+
+def test_non_finite_batch_names_epoch_batch_and_sessions(monkeypatch):
+    import sessionrec.training as training
+
+    def poisoned(prefixes, *args):
+        raise NumericsError("exp produced non-finite values")
+
+    monkeypatch.setattr(training, "forward_batch", poisoned)
+    corpus = direct_corpus([[0, 1], [1, 0], [0, 1, 0]])
+    with pytest.raises(TrainingError, match=r"epoch 0, batch 0, sessions \[\d+(, \d+)*\]: exp"):
+        train(corpus, ModelConfig(vocab_size=2, dim=4, heads=2, gat_layers=1), TrainConfig(patience=0))
