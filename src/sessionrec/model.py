@@ -229,29 +229,23 @@ def ggnn_encode(
     """Run the gated update over packed transition graphs.
 
     ``rows`` holds one embedding per node row, (N, d). Each step projects
-    every row through the outgoing and incoming edge weights side by side,
-    gathers the projection at each edge's source, scales its two halves by
-    the edge's a_out and a_in weights and segment-sums into the destination,
-    so row i receives [a_out @ h W_out | a_in @ h W_in] of its own graph.
-    The messages are blended into the node state with GRU-style
-    update/reset gates; each gate reads its two inputs side by side,
-    [messages | state] @ [W | U]^T, in one product.
+    every row through the outgoing and incoming edge weights, gathers the
+    two projections at each edge's source, scales them by the edge's a_out
+    and a_in weights and segment-sums into the destination, so row i
+    receives [a_out @ h W_out | a_in @ h W_in] of its own graph. The messages
+    are blended into the node state with GRU-style update/reset gates.
     """
     n, d = rows.shape
     scale = gk.Tensor(np.repeat(graph.weight, d, axis=1))                # (E, 2d)
-    w_msg = gk.concat([p.w_out, p.w_in], axis=1)                         # (d, 2d)
-    b_msg = gk.concat([p.b_out, p.b_in])                                 # (2d,)
-    w_z = gk.transpose(gk.concat([p.w_update, p.u_update], axis=1))      # (3d, d)
-    w_r = gk.transpose(gk.concat([p.w_reset, p.u_reset], axis=1))        # (3d, d)
-    w_c = gk.transpose(gk.concat([p.w_cand, p.u_cand], axis=1))          # (3d, d)
+    bias = gk.concat([p.b_out, p.b_in])                                  # (2d,)
     h = rows
     for _ in range(steps):
-        sent = gk.slice_rows(h @ w_msg, graph.src) * scale               # (E, 2d)
-        a = gk.segment_sum(sent, graph.dst, n) + b_msg                   # (N, 2d)
-        a_h = gk.concat([a, h], axis=1)                                  # (N, 3d)
-        z = gk.sigmoid(a_h @ w_z)
-        r = gk.sigmoid(a_h @ w_r)
-        cand = gk.tanh(gk.concat([a, r * h], axis=1) @ w_c)
+        projected = gk.concat([h @ p.w_out, h @ p.w_in], axis=1)         # (N, 2d)
+        sent = gk.slice_rows(projected, graph.src) * scale               # (E, 2d)
+        a = gk.segment_sum(sent, graph.dst, n) + bias                    # (N, 2d)
+        z = gk.sigmoid(a @ gk.transpose(p.w_update) + h @ gk.transpose(p.u_update))
+        r = gk.sigmoid(a @ gk.transpose(p.w_reset) + h @ gk.transpose(p.u_reset))
+        cand = gk.tanh(a @ gk.transpose(p.w_cand) + (r * h) @ gk.transpose(p.u_cand))
         h = h + z * (cand - h)
     return h
 
@@ -279,9 +273,9 @@ def session_readout(
     count = len(last)
     s_last = gk.slice_rows(rows, last)                                   # (B, d)
     if attention:
-        paired = gk.concat([gk.slice_rows(rows, last[segments]), rows], axis=1)  # (P, 2d)
-        w_key = gk.transpose(gk.concat([p.w_last, p.w_node], axis=1))
-        alpha = gk.sigmoid(paired @ w_key + p.bias) @ p.q                # (P,)
+        key_last = s_last @ gk.transpose(p.w_last) + p.bias              # (B, d)
+        keys = gk.slice_rows(key_last, segments) + rows @ gk.transpose(p.w_node)
+        alpha = gk.sigmoid(keys) @ p.q                                   # (P,)
         s_global = gk.segment_sum(rows * gk.reshape(alpha, (-1, 1)), segments, count)
     else:
         s_global = _segment_mean(rows, segments, count)                  # (B, d)
@@ -390,8 +384,9 @@ def fuse(s_intra: Tensor, s_inter: Tensor, p: FusionParams) -> Tensor:
 
     Each output coordinate stays between its two inputs.
     """
-    w_gate = gk.transpose(gk.concat([p.w_inter, p.w_intra], axis=1))    # (2d, d)
-    gate = gk.sigmoid(gk.concat([s_inter, s_intra], axis=-1) @ w_gate + p.bias)
+    gate = gk.sigmoid(
+        s_inter @ gk.transpose(p.w_inter) + s_intra @ gk.transpose(p.w_intra) + p.bias
+    )
     return s_intra + gate * (s_inter - s_intra)
 
 
@@ -441,20 +436,19 @@ def _embedding_rows(
 ) -> tuple[Optional[Tensor], Optional[Tensor]]:
     """Each branch's node rows, (N, d), with one gather per embedding table.
 
-    When both branches read the shared table, its rows for both are gathered
-    in one go and then split, so backward scatters one dense (V, d) gradient.
+    Both graphs of an example give the prefix's distinct items their first
+    slots, in the same order. When both branches read the shared table, the
+    intra rows are those first rows of each inter graph, so backward
+    scatters one dense (V, d) gradient.
     """
-    if intra is None or inter is None or params.embedding_inter is not params.embedding:
-        return (
-            None if intra is None else gk.slice_rows(params.embedding, intra.node_items),
-            None if inter is None else gk.slice_rows(params.embedding_inter, inter.node_items),
-        )
-    n_intra = len(intra.node_items)
-    both = gk.slice_rows(params.embedding, np.concatenate([intra.node_items, inter.node_items]))
-    return (
-        gk.slice_rows(both, np.arange(n_intra)),
-        gk.slice_rows(both, np.arange(n_intra, n_intra + len(inter.node_items))),
-    )
+    rows_inter = None if inter is None else gk.slice_rows(params.embedding_inter, inter.node_items)
+    if intra is None:
+        return None, rows_inter
+    if inter is None or params.embedding_inter is not params.embedding:
+        return gk.slice_rows(params.embedding, intra.node_items), rows_inter
+    prefix_nodes = np.bincount(intra.node_graph)[inter.node_graph]
+    slot = np.arange(len(inter.node_items)) - np.searchsorted(inter.node_graph, inter.node_graph)
+    return gk.slice_rows(rows_inter, np.flatnonzero(slot < prefix_nodes)), rows_inter
 
 
 def forward_batch(

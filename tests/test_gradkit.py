@@ -211,6 +211,22 @@ def test_grad_segment_sum():
     fd_check(lambda y: gk.sum(gk.segment_sum(y, [1, 1, 0, 1], 3) * w3), [y], tol=1e-7)
 
 
+def test_segment_sums_match_add_at_on_both_kernel_paths():
+    # Wide rows in short runs are summed rank by rank; a few long runs of
+    # narrow rows go to np.add.reduceat. Both back segment_sum and the
+    # slice_rows gradient.
+    rng = np.random.default_rng(5)
+    for rows, width, n in [(300, 800, 120), (400, 2, 3)]:
+        ids = rng.integers(0, n, rows)
+        x = rng.normal(size=(rows, width))
+        expected = np.zeros((n, width))
+        np.add.at(expected, ids, x)
+        assert np.allclose(gk.segment_sum(Tensor(x), ids, n).values, expected, rtol=0, atol=1e-12)
+        table = Tensor(rng.normal(size=(n, width)))
+        (g,) = gk.backward(gk.sum(gk.slice_rows(table, ids) * Tensor(x)), wrt=[table])
+        assert np.allclose(g, expected, rtol=0, atol=1e-12)
+
+
 def test_grad_nonlinearities():
     x = t((6,))
     fd_check(lambda x: gk.sum(gk.sigmoid(x)), [x], tol=1e-6)
@@ -359,6 +375,8 @@ def test_slice_rows_bounds_checked():
         gk.slice_rows(m, [0, 3])
     with pytest.raises(ShapeError):
         gk.slice_rows(m, [-4])
+    with pytest.raises(ShapeError):
+        gk.slice_rows(m, [-1])
 
 
 # ---------------------------------------------------------------------------

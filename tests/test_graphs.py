@@ -138,6 +138,15 @@ def test_inter_matches_reference(prefix, neighbors):
     assert g.last_slot == slots[-1]
 
 
+@given(prefixes, neighbor_lists)
+@settings(max_examples=100)
+def test_both_graphs_give_the_prefix_items_the_same_first_slots(prefix, neighbors):
+    intra = build_intra_graph(prefix)
+    inter = build_inter_graph(prefix, neighbors)
+    assert inter.node_items[: len(intra.node_items)] == intra.node_items
+    assert inter.session_slots == intra.alias
+
+
 def test_inter_edge_list_is_sorted_with_both_directions_and_self_loops():
     g = build_inter_graph([0, 1], [[1, 2], [3, 2]])
     pairs = list(zip(g.dst.tolist(), g.src.tolist()))
