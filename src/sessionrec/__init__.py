@@ -63,7 +63,6 @@ from .model import (
     forward,
     forward_batch,
     fuse,
-    gat_alphas,
     gat_layer,
     ggnn_encode,
     inter_encode,

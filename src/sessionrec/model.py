@@ -47,8 +47,6 @@ class ModelConfig:
     variant: str = "full"
     leaky_slope: float = 0.2
     loss_form: str = "binary_ce"
-    share_readout: bool = False
-    separate_embeddings: bool = False
 
     def validate(self) -> None:
         check_types(self)
@@ -70,20 +68,20 @@ class ModelConfig:
         return section_from_dict(cls, doc)
 
 
+# Every weight but the embedding table is stored as it is multiplied, x @ w,
+# one tensor per product; a weight applied to joined inputs [x | y] holds
+# x's rows first.
+
+
 @dataclass
 class IntraParams:
     """Gated graph network weights: edge projections plus GRU-style gates."""
 
-    w_out: Tensor  # (d, d)   outgoing-edge projection
-    w_in: Tensor   # (d, d)   incoming-edge projection
-    b_out: Tensor  # (d,)
-    b_in: Tensor   # (d,)
-    w_update: Tensor  # (d, 2d)
-    u_update: Tensor  # (d, d)
-    w_reset: Tensor   # (d, 2d)
-    u_reset: Tensor   # (d, d)
-    w_cand: Tensor    # (d, 2d)
-    u_cand: Tensor    # (d, d)
+    w_edge: Tensor    # (d, 2d)  outgoing | incoming edge projections
+    b_edge: Tensor    # (2d,)
+    w_update: Tensor  # (3d, d)  applied to [a | h]
+    w_reset: Tensor   # (3d, d)  applied to [a | h]
+    w_cand: Tensor    # (3d, d)  applied to [a | r * h]
 
 
 @dataclass
@@ -91,38 +89,35 @@ class ReadoutParams:
     """Soft-attention compression of a vector sequence to one session vector."""
 
     q: Tensor           # (d,)
-    w_last: Tensor      # (d, d)
-    w_node: Tensor      # (d, d)
+    w_key: Tensor       # (2d, d)  applied to [v_last | v_i]
     bias: Tensor        # (d,)
-    w_compress: Tensor  # (d, 2d)
+    w_compress: Tensor  # (2d, d)  applied to [v_last | s_global]
 
 
 @dataclass
 class GatLayer:
     """Every head of one attention layer, stacked.
 
-    Head k owns rows k*d:(k+1)*d of ``w`` and row k of ``attn``, which holds
-    its self half followed by its peer half.
+    Head k owns columns k*d:(k+1)*d of ``w`` and row k of ``attn``, which
+    holds its self half followed by its peer half.
     """
 
-    w: Tensor     # (heads * d, d_in)
+    w: Tensor     # (d_in, heads * d)
     attn: Tensor  # (heads, 2d)
 
 
 @dataclass
 class FusionParams:
-    w_inter: Tensor  # (d, d)
-    w_intra: Tensor  # (d, d)
-    bias: Tensor     # (d,)
+    w_gate: Tensor  # (2d, d)  applied to [s_inter | s_intra]
+    bias: Tensor    # (d,)
 
 
 @dataclass
 class ModelParams:
-    """Named views over one ParamStore, wired per the model config."""
+    """Named views over one ParamStore."""
 
     store: ParamStore
     embedding: Tensor
-    embedding_inter: Tensor
     intra: IntraParams
     intra_readout: ReadoutParams
     inter_layers: list[GatLayer]
@@ -140,32 +135,23 @@ def param_specs(config: ModelConfig) -> list[ParamSpec]:
     """
     config.validate()
     d = config.dim
-    specs = [ParamSpec("embedding", (config.vocab_size, d), "intra_shared")]
-    if config.separate_embeddings:
-        specs.append(ParamSpec("embedding_inter", (config.vocab_size, d), "inter"))
-    specs += [
-        ParamSpec("intra.w_out", (d, d), "intra_shared"),
-        ParamSpec("intra.w_in", (d, d), "intra_shared"),
-        ParamSpec("intra.b_out", (d,), "intra_shared"),
-        ParamSpec("intra.b_in", (d,), "intra_shared"),
-        ParamSpec("intra.w_update", (d, 2 * d), "intra_shared"),
-        ParamSpec("intra.u_update", (d, d), "intra_shared"),
-        ParamSpec("intra.w_reset", (d, 2 * d), "intra_shared"),
-        ParamSpec("intra.u_reset", (d, d), "intra_shared"),
-        ParamSpec("intra.w_cand", (d, 2 * d), "intra_shared"),
-        ParamSpec("intra.u_cand", (d, d), "intra_shared"),
+    specs = [
+        ParamSpec("embedding", (config.vocab_size, d), "intra_shared"),
+        ParamSpec("intra.w_edge", (d, 2 * d), "intra_shared"),
+        ParamSpec("intra.b_edge", (2 * d,), "intra_shared"),
+        ParamSpec("intra.w_update", (3 * d, d), "intra_shared"),
+        ParamSpec("intra.w_reset", (3 * d, d), "intra_shared"),
+        ParamSpec("intra.w_cand", (3 * d, d), "intra_shared"),
     ]
     specs += _readout_specs("intra_readout", d, "intra_shared")
     width = config.heads * d
     for layer in range(config.gat_layers):
         d_in = d if layer == 0 else width  # the previous layer's heads, concatenated
-        specs.append(ParamSpec(f"inter.layer{layer}.w", (width, d_in), "inter"))
+        specs.append(ParamSpec(f"inter.layer{layer}.w", (d_in, width), "inter"))
         specs.append(ParamSpec(f"inter.layer{layer}.attn", (config.heads, 2 * d), "inter"))
-    if not config.share_readout:
-        specs += _readout_specs("inter_readout", d, "inter")
+    specs += _readout_specs("inter_readout", d, "inter")
     specs += [
-        ParamSpec("fusion.w_inter", (d, d), "intra_shared"),
-        ParamSpec("fusion.w_intra", (d, d), "intra_shared"),
+        ParamSpec("fusion.w_gate", (2 * d, d), "intra_shared"),
         ParamSpec("fusion.bias", (d,), "intra_shared"),
     ]
     return specs
@@ -174,10 +160,9 @@ def param_specs(config: ModelConfig) -> list[ParamSpec]:
 def _readout_specs(prefix: str, d: int, group: str) -> list[ParamSpec]:
     return [
         ParamSpec(f"{prefix}.q", (d,), group),
-        ParamSpec(f"{prefix}.w_last", (d, d), group),
-        ParamSpec(f"{prefix}.w_node", (d, d), group),
+        ParamSpec(f"{prefix}.w_key", (2 * d, d), group),
         ParamSpec(f"{prefix}.bias", (d,), group),
-        ParamSpec(f"{prefix}.w_compress", (d, 2 * d), group),
+        ParamSpec(f"{prefix}.w_compress", (2 * d, d), group),
     ]
 
 
@@ -200,20 +185,15 @@ def bind_params(store: ParamStore, config: ModelConfig) -> ModelParams:
                 f"parameter {name} does not fit the model config: stored (shape, group) "
                 f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
             )
-    intra_readout = _view(ReadoutParams, store, "intra_readout")
-    embedding = store["embedding"]
     return ModelParams(
         store=store,
-        embedding=embedding,
-        embedding_inter=store["embedding_inter"] if config.separate_embeddings else embedding,
+        embedding=store["embedding"],
         intra=_view(IntraParams, store, "intra"),
-        intra_readout=intra_readout,
+        intra_readout=_view(ReadoutParams, store, "intra_readout"),
         inter_layers=[
             _view(GatLayer, store, f"inter.layer{layer}") for layer in range(config.gat_layers)
         ],
-        inter_readout=(
-            intra_readout if config.share_readout else _view(ReadoutParams, store, "inter_readout")
-        ),
+        inter_readout=_view(ReadoutParams, store, "inter_readout"),
         fusion=_view(FusionParams, store, "fusion"),
     )
 
@@ -229,23 +209,23 @@ def ggnn_encode(
     """Run the gated update over packed transition graphs.
 
     ``rows`` holds one embedding per node row, (N, d). Each step projects
-    every row through the outgoing and incoming edge weights, gathers the
-    two projections at each edge's source, scales them by the edge's a_out
-    and a_in weights and segment-sums into the destination, so row i
-    receives [a_out @ h W_out | a_in @ h W_in] of its own graph. The messages
-    are blended into the node state with GRU-style update/reset gates.
+    every row through the outgoing and incoming edge weights at once,
+    gathers the projection at each edge's source, scales its two halves by
+    the edge's a_out and a_in weights and segment-sums into the destination,
+    so row i receives [a_out @ h W_out | a_in @ h W_in] of its own graph. The
+    messages are blended into the node state with GRU-style update/reset
+    gates, each one product of the joined row [a | h].
     """
     n, d = rows.shape
     scale = gk.Tensor(np.repeat(graph.weight, d, axis=1))                # (E, 2d)
-    bias = gk.concat([p.b_out, p.b_in])                                  # (2d,)
     h = rows
     for _ in range(steps):
-        projected = gk.concat([h @ p.w_out, h @ p.w_in], axis=1)         # (N, 2d)
-        sent = gk.slice_rows(projected, graph.src) * scale               # (E, 2d)
-        a = gk.segment_sum(sent, graph.dst, n) + bias                    # (N, 2d)
-        z = gk.sigmoid(a @ gk.transpose(p.w_update) + h @ gk.transpose(p.u_update))
-        r = gk.sigmoid(a @ gk.transpose(p.w_reset) + h @ gk.transpose(p.u_reset))
-        cand = gk.tanh(a @ gk.transpose(p.w_cand) + (r * h) @ gk.transpose(p.u_cand))
+        sent = gk.slice_rows(h @ p.w_edge, graph.src) * scale            # (E, 2d)
+        a = gk.segment_sum(sent, graph.dst, n) + p.b_edge                # (N, 2d)
+        joined = gk.concat([a, h], axis=1)                               # (N, 3d)
+        z = gk.sigmoid(joined @ p.w_update)
+        r = gk.sigmoid(joined @ p.w_reset)
+        cand = gk.tanh(gk.concat([a, r * h], axis=1) @ p.w_cand)
         h = h + z * (cand - h)
     return h
 
@@ -266,20 +246,19 @@ def session_readout(
 
     ``rows`` (P, d) holds the examples' positions back to back, ``segments``
     names each row's example and ``last`` indexes each example's final row.
-    The attention weight of row i is q . sigmoid(W_last v_last + W_node v_i
+    The attention weight of row i is q . sigmoid([v_last | v_i] W_key
     + bias), deliberately left unnormalized (no softmax over rows). With
     ``attention=False`` the weighted sum is replaced by the row mean.
     """
     count = len(last)
     s_last = gk.slice_rows(rows, last)                                   # (B, d)
     if attention:
-        key_last = s_last @ gk.transpose(p.w_last) + p.bias              # (B, d)
-        keys = gk.slice_rows(key_last, segments) + rows @ gk.transpose(p.w_node)
-        alpha = gk.sigmoid(keys) @ p.q                                   # (P,)
+        pairs = gk.concat([gk.slice_rows(rows, last[segments]), rows], axis=1)  # (P, 2d)
+        alpha = gk.sigmoid(pairs @ p.w_key + p.bias) @ p.q               # (P,)
         s_global = gk.segment_sum(rows * gk.reshape(alpha, (-1, 1)), segments, count)
     else:
         s_global = _segment_mean(rows, segments, count)                  # (B, d)
-    return gk.concat([s_last, s_global], axis=1) @ gk.transpose(p.w_compress)
+    return gk.concat([s_last, s_global], axis=1) @ p.w_compress
 
 
 def _edge_logits(
@@ -311,24 +290,6 @@ def _edge_softmax_parts(e: Tensor, dst: np.ndarray, n: int) -> tuple[Tensor, Ten
     return weights, gk.segment_sum(weights, dst, n)
 
 
-def gat_alphas(mask: np.ndarray, wh: Tensor, attn: Tensor, slope: float = 0.2) -> Tensor:
-    """Attention rows of one head: a softmax over each node's masked neighborhood.
-
-    ``wh`` is the head's projected node matrix (N, d_out) and ``attn`` holds
-    the self and peer halves of the scoring vector concatenated. The edge
-    weights are scattered into a dense (N, N) block: every row of the result
-    is a probability distribution over the node's neighbors (self loop
-    included), and non-edges are exactly zero.
-    """
-    n, d_out = wh.shape
-    dst, src = np.nonzero(mask)
-    z = gk.reshape(wh, (n, 1, d_out))
-    e = _edge_logits(z, gk.reshape(attn, (1, 2 * d_out)), src, dst, slope)
-    weights, totals = _edge_softmax_parts(e, dst, n)
-    alpha = gk.reshape(weights / gk.slice_rows(totals, dst), (len(dst),))
-    return gk.reshape(gk.segment_sum(alpha, dst * n + src, n * n), (n, n))
-
-
 def gat_layer(
     graph: PackedGraphs,
     h: Tensor,
@@ -354,7 +315,7 @@ def gat_layer(
     n = h.shape[0]
     heads, d_out = layer.attn.shape[0], layer.attn.shape[1] // 2
     src, dst = graph.src, graph.dst
-    z = gk.reshape(h @ gk.transpose(layer.w), (n, heads, d_out))         # (N, H, d_out)
+    z = gk.reshape(h @ layer.w, (n, heads, d_out))                       # (N, H, d_out)
     sent = gk.slice_rows(z, src)                                         # (E, H, d_out)
     if uniform:
         totals = gk.Tensor(np.bincount(dst, minlength=n)[:, None, None])
@@ -384,9 +345,7 @@ def fuse(s_intra: Tensor, s_inter: Tensor, p: FusionParams) -> Tensor:
 
     Each output coordinate stays between its two inputs.
     """
-    gate = gk.sigmoid(
-        s_inter @ gk.transpose(p.w_inter) + s_intra @ gk.transpose(p.w_intra) + p.bias
-    )
+    gate = gk.sigmoid(gk.concat([s_inter, s_intra], axis=-1) @ p.w_gate + p.bias)
     return s_intra + gate * (s_inter - s_intra)
 
 
@@ -432,20 +391,19 @@ def loss(
 
 
 def _embedding_rows(
-    params: ModelParams, intra: Optional[PackedGraphs], inter: Optional[PackedGraphs]
+    embedding: Tensor, intra: Optional[PackedGraphs], inter: Optional[PackedGraphs]
 ) -> tuple[Optional[Tensor], Optional[Tensor]]:
-    """Each branch's node rows, (N, d), with one gather per embedding table.
+    """Each branch's node rows, (N, d), with one gather of the embedding table.
 
     Both graphs of an example give the prefix's distinct items their first
-    slots, in the same order. When both branches read the shared table, the
-    intra rows are those first rows of each inter graph, so backward
-    scatters one dense (V, d) gradient.
+    slots, in the same order, so the intra rows are those first rows of each
+    inter graph and backward scatters one dense (V, d) gradient.
     """
-    rows_inter = None if inter is None else gk.slice_rows(params.embedding_inter, inter.node_items)
+    rows_inter = None if inter is None else gk.slice_rows(embedding, inter.node_items)
     if intra is None:
         return None, rows_inter
-    if inter is None or params.embedding_inter is not params.embedding:
-        return gk.slice_rows(params.embedding, intra.node_items), rows_inter
+    if inter is None:
+        return gk.slice_rows(embedding, intra.node_items), rows_inter
     prefix_nodes = np.bincount(intra.node_graph)[inter.node_graph]
     slot = np.arange(len(inter.node_items)) - np.searchsorted(inter.node_graph, inter.node_graph)
     return gk.slice_rows(rows_inter, np.flatnonzero(slot < prefix_nodes)), rows_inter
@@ -484,7 +442,7 @@ def forward_batch(
         inter = pack_inter(
             [build_inter_graph(prefix, nbrs) for prefix, nbrs in zip(prefixes, neighbor_lists)]
         )
-    rows_intra, rows_inter = _embedding_rows(params, intra, inter)
+    rows_intra, rows_inter = _embedding_rows(params.embedding, intra, inter)
 
     s_intra = None
     if intra is not None:

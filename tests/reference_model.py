@@ -115,55 +115,66 @@ def ref_leaky(x, slope=0.2):
 
 
 def ref_ggnn(a_out, a_in, rows, v, steps=1):
-    """Gated propagation; ``v`` maps parameter names to arrays (intra.* keys)."""
+    """Gated propagation; ``v`` maps parameter names to arrays (intra.* keys).
+
+    Stored weights multiply from the right (x @ w). ``intra.w_edge`` holds the
+    outgoing projection in its first d columns and the incoming one after;
+    each gate weight holds the message block (first 2d rows) above the
+    state block (last d rows).
+    """
     h = np.array(rows, dtype=np.float64)
     a_out = np.asarray(a_out, dtype=np.float64)
     a_in = np.asarray(a_in, dtype=np.float64)
-    n = h.shape[0]
+    n, d = h.shape
+    w_edge, b_edge = v["intra.w_edge"], v["intra.b_edge"]
+    w_update, w_reset, w_cand = v["intra.w_update"], v["intra.w_reset"], v["intra.w_cand"]
     for _ in range(steps):
-        msg_out = a_out @ (h @ v["intra.w_out"]) + v["intra.b_out"]
-        msg_in = a_in @ (h @ v["intra.w_in"]) + v["intra.b_in"]
+        msg_out = a_out @ (h @ w_edge[:, :d]) + b_edge[:d]
+        msg_in = a_in @ (h @ w_edge[:, d:]) + b_edge[d:]
         nxt = np.empty_like(h)
         for i in range(n):
             a = np.concatenate([msg_out[i], msg_in[i]])
-            z = ref_sigmoid(v["intra.w_update"] @ a + v["intra.u_update"] @ h[i])
-            r = ref_sigmoid(v["intra.w_reset"] @ a + v["intra.u_reset"] @ h[i])
-            cand = np.tanh(v["intra.w_cand"] @ a + v["intra.u_cand"] @ (r * h[i]))
+            z = ref_sigmoid(a @ w_update[: 2 * d] + h[i] @ w_update[2 * d :])
+            r = ref_sigmoid(a @ w_reset[: 2 * d] + h[i] @ w_reset[2 * d :])
+            cand = np.tanh(a @ w_cand[: 2 * d] + (r * h[i]) @ w_cand[2 * d :])
             nxt[i] = (1 - z) * h[i] + z * cand
         h = nxt
     return h
 
 
 def ref_readout(rows, v, prefix_key, attention=True):
-    """Attention-compressed session vector from per-click rows (m, d)."""
+    """Attention-compressed session vector from per-click rows (m, d).
+
+    ``w_key`` holds the last-click block (first d rows) above the row block;
+    ``w_compress`` holds the last-click block above the global block.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     last = rows[-1]
+    d = rows.shape[1]
     if attention:
-        s_global = np.zeros(rows.shape[1])
+        s_global = np.zeros(d)
+        w_key = v[f"{prefix_key}.w_key"]
         for i in range(rows.shape[0]):
             key = ref_sigmoid(
-                v[f"{prefix_key}.w_last"] @ last
-                + v[f"{prefix_key}.w_node"] @ rows[i]
-                + v[f"{prefix_key}.bias"]
+                last @ w_key[:d] + rows[i] @ w_key[d:] + v[f"{prefix_key}.bias"]
             )
             s_global += (v[f"{prefix_key}.q"] @ key) * rows[i]
     else:
         s_global = rows.mean(axis=0)
-    return v[f"{prefix_key}.w_compress"] @ np.concatenate([last, s_global])
+    w_compress = v[f"{prefix_key}.w_compress"]
+    return last @ w_compress[:d] + s_global @ w_compress[d:]
 
 
 def ref_readout_alphas(rows, v, prefix_key):
     """Just the (unnormalized) attention weights of ref_readout."""
     rows = np.asarray(rows, dtype=np.float64)
     last = rows[-1]
+    d = rows.shape[1]
+    w_key = v[f"{prefix_key}.w_key"]
     return np.array(
         [
             v[f"{prefix_key}.q"]
-            @ ref_sigmoid(
-                v[f"{prefix_key}.w_last"] @ last
-                + v[f"{prefix_key}.w_node"] @ rows[i]
-                + v[f"{prefix_key}.bias"]
-            )
+            @ ref_sigmoid(last @ w_key[:d] + rows[i] @ w_key[d:] + v[f"{prefix_key}.bias"])
             for i in range(rows.shape[0])
         ]
     )
@@ -218,13 +229,14 @@ def ref_gat_alphas(adjacency, h, w, attn, slope=0.2):
 def ref_head_params(v, layer, heads):
     """Split a layer's stacked tensors into per-head (w, attn) pairs.
 
-    ``inter.layer{l}.w`` is (heads*d, d_in) with head k in rows k*d:(k+1)*d;
-    ``inter.layer{l}.attn`` is (heads, 2d) with head k in row k.
+    ``inter.layer{l}.w`` is (d_in, heads*d) with head k in columns
+    k*d:(k+1)*d; ``inter.layer{l}.attn`` is (heads, 2d) with head k in row k.
+    Each head's ``w`` is returned as (d, d_in), applied as ``w @ h[i]``.
     """
     w = v[f"inter.layer{layer}.w"]
     attn = v[f"inter.layer{layer}.attn"]
-    d = w.shape[0] // heads
-    return [(w[k * d : (k + 1) * d], attn[k]) for k in range(heads)]
+    d = w.shape[1] // heads
+    return [(w[:, k * d : (k + 1) * d].T, attn[k]) for k in range(heads)]
 
 
 def ref_inter_encode(adjacency, rows, v, heads, layers, slope=0.2, uniform=False):
@@ -243,7 +255,10 @@ def ref_inter_encode(adjacency, rows, v, heads, layers, slope=0.2, uniform=False
 
 
 def ref_fuse(s_intra, s_inter, v):
-    gate = ref_sigmoid(v["fusion.w_inter"] @ s_inter + v["fusion.w_intra"] @ s_intra + v["fusion.bias"])
+    """``fusion.w_gate`` holds the inter block (first d rows) above the intra block."""
+    w_gate = v["fusion.w_gate"]
+    d = len(s_inter)
+    gate = ref_sigmoid(s_inter @ w_gate[:d] + s_intra @ w_gate[d:] + v["fusion.bias"])
     return gate * s_inter + (1 - gate) * s_intra
 
 
@@ -263,15 +278,12 @@ def ref_loss(yhat, target, form="binary_ce"):
 
 
 def ref_forward(prefix, neighbor_sessions, v, dim, heads=8, layers=2,
-                slope=0.2, variant="full", share_readout=False,
-                separate_embeddings=False):
+                slope=0.2, variant="full"):
     """Full forward pass; ``v`` is a {param name: array} mapping.
 
     Returns (yhat, s_h) as plain arrays.
     """
     emb = v["embedding"]
-    emb_inter = v["embedding_inter"] if separate_embeddings else emb
-    inter_key = "intra_readout" if share_readout else "inter_readout"
 
     s_intra = None
     if variant != "inter_only":
@@ -285,7 +297,7 @@ def ref_forward(prefix, neighbor_sessions, v, dim, heads=8, layers=2,
     s_inter = None
     if variant != "intra_only":
         node_items, adjacency, slots = ref_inter_graph(prefix, neighbor_sessions)
-        rows = emb_inter[node_items]
+        rows = emb[node_items]
         if variant == "avg_pool":
             s_inter = rows.mean(axis=0)
         else:
@@ -294,7 +306,7 @@ def ref_forward(prefix, neighbor_sessions, v, dim, heads=8, layers=2,
                 uniform=(variant == "mean_gat"),
             )
             s_inter = ref_readout(
-                h[slots], v, inter_key, attention=(variant != "mean_readout")
+                h[slots], v, "inter_readout", attention=(variant != "mean_readout")
             )
 
     if variant == "intra_only":

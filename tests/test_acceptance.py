@@ -20,7 +20,7 @@ from sessionrec.cli import main
 from sessionrec.corpus import augment, filter_corpus, split_by_time
 from sessionrec.evaluation import RetrievalConfig, evaluate_model, report_from_ranks
 from sessionrec.graphs import build_inter_graph, build_intra_graph
-from sessionrec.model import FusionParams, fuse, gat_alphas
+from sessionrec.model import FusionParams, _edge_logits, _edge_softmax_parts, fuse
 from sessionrec.synthetic import (
     chain_corpus,
     chain_events,
@@ -166,10 +166,13 @@ def test_attention_rows_normalize_and_fusion_stays_between_inputs():
         d = int(rng.choice([4, 8]))
         d_out = int(rng.choice([3, d]))
         h = gk.Tensor(rng.normal(0.0, 1.0, (n, d)))
-        w = gk.Tensor(rng.normal(0.0, 1.0, (d_out, d)))
-        attn = gk.Tensor(rng.normal(0.0, 1.0, 2 * d_out))
-        alphas = gat_alphas(mask, h @ gk.transpose(w), attn)
-        assert np.abs(alphas.values.sum(axis=1) - 1.0).max() <= 1e-9
+        w = gk.Tensor(rng.normal(0.0, 1.0, (d, d_out)))
+        attn = gk.Tensor(rng.normal(0.0, 1.0, (1, 2 * d_out)))
+        dst, src = np.nonzero(mask)
+        e = _edge_logits(gk.reshape(h @ w, (n, 1, d_out)), attn, src, dst, 0.2)
+        weights, totals = _edge_softmax_parts(e, dst, n)
+        alphas = (weights / gk.slice_rows(totals, dst)).values.reshape(-1)
+        assert np.abs(np.bincount(dst, alphas, minlength=n) - 1.0).max() <= 1e-9
 
         dim = int(rng.integers(2, 9))
         s_intra = gk.Tensor(rng.normal(0.0, 1.0, dim))
@@ -178,8 +181,7 @@ def test_attention_rows_normalize_and_fusion_stays_between_inputs():
             s_intra,
             s_inter,
             FusionParams(
-                w_inter=gk.Tensor(rng.normal(0.0, 1.0, (dim, dim))),
-                w_intra=gk.Tensor(rng.normal(0.0, 1.0, (dim, dim))),
+                w_gate=gk.Tensor(rng.normal(0.0, 1.0, (2 * dim, dim))),
                 bias=gk.Tensor(rng.normal(0.0, 1.0, dim)),
             ),
         ).values

@@ -405,11 +405,15 @@ def one_error_line(capsys):
         ("train", {"lr": "x"}),
         ("train", {"epochs": -1}),
         ("train", {"threads": 1}),
+        ("train", {"share_readout": True}),
         ("train", ["--batch-size", "0"]),
         ("train", ["--variant", "bogus"]),
         ("preprocess", {"min_support": "2"}),
     ],
-    ids=["dim", "lr", "epochs", "stale-threads", "batch-size", "variant", "min-support"],
+    ids=[
+        "dim", "lr", "epochs", "stale-threads", "stale-share-readout", "batch-size",
+        "variant", "min-support",
+    ],
 )
 def test_bad_settings_exit_two_with_one_error_line(
     corpus_dir, events_csv, tmp_path, capsys, command, extra
@@ -424,6 +428,18 @@ def test_bad_settings_exit_two_with_one_error_line(
         extra = ["--config", str(cfg_file)]
     assert main(argv + extra) == 2
     assert one_error_line(capsys)
+
+
+# stacked weight -> the names its row blocks were stored under, each transposed
+SPLIT_ROWS = {
+    "w_update": ("w_update", "u_update"),
+    "w_reset": ("w_reset", "u_reset"),
+    "w_cand": ("w_cand", "u_cand"),
+    "w_key": ("w_last", "w_node"),
+    "w_gate": ("w_inter", "w_intra"),
+}
+# stacked weight -> the names its column halves were stored under, as is
+SPLIT_COLUMNS = {"w_edge": ("w_out", "w_in"), "b_edge": ("b_out", "b_in")}
 
 
 def damaged_checkpoint(train_dir, directory, damage):
@@ -445,12 +461,28 @@ def damaged_checkpoint(train_dir, directory, damage):
         for name, tensor in store.items():
             if name.startswith("inter.layer"):
                 layer, part = name.rsplit(".", 1)
-                for k, block in enumerate(np.split(tensor.values, heads)):
+                axis = 1 if part == "w" else 0  # w holds head k in column block k
+                for k, block in enumerate(np.split(tensor.values, heads, axis=axis)):
                     shaped = block.reshape(-1) if part == "attn" else block
                     per_head.add(f"{layer}.head{k}.{part}", shaped, store.group(name))
             else:
                 per_head.add(name, tensor.values, store.group(name))
         store = per_head
+    elif damage == "split-pairs":  # each stacked pair stored apart, (out, in) oriented
+        d = meta["model"]["dim"]
+        split = gk.ParamStore()
+        for name, tensor in store.items():
+            prefix, _, part = name.rpartition(".")
+            values, group = tensor.values, store.group(name)
+            if part in SPLIT_ROWS:
+                for old, block in zip(SPLIT_ROWS[part], np.split(values, [len(values) - d])):
+                    split.add(f"{prefix}.{old}", block.T, group)
+            elif part in SPLIT_COLUMNS:
+                for old, block in zip(SPLIT_COLUMNS[part], np.split(values, 2, axis=-1)):
+                    split.add(f"{prefix}.{old}", block, group)
+            else:
+                split.add(name, values.T if part in ("w", "w_compress") else values, group)
+        store = split
     elif damage == "wrong-group":  # the fusion gate moved onto the inter decay schedule
         regrouped = gk.ParamStore()
         for name, tensor in store.items():
@@ -470,7 +502,7 @@ def damaged_checkpoint(train_dir, directory, damage):
         for command in ("evaluate", "recommend")
         for damage in (
             "no-model", "unknown-retrieval-key", "string-dim",
-            "dim-16", "three-heads", "per-head-layout", "wrong-group",
+            "dim-16", "three-heads", "per-head-layout", "split-pairs", "wrong-group",
         )
     ]
     + [("recommend", "corrupt-run-config")],
