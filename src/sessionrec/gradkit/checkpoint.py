@@ -54,7 +54,7 @@ def save_params(
         parts.append(group_b)
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
+        parts.append(memoryview(arr))  # joined below without an intermediate copy
     write_atomic(path, b"".join(parts))
 
 

@@ -204,7 +204,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         vjp_b = lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
     elif av.ndim == 2 and bv.ndim == 2:
         vjp_a = lambda g: np.matmul(g, bv.T)
-        vjp_b = lambda g: np.matmul(av.T, g)
+        if bv.flags.f_contiguous and not bv.flags.c_contiguous:
+            # b is a transposed view (x @ transpose(w)): return the gradient
+            # in b's layout, so transpose hands w a C-ordered gradient that
+            # adds to w's other gradients at full speed.
+            vjp_b = lambda g: np.matmul(g.T, av).T
+        else:
+            vjp_b = lambda g: np.matmul(av.T, g)
     elif av.ndim == 1 and bv.ndim == 2:
         vjp_a = lambda g: np.matmul(bv, g)
         vjp_b = lambda g: np.outer(av, g)

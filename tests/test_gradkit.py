@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from sessionrec import gradkit as gk
 from sessionrec.errors import CheckpointError, ConfigError, NumericsError, ShapeError
 from sessionrec.gradkit import ParamSpec, ParamStore, Tensor
+from sessionrec.gradkit.params import ADAM_BLOCK
 
 RNG = np.random.default_rng(12345)
 
@@ -344,6 +345,15 @@ def test_backward_unreached_tensor_gets_zeros():
     assert gu.tolist() == [0.0] * 5
 
 
+def test_transposed_operand_gets_a_c_ordered_gradient():
+    """x @ transpose(w) hands w a gradient in w's own (C) layout, so it adds
+    to w's other gradients without a strided pass."""
+    x, w = t((4, 3)), t((5, 3))
+    (gw,) = gk.backward(gk.sum(x @ gk.transpose(w)), wrt=[w])
+    assert gw.flags.c_contiguous
+    assert np.allclose(gw, np.ones((4, 5)).T @ x.values)
+
+
 def test_backward_sets_grad_attribute():
     x = t((2,))
     y = gk.sum(gk.sigmoid(x))
@@ -440,7 +450,12 @@ def test_adam_two_steps_match_hand_rollout():
 def test_adam_matches_the_allocating_formula_bit_for_bit():
     """The scratch-buffer update equals the textbook expressions evaluated as written."""
     rng = np.random.default_rng(31)
-    shapes = [("emb", (7, 3), "intra_shared"), ("vec", (4,), "inter"), ("w", (3, 5), "inter")]
+    shapes = [
+        ("emb", (7, 3), "intra_shared"),
+        ("vec", (4,), "inter"),
+        ("w", (3, 5), "inter"),
+        ("big", (3, ADAM_BLOCK // 2 + 5), "intra_shared"),  # a full block and a partial one
+    ]
     store = store_with(shapes, seed=3)
     params = {name: store[name].values.copy() for name, _, _ in shapes}
     m = {name: np.zeros_like(v) for name, v in params.items()}
@@ -484,13 +499,25 @@ def test_adam_skips_absent_grads_and_keeps_their_step_count():
 
 
 def test_adam_validates_gradients():
-    store = store_with([("w", (2,), "inter")])
+    """Every gradient is checked before any parameter moves, so a rejected
+    step leaves values, moments and step counts as they were."""
+    store = store_with([("a", (3,), "intra_shared"), ("w", (2,), "inter")])
+    gk.adam_step(store, {"a": np.ones(3), "w": np.ones(2)}, lr=0.1)
+    before = store.values()
+    ok = np.ones(3)
     with pytest.raises(ShapeError):
-        gk.adam_step(store, {"w": np.zeros(3)}, lr=0.1)
+        gk.adam_step(store, {"a": ok, "w": np.zeros(3)}, lr=0.1)
     with pytest.raises(NumericsError):
-        gk.adam_step(store, {"w": np.array([np.nan, 0.0])}, lr=0.1)
+        gk.adam_step(store, {"a": ok, "w": np.array([np.nan, 0.0])}, lr=0.1)
     with pytest.raises(ConfigError, match="inter"):
-        gk.adam_step(store, {"w": np.zeros(2)}, lr={"intra_shared": 0.1})
+        gk.adam_step(store, {"a": ok, "w": np.zeros(2)}, lr={"intra_shared": 0.1})
+    with pytest.raises(ConfigError, match="typo"):
+        gk.adam_step(store, {"a": ok, "typo": np.zeros(2)}, lr=0.1)
+    for name, values in before.items():
+        assert (store[name].values == values).all(), name
+        assert store.step_count(name) == 1, name
+    gk.adam_step(store, {"a": ok, "w": np.ones(2)}, lr=0.1)
+    assert store.step_count("a") == store.step_count("w") == 2
 
 
 # ---------------------------------------------------------------------------
