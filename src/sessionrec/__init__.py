@@ -77,7 +77,6 @@ from .neighbors import (
     build_index,
     candidates,
     neighbors,
-    similarity,
 )
 from .training import TrainConfig, TrainResult, group_learning_rates, train
 

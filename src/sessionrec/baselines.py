@@ -8,16 +8,13 @@ import numpy as np
 
 from .corpus import SessionCorpus
 from .errors import RetrievalError
-from .neighbors import InvertedIndex, Neighbors
+from .neighbors import InvertedIndex, Neighbors, build_index
 
 
 def pop_scores(corpus: SessionCorpus) -> np.ndarray:
     """Training-partition click counts per item; ranking ties break by index."""
-    scores = np.zeros(len(corpus.vocab))
-    for s in corpus.train_sessions():
-        for item in s.items:
-            scores[item] += 1.0
-    return scores
+    clicks = [item for s in corpus.train_sessions() for item in s.items]
+    return np.bincount(clicks, minlength=len(corpus.vocab)).astype(np.float64)
 
 
 def sknn_scores(
@@ -42,34 +39,21 @@ class ItemKnn:
     """Item-to-item cosine over session-occurrence indicator vectors.
 
     sim(i, j) = |sessions(i) & sessions(j)| / sqrt(|sessions(i)| * |sessions(j)|),
-    computed over the training partition. A prefix is scored by similarity to
-    its final item.
+    computed over the training partition's inverted index. A prefix is scored
+    by similarity to its final item.
     """
 
     def __init__(self, corpus: SessionCorpus):
-        n = len(corpus.vocab)
-        self._session_items: list[list[int]] = []
-        self._item_sessions: list[list[int]] = [[] for _ in range(n)]
-        for s in corpus.train_sessions():
-            items = sorted(set(s.items))
-            self._session_items.append(items)
-            for item in items:
-                self._item_sessions[item].append(s.id)
-        self._n_sessions_with = np.array(
-            [len(v) for v in self._item_sessions], dtype=np.float64
-        )
-        self._n_items = n
+        self._index = build_index(corpus)
+        self._n_sessions_with = np.bincount(self._index.items, minlength=len(corpus.vocab))
 
     def scores(self, prefix: Sequence[int]) -> np.ndarray:
         if not prefix:
             raise RetrievalError("cannot score an empty prefix")
-        last = prefix[-1]
-        co = np.zeros(self._n_items)
-        for sid in self._item_sessions[last]:
-            for item in self._session_items[sid]:
-                co[item] += 1.0
-        n_last = self._n_sessions_with[last]
-        if n_last == 0:
-            return co  # item never seen in training; nothing to recommend
-        denom = np.sqrt(n_last * self._n_sessions_with)
-        return np.divide(co, denom, out=np.zeros_like(co), where=denom > 0)
+        n_with = self._n_sessions_with
+        sids = self._index.postings.get(prefix[-1])
+        if sids is None:
+            return np.zeros(len(n_with))  # item never seen in training
+        co = np.bincount(self._index.session_items(sids)[0], minlength=len(n_with))
+        denom = np.sqrt(n_with[prefix[-1]] * n_with)
+        return np.divide(co, denom, out=np.zeros(len(co)), where=denom > 0)

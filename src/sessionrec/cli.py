@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import typing
@@ -145,13 +144,6 @@ def _emit(payload) -> None:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     prep = cfg.preprocess
-    if args.test_days is not None:
-        window = args.test_days * 86400
-        if not (math.isfinite(window) and window > 0):
-            raise UsageError(
-                f"--test-days must give a positive, finite window, got {args.test_days}"
-            )
-        prep.test_window = int(window)
     events = read_events_csv(
         args.input,
         delimiter=args.delimiter,
@@ -364,8 +356,6 @@ def build_parser() -> _Parser:
     p.add_argument("--time-col", type=int, default=1)
     p.add_argument("--item-col", type=int, default=2)
     p.add_argument("--skip-header", action="store_true")
-    p.add_argument("--test-days", type=float, default=None,
-                   help="test window in days (overrides --test-window, in seconds)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser(

@@ -155,24 +155,31 @@ class SessionCorpus:
 
 
 def parse_timestamp(text: str) -> int:
-    """Parse an epoch-seconds integer/float or an ISO-8601 string to int seconds."""
+    """Parse epoch seconds (integer or float) or ISO-8601 text to int64 seconds."""
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return int(float(text))
-    except ValueError:
-        pass
-    iso = text.replace("Z", "+00:00") if text.endswith("Z") else text
-    try:
-        dt = datetime.fromisoformat(iso)
-    except ValueError:
-        raise CorpusError(f"unparseable timestamp: {text!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    for parse in (int, float):
+        try:
+            seconds = parse(text)
+            break
+        except ValueError:
+            pass
+    else:
+        iso = text.replace("Z", "+00:00") if text.endswith("Z") else text
+        try:
+            dt = datetime.fromisoformat(iso)
+        except ValueError:
+            raise CorpusError(f"unparseable timestamp: {text!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        seconds = dt.timestamp()
+    if not -(2**63) <= seconds < 2**63:  # also false for nan
+        raise CorpusError(f"timestamp is not a finite int64 second count: {text!r}")
+    return int(seconds)
+
+
+def _first_undecodable_line(path: Union[str, Path]) -> int:
+    with open(path, "rb") as fh:  # a line holding a bad byte does not survive a round trip
+        return next((n for n, b in enumerate(fh, 1) if b.decode(errors="replace").encode() != b), 0)
 
 
 def read_events_csv(
@@ -183,30 +190,35 @@ def read_events_csv(
     item_col: int = 2,
     skip_header: bool = False,
 ) -> Iterator[Event]:
-    """Stream events from a delimited file.
+    """Stream events from a delimited UTF-8 file.
 
-    Column positions are zero-based. Rows that are too short or carry an
-    unparseable timestamp raise CorpusError with the 1-based line number.
+    Column positions are zero-based. Rows that are too short or not UTF-8, that
+    csv cannot split or that carry a bad timestamp raise CorpusError naming the line.
     """
     want = max(session_col, time_col, item_col) + 1
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            if skip_header and lineno == 1:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < want:
-                raise CorpusError(f"line {lineno}: expected {want} columns, got {len(row)}")
-            try:
-                ts = parse_timestamp(row[time_col])
-            except CorpusError as exc:
-                raise CorpusError(f"line {lineno}: {exc}") from None
-            session_key = row[session_col].strip()
-            item_key = row[item_col].strip()
-            if not session_key or not item_key:
-                raise CorpusError(f"line {lineno}: empty session or item key")
-            yield Event(session_key, ts, item_key)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if skip_header and lineno == 1:
+                    continue
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < want:
+                    raise CorpusError(f"line {lineno}: expected {want} columns, got {len(row)}")
+                try:
+                    ts = parse_timestamp(row[time_col])
+                except CorpusError as exc:
+                    raise CorpusError(f"line {lineno}: {exc}") from None
+                session_key = row[session_col].strip()
+                item_key = row[item_col].strip()
+                if not session_key or not item_key:
+                    raise CorpusError(f"line {lineno}: empty session or item key")
+                yield Event(session_key, ts, item_key)
+        except UnicodeDecodeError:
+            raise CorpusError(f"line {_first_undecodable_line(path)}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise CorpusError(f"line {reader.line_num}: {exc}") from None
 
 
 def ingest_events(events: Iterable[Event]) -> SessionCorpus:

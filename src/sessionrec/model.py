@@ -30,7 +30,6 @@ from .gradkit import ParamSpec, ParamStore, Tensor
 from .graphs import PackedGraphs, build_inter_graph, build_intra_graph, pack_inter, pack_intra
 
 VARIANTS = ("full", "intra_only", "inter_only", "avg_pool", "mean_gat", "mean_readout")
-LOSS_FORMS = ("binary_ce", "categorical_ce")
 
 PROB_CLAMP = 1e-12
 
@@ -46,15 +45,12 @@ class ModelConfig:
     ggnn_steps: int = 1
     variant: str = "full"
     leaky_slope: float = 0.2
-    loss_form: str = "binary_ce"
 
     def validate(self) -> None:
         check_types(self)
         check_at_least(self, 1, "vocab_size", "dim", "heads", "gat_layers", "ggnn_steps")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.loss_form not in LOSS_FORMS:
-            raise ConfigError(f"unknown loss form {self.loss_form!r}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -358,17 +354,14 @@ def _flat(t: Tensor) -> Tensor:
     return t if t.ndim == 1 else gk.reshape(t, (t.size,))
 
 
-def loss(
-    yhat: Tensor, target: Union[int, Sequence[int]], form: str = "binary_ce"
-) -> Tensor:
+def loss(yhat: Tensor, target: Union[int, Sequence[int]]) -> Tensor:
     """Training loss on the softmax output, targets given as item indices.
 
     ``yhat`` is one row (V,) with one target, or a (B, V) block with one
-    target per row, whose row losses are summed. "binary_ce" sums a two-sided
-    cross-entropy over every item (the literal objective this model trains
-    with); "categorical_ce" is the standard -log(p_target). Probabilities are
-    clamped to [1e-12, 1 - 1e-12] before any log. The target entries are
-    gathered, so no one-hot block is built:
+    target per row, whose row losses are summed. Each row's loss is a
+    two-sided cross-entropy summed over every item, the objective this model
+    trains with. Probabilities are clamped to [1e-12, 1 - 1e-12] before any
+    log. The target entries are gathered, so no one-hot block is built:
     -sum_i [y_i log p_i + (1 - y_i) log(1 - p_i)]
     = sum_t [log(1 - p_t) - log p_t] - sum_i log(1 - p_i).
     """
@@ -379,13 +372,9 @@ def loss(
         raise ConfigError(f"expected {rows} targets, got {target!r}")
     if np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= n:
         raise ConfigError(f"target {target} out of range for {n} items")
-    if form not in LOSS_FORMS:
-        raise ConfigError(f"unknown loss form {form!r}")
     flat = np.arange(rows) * n + targets
     p = gk.clip(yhat, PROB_CLAMP, 1.0 - PROB_CLAMP)
     p_target = gk.slice_rows(_flat(p), flat)
-    if form == "categorical_ce":
-        return -gk.sum(gk.log(p_target))
     log_miss = gk.log(1.0 - p)
     return gk.sum(gk.slice_rows(_flat(log_miss), flat) - gk.log(p_target)) - gk.sum(log_miss)
 

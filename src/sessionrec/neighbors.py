@@ -15,7 +15,6 @@ and only the newest ``m`` eligible ids of each posting list can be candidates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
@@ -148,21 +147,6 @@ def candidates(
         pool.sort()
         pool = pool[np.concatenate((pool[1:] != pool[:-1], [True]))][-m:]
     return pool[::-1].tolist()
-
-
-def similarity(
-    a: Sequence[int], b: Sequence[int], raw_length: bool = False
-) -> float:
-    """Cosine similarity between the binary item vectors of two click sequences."""
-    if not a or not b:
-        raise RetrievalError("similarity of an empty sequence is undefined")
-    da, db = set(a), set(b)
-    shared = len(da & db)
-    if shared == 0:
-        return 0.0
-    la = len(a) if raw_length else len(da)
-    lb = len(b) if raw_length else len(db)
-    return shared / math.sqrt(la * lb)
 
 
 def neighbors(

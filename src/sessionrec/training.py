@@ -138,7 +138,7 @@ def _fit_batch(
         for ex in examples
     ]
     yhat, _ = forward_batch([ex.prefix for ex in examples], neighbor_lists, params, model_config)
-    objective = loss(yhat, [ex.label for ex in examples], model_config.loss_form)
+    objective = loss(yhat, [ex.label for ex in examples])
     grads = gk.backward(objective * (1.0 / len(examples)), wrt=tensors)
     return objective.item(), grads
 
@@ -183,7 +183,7 @@ def train(
         val_examples.extend(augment(s))
 
     index = build_index(corpus)
-    cache = precompute_neighbors(index, fit_examples + val_examples, config.retrieval)
+    cache = precompute_neighbors(index, fit_examples, config.retrieval)
 
     params = build_params(model_config, config.seed)
     store = params.store

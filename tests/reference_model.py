@@ -266,10 +266,8 @@ def ref_scores(s_h, embedding):
     return ref_softmax(np.asarray(embedding) @ s_h)
 
 
-def ref_loss(yhat, target, form="binary_ce"):
+def ref_loss(yhat, target):
     p = np.clip(np.asarray(yhat, dtype=np.float64), 1e-12, 1 - 1e-12)
-    if form == "categorical_ce":
-        return -math.log(p[target])
     total = 0.0
     for i, pi in enumerate(p):
         y = 1.0 if i == target else 0.0

@@ -123,16 +123,6 @@ def test_bad_cutoffs_are_usage_errors(corpus_dir, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("days", ["nan", "inf", "-inf", "0", "-1", "1e305"])
-def test_bad_test_days_are_usage_errors(events_csv, tmp_path, capsys, days):
-    code = main([
-        "preprocess", "--input", str(events_csv), "--output", str(tmp_path / "c"),
-        "--test-days", days,
-    ])
-    assert code == 1
-    assert "--test-days" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("top", ["0", "-1"])
 def test_top_below_one_is_a_usage_error(train_dir, corpus_dir, capsys, top):
     code = main([
@@ -186,7 +176,7 @@ REQUIRED_FLAGS = {
     "evaluate": [],
     "recommend": ["--checkpoint", "x.ckpt", "--session", "a"],
 }
-STRING_SETTINGS = {"variant": "intra_only", "loss_form": "categorical_ce", "fraction": "1/4"}
+STRING_SETTINGS = {"variant": "intra_only", "fraction": "1/4"}
 
 
 def other_valid_value(name, default):
@@ -393,9 +383,33 @@ def test_recommend_finds_corpus_from_run_config(train_dir, capsys):
     assert len(doc) == 10  # default --top
 
 
+def test_checkpoint_carrying_a_retired_loss_form_still_serves(
+    train_dir, corpus_dir, tmp_path, capsys
+):
+    store, meta = gk.load_params(train_dir / "epoch_0.ckpt")
+    meta["model"]["loss_form"] = "binary_ce"
+    old = tmp_path / "with_loss_form.ckpt"
+    gk.save_params(old, store, meta)
+    code, doc = run_json(capsys, [
+        "recommend", "--checkpoint", str(old), "--corpus", str(corpus_dir),
+        "--session", load_corpus(corpus_dir).vocab.key(0), "--top", "3",
+    ])
+    assert code == 0
+    assert len(doc) == 3
+
+
 def one_error_line(capsys):
     err = capsys.readouterr().err
     return err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("stamp", [b"inf", b"1e400", b"1e30", b"\xff"])
+def test_corrupt_events_exit_two_with_one_error_line(events_csv, tmp_path, capsys, stamp):
+    damaged = tmp_path / "clicks.csv"
+    damaged.write_bytes(events_csv.read_bytes() + b"late,%s,c0i1\nlate,%s,c0i2\n" % (stamp, stamp))
+    code = main(["preprocess", "--input", str(damaged), "--output", str(tmp_path / "c")])
+    assert code == 2
+    assert one_error_line(capsys)
 
 
 @pytest.mark.parametrize(
@@ -406,13 +420,14 @@ def one_error_line(capsys):
         ("train", {"epochs": -1}),
         ("train", {"threads": 1}),
         ("train", {"share_readout": True}),
+        ("train", {"loss_form": "binary_ce"}),
         ("train", ["--batch-size", "0"]),
         ("train", ["--variant", "bogus"]),
         ("preprocess", {"min_support": "2"}),
     ],
     ids=[
-        "dim", "lr", "epochs", "stale-threads", "stale-share-readout", "batch-size",
-        "variant", "min-support",
+        "dim", "lr", "epochs", "stale-threads", "stale-share-readout", "stale-loss-form",
+        "batch-size", "variant", "min-support",
     ],
 )
 def test_bad_settings_exit_two_with_one_error_line(

@@ -45,6 +45,20 @@ def test_parse_timestamp_garbage():
         parse_timestamp("not a time")
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "1e400", "nan"])
+def test_parse_timestamp_rejects_non_finite_values(text):
+    with pytest.raises(CorpusError, match="finite"):
+        parse_timestamp(text)
+
+
+def test_parse_timestamp_keeps_to_int64():
+    assert parse_timestamp(str(2**63 - 1)) == 2**63 - 1
+    assert parse_timestamp(str(-(2**63))) == -(2**63)
+    for text in ["1e30", str(2**63), str(-(2**63) - 1), "-9.3e18"]:
+        with pytest.raises(CorpusError, match="int64"):
+            parse_timestamp(text)
+
+
 def test_read_events_csv(tmp_path):
     p = tmp_path / "clicks.csv"
     p.write_text("s1,10,a\ns1,11,b\n\ns2,12,a\n")
@@ -69,6 +83,21 @@ def test_read_events_csv_reports_line_numbers(tmp_path):
         list(read_events_csv(p))
     p.write_text("s1,10\n")
     with pytest.raises(CorpusError, match="line 1"):
+        list(read_events_csv(p))
+
+
+def test_read_events_csv_names_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "bad.csv"
+    good = "".join(f"s{n},{n},item{n}\n" for n in range(1000)).encode("utf-8")  # past one read
+    p.write_bytes(good + b"s1,10,\xffb\ns1,11,c\n")
+    with pytest.raises(CorpusError, match="line 1001: not UTF-8"):
+        list(read_events_csv(p))
+
+
+def test_read_events_csv_names_the_line_csv_cannot_split(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("s1,10,a\ns1,11," + "b" * 200_000 + "\n")  # over csv's field size limit
+    with pytest.raises(CorpusError, match="line 2"):
         list(read_events_csv(p))
 
 

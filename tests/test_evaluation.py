@@ -1,5 +1,8 @@
 """Metrics, ranking rules, and the model/baseline evaluation drivers."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -139,6 +142,28 @@ def test_itemknn_unseen_item_scores_nothing():
     vocab = ItemVocab(["a", "b"], [1, 0])
     corpus = SessionCorpus(sessions, vocab, train_count=1)
     assert ItemKnn(corpus).scores([1]).tolist() == [0.0, 0.0]
+
+
+item_lists = st.lists(st.integers(0, 7), min_size=1, max_size=6)
+
+
+@given(st.lists(item_lists, min_size=1, max_size=8), st.lists(item_lists, max_size=3))
+def test_itemknn_and_pop_match_brute_force_counts(train_items, test_items):
+    # the vocabulary runs to the largest item, so some items never occur in training
+    corpus = corpus_of(train_items, test_items)
+    n = len(corpus.vocab)
+    clicks = Counter(item for items in train_items for item in items)
+    assert pop_scores(corpus).tolist() == [float(clicks[i]) for i in range(n)]
+
+    holding = [{sid for sid, items in enumerate(train_items) if i in items} for i in range(n)]
+    knn = ItemKnn(corpus)
+    for last in range(n):
+        want = [
+            len(holding[last] & holding[j]) / math.sqrt(len(holding[last]) * len(holding[j]))
+            if holding[last] and holding[j] else 0.0
+            for j in range(n)
+        ]
+        assert knn.scores([n - 1, last]).tolist() == want
 
 
 def test_sknn_scores_match_reference():

@@ -11,10 +11,17 @@ from hypothesis import strategies as st
 
 from sessionrec import gradkit as gk
 from sessionrec.cli import RunConfig, build_parser, resolve_config, write_run_config
-from sessionrec.corpus import load_corpus, save_corpus, split_by_time
+from sessionrec.corpus import (
+    filter_corpus,
+    ingest_events,
+    load_corpus,
+    read_events_csv,
+    save_corpus,
+    split_by_time,
+)
 from sessionrec.errors import SessionRecError
 from sessionrec.model import ModelConfig, bind_params, build_params
-from sessionrec.synthetic import chain_corpus
+from sessionrec.synthetic import chain_corpus, chain_events, write_events_csv
 
 FUZZ = settings(max_examples=60, deadline=None)
 
@@ -30,8 +37,10 @@ def damaged(blob: bytes):
 
 @pytest.fixture(scope="module")
 def intact(tmp_path_factory):
-    """Directory of good files: a corpus, a checkpoint and a run_config.json."""
+    """Directory of good files: an events file, a corpus, a checkpoint and a
+    run_config.json."""
     root = tmp_path_factory.mktemp("intact")
+    write_events_csv(chain_events(n_sessions=12, n_chains=2, chain_len=4), root / "events.csv")
     save_corpus(split_by_time(chain_corpus(n_sessions=12, n_chains=2, chain_len=4), 120), root)
     config = ModelConfig(vocab_size=5, dim=2, heads=2, gat_layers=2)
     gk.save_params(
@@ -50,11 +59,18 @@ def load_run_config(path):
     return resolve_config(build_parser().parse_args(["train", "--out", "o", "--config", str(path)]))
 
 
+def preprocess_events(path):
+    """The preprocess command's pipeline, from the events file to a saved corpus."""
+    corpus = filter_corpus(ingest_events(read_events_csv(path)), min_support=2, min_len=2)
+    save_corpus(split_by_time(corpus, 120), path.parent / "from_events")
+
+
 LOADERS = {
     "corpus.bin": lambda path: load_corpus(path.parent),
     "vocab.json": lambda path: load_corpus(path.parent),
     "model.ckpt": load_checkpoint,
     "run_config.json": load_run_config,
+    "events.csv": preprocess_events,
 }
 
 

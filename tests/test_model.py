@@ -57,14 +57,13 @@ def test_config_validation():
         dict(gat_layers=0),
         dict(ggnn_steps=0),
         dict(variant="bogus"),
-        dict(loss_form="hinge"),
     ]:
         with pytest.raises(ConfigError):
             small_config(**bad).validate()
 
 
 def test_config_dict_roundtrip_ignores_unknown_keys():
-    cfg = small_config(variant="avg_pool", loss_form="categorical_ce")
+    cfg = small_config(variant="avg_pool")
     doc = cfg.to_dict()
     doc["leftover"] = "ignored"
     assert ModelConfig.from_dict(doc) == cfg
@@ -213,9 +212,7 @@ def test_scores_and_losses_match_reference():
     assert np.allclose(yhat.values, ref_scores(s_h, emb), atol=1e-12)
     assert abs(yhat.values.sum() - 1.0) < 1e-12
 
-    for form in ("binary_ce", "categorical_ce"):
-        mine = loss(yhat, target=3, form=form).item()
-        assert np.isclose(mine, ref_loss(yhat.values, 3, form), atol=1e-10)
+    assert np.isclose(loss(yhat, target=3).item(), ref_loss(yhat.values, 3), atol=1e-10)
 
     extreme = gk.Tensor([1e-15, 1.0 - 1e-15])
     assert np.isclose(
@@ -230,7 +227,7 @@ def test_loss_rejects_bad_targets_and_forms():
     with pytest.raises(ConfigError):
         loss(yhat, target=-1)
     with pytest.raises(ConfigError):
-        loss(yhat, target=0, form="hinge")
+        loss(yhat, target=[0, 1])  # one row takes one target
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +407,8 @@ def test_batched_forward_and_gradients_match_examples_one_at_a_time(batch, varia
 
 def test_loss_of_a_batch_sums_its_rows():
     yhat = score_and_predict(gk.Tensor(RNG.normal(size=(3, 4))), gk.Tensor(RNG.normal(size=(7, 4))))
-    for form in ("binary_ce", "categorical_ce"):
-        rows = sum(ref_loss(yhat.values[b], t, form) for b, t in enumerate([2, 0, 6]))
-        assert np.isclose(loss(yhat, [2, 0, 6], form).item(), rows, atol=1e-10)
+    rows = sum(ref_loss(yhat.values[b], t) for b, t in enumerate([2, 0, 6]))
+    assert np.isclose(loss(yhat, [2, 0, 6]).item(), rows, atol=1e-10)
     with pytest.raises(ConfigError):
         loss(yhat, [2, 0])
     with pytest.raises(ConfigError):

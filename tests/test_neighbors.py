@@ -1,12 +1,10 @@
 """Inverted-index retrieval against a brute-force full scan."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessionrec import Event, build_index, candidates, ingest_events, neighbors, similarity
+from sessionrec import Event, build_index, candidates, ingest_events, neighbors
 from sessionrec.corpus import Session, SessionCorpus, ItemVocab
 from sessionrec.errors import RetrievalError
 
@@ -27,49 +25,6 @@ def corpus_from_items(item_lists, train_count=None):
 
 def as_triples(corpus):
     return [(s.id, s.items, s.start_time) for s in corpus.train_sessions()]
-
-
-# ---------------------------------------------------------------------------
-# similarity
-
-
-def test_similarity_known_value():
-    # two shared items, distinct counts 3 and 4
-    assert similarity([0, 1, 2], [1, 2, 3, 4]) == 2 / math.sqrt(12)
-
-
-def test_similarity_duplicates_fold_by_default():
-    assert similarity([0, 0, 1], [0, 1]) == 1.0
-
-
-def test_similarity_raw_length_counts_clicks():
-    # distinct overlap 2, raw lengths 3 and 2
-    assert similarity([0, 0, 1], [0, 1], raw_length=True) == 2 / math.sqrt(6)
-
-
-def test_similarity_disjoint_is_zero():
-    assert similarity([0, 1], [2, 3]) == 0.0
-
-
-def test_similarity_empty_rejected():
-    with pytest.raises(RetrievalError):
-        similarity([], [1])
-
-
-item_seqs = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8)
-
-
-@given(item_seqs, item_seqs)
-@settings(max_examples=200)
-def test_similarity_symmetric_and_bounded(a, b):
-    s = similarity(a, b)
-    assert s == similarity(b, a)
-    assert 0.0 <= s <= 1.0 + 1e-12
-
-
-@given(item_seqs)
-def test_similarity_self_is_one(a):
-    assert similarity(a, a) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +66,7 @@ def test_candidates_validation():
         candidates(idx, [0], m=0)
 
 
+item_seqs = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8)
 few_item_seqs = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=3)
 
 

@@ -199,6 +199,25 @@ def test_validation_recall_is_logged_when_enabled():
     assert 0.0 <= result.history[0]["val_recall10"] <= 1.0
 
 
+def test_validation_examples_are_not_retrieved_for_the_fit_cache(monkeypatch):
+    import sessionrec.training as training
+
+    seen = []
+
+    def recording(index, examples, retrieval):
+        seen.extend(ex.session_id for ex in examples)
+        return precompute_neighbors(index, examples, retrieval)
+
+    monkeypatch.setattr(training, "precompute_neighbors", recording)
+    corpus = direct_corpus([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]])
+    cfg = TrainConfig(
+        epochs=1, patience=2, val_fraction=0.5, retrieval=RetrievalConfig(threshold=0.0), seed=0
+    )
+    result = train(corpus, ModelConfig(vocab_size=3, dim=4, heads=2, gat_layers=1), cfg)
+    assert result.history[0]["val_recall10"] is not None  # validation ran
+    assert sorted(set(seen)) == [0, 1]  # the fit sessions; 2 and 3 validate
+
+
 # ---------------------------------------------------------------------------
 # guard rails
 
