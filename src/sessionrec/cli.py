@@ -202,12 +202,15 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
     intra = build_intra_graph(prefix)
     inter = build_inter_graph(prefix, neighbor_sessions)
+    n = len(intra.node_items)
+    dense = np.zeros((2, n, n))                       # a_out and a_in as matrices
+    dense[:, intra.dst, intra.src] = intra.weight.T
     _emit(
         {
             "intra": {
                 "nodes": [corpus.vocab.key(i) for i in intra.node_items],
-                "a_out": intra.a_out.tolist(),
-                "a_in": intra.a_in.tolist(),
+                "a_out": dense[0].tolist(),
+                "a_in": dense[1].tolist(),
                 "alias": intra.alias,
                 "last_slot": intra.last_slot,
             },

@@ -199,21 +199,23 @@ def read_events_csv(
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            for lineno, row in enumerate(reader, start=1):
-                if skip_header and lineno == 1:
+            for record, row in enumerate(reader):
+                if skip_header and record == 0:
                     continue
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) < want:
-                    raise CorpusError(f"line {lineno}: expected {want} columns, got {len(row)}")
+                    raise CorpusError(
+                        f"line {reader.line_num}: expected {want} columns, got {len(row)}"
+                    )
                 try:
                     ts = parse_timestamp(row[time_col])
                 except CorpusError as exc:
-                    raise CorpusError(f"line {lineno}: {exc}") from None
+                    raise CorpusError(f"line {reader.line_num}: {exc}") from None
                 session_key = row[session_col].strip()
                 item_key = row[item_col].strip()
                 if not session_key or not item_key:
-                    raise CorpusError(f"line {lineno}: empty session or item key")
+                    raise CorpusError(f"line {reader.line_num}: empty session or item key")
                 yield Event(session_key, ts, item_key)
         except UnicodeDecodeError:
             raise CorpusError(f"line {_first_undecodable_line(path)}: not UTF-8 text") from None

@@ -177,23 +177,20 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for the 1-D and 2-D cases, and batched over 3-D stacks.
+    """Matrix product of 2-D operands, or of a matrix and a vector, batched over 3-D stacks.
 
     A 3-D operand is a stack of matrices; the other operand is either a stack
     of the same depth or one 2-D matrix broadcast against every layer (its
-    gradient is summed back over the stack). 1-D operands only pair with 1-D
-    or 2-D ones.
+    gradient is summed back over the stack). A 1-D operand may only stand on
+    the right of a 2-D one.
     """
     av, bv = a.values, b.values
     batched = av.ndim == 3 or bv.ndim == 3
-    allowed = (2, 3) if batched else (1, 2)
-    if av.ndim not in allowed or bv.ndim not in allowed:
+    if av.ndim not in (2, 3) or bv.ndim not in ((2, 3) if batched else (1, 2)):
         raise ShapeError(
-            f"matmul supports 1-D and 2-D operands or 2-D/3-D stacks, got {av.ndim}-D @ {bv.ndim}-D"
+            f"matmul takes 2-D @ 2-D, 2-D @ 1-D or 2-D/3-D stacks, got {av.ndim}-D @ {bv.ndim}-D"
         )
-    inner_a = av.shape[-1]
-    inner_b = bv.shape[-2] if bv.ndim > 1 else bv.shape[0]
-    if inner_a != inner_b:
+    if av.shape[-1] != bv.shape[-2 if bv.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
     if av.ndim == 3 and bv.ndim == 3 and av.shape[0] != bv.shape[0]:
         raise ShapeError(f"matmul stack depths differ: {av.shape} @ {bv.shape}")
@@ -202,7 +199,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if batched:
         vjp_a = lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
         vjp_b = lambda g: _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
-    elif av.ndim == 2 and bv.ndim == 2:
+    elif bv.ndim == 2:
         vjp_a = lambda g: np.matmul(g, bv.T)
         if bv.flags.f_contiguous and not bv.flags.c_contiguous:
             # b is a transposed view (x @ transpose(w)): return the gradient
@@ -211,15 +208,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             vjp_b = lambda g: np.matmul(g.T, av).T
         else:
             vjp_b = lambda g: np.matmul(av.T, g)
-    elif av.ndim == 1 and bv.ndim == 2:
-        vjp_a = lambda g: np.matmul(bv, g)
-        vjp_b = lambda g: np.outer(av, g)
-    elif av.ndim == 2 and bv.ndim == 1:
+    else:  # 2-D @ 1-D
         vjp_a = lambda g: np.outer(g, bv)
         vjp_b = lambda g: np.matmul(av.T, g)
-    else:  # 1-D @ 1-D dot product
-        vjp_a = lambda g: g * bv
-        vjp_b = lambda g: g * av
     return Tensor(out, (a, b), (vjp_a, vjp_b), op="matmul")
 
 

@@ -1,10 +1,12 @@
 """Session graphs.
 
 Two views of click data feed the encoders: a directed multigraph over one
-session's transitions (normalized in/out adjacency matrices), and an undirected
-graph over a session plus its retrieved neighbors (an edge list with self
-loops). Node slots are assigned in first-occurrence order, scanning the session
-itself before any neighbor.
+session's transitions (an edge list carrying the normalized out/in weights,
+never the dense (n, n) matrices), and an undirected graph over a session plus
+its retrieved neighbors (an edge list with self loops). Both store their edges
+as the encoders read them: src -> dst, ascending by dst and then src. Node
+slots are assigned in first-occurrence order, scanning the session itself
+before any neighbor.
 
 The encoders read graphs in packed form: the graphs of a mini-batch laid end
 to end in one node index space, so every per-node map runs once over all
@@ -14,7 +16,8 @@ rows and every graph operation is a gather plus a segment sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from itertools import chain
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,14 +31,18 @@ class IntraGraph:
 
     a_out[i][j] is the multiplicity of the i -> j transition divided by the
     total out-multiplicity of node i; a_in is defined the same way over
-    incoming edges. alias maps each click position to its node slot.
+    incoming edges. Edge e exists where a_out[dst[e], src[e]] or
+    a_in[dst[e], src[e]] is nonzero, so every transition appears in both
+    directions, and weight[e] holds that (a_out, a_in) pair. alias maps each
+    click position to its node slot.
     """
 
     node_items: list[int]
     alias: list[int]
     last_slot: int
-    a_out: np.ndarray
-    a_in: np.ndarray
+    src: np.ndarray     # (E,)
+    dst: np.ndarray     # (E,)
+    weight: np.ndarray  # (E, 2)
 
 
 @dataclass
@@ -67,6 +74,13 @@ class InterGraph:
         return m
 
 
+def _first_slots(items: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The distinct items in first-occurrence order, and each position's slot among them."""
+    slot: dict[int, int] = {}
+    slots = [slot.setdefault(item, len(slot)) for item in items]
+    return list(slot), slots
+
+
 def build_intra_graph(prefix: Sequence[int]) -> IntraGraph:
     """Build the directed transition graph of a single click sequence.
 
@@ -76,31 +90,19 @@ def build_intra_graph(prefix: Sequence[int]) -> IntraGraph:
     """
     if not prefix:
         raise GraphError("cannot build a graph from an empty session")
-    slot: dict[int, int] = {}
-    alias: list[int] = []
-    for item in prefix:
-        if item not in slot:
-            slot[item] = len(slot)
-        alias.append(slot[item])
-    n = len(slot)
-    mult = np.zeros((n, n))
-    for a, b in zip(alias, alias[1:]):
-        mult[a, b] += 1.0
-    out_deg = mult.sum(axis=1, keepdims=True)
-    in_deg = mult.sum(axis=0, keepdims=True)
-    a_out = np.divide(mult, out_deg, out=np.zeros_like(mult), where=out_deg > 0)
-    a_in = np.divide(mult, in_deg, out=np.zeros_like(mult), where=in_deg > 0).T
-    return IntraGraph(
-        node_items=list(slot),
-        alias=alias,
-        last_slot=alias[-1],
-        a_out=a_out,
-        a_in=a_in,
-    )
-
-
-def _as_items(session: Union[Session, Sequence[int]]) -> Sequence[int]:
-    return session.items if isinstance(session, Session) else session
+    node_items, alias = _first_slots(prefix)
+    n = len(node_items)
+    at = np.array(alias, dtype=np.intp)
+    a, b = at[:-1], at[1:]
+    # code dst * n + src: transition a -> b puts a_out[a, b] on edge b -> a, a_in[b, a] on a -> b
+    codes, edge = np.unique(np.concatenate([a * n + b, b * n + a]), return_inverse=True)
+    dst, src = np.divmod(codes, n)
+    m, e = len(a), len(codes)
+    # a node without out- (in-) transitions only ever divides a zero count
+    a_out = np.bincount(edge[:m], minlength=e) / np.maximum(np.bincount(a, minlength=n), 1)[dst]
+    a_in = np.bincount(edge[m:], minlength=e) / np.maximum(np.bincount(b, minlength=n), 1)[dst]
+    weight = np.stack([a_out, a_in], axis=1)
+    return IntraGraph(node_items, alias, alias[-1], src, dst, weight)
 
 
 def build_inter_graph(
@@ -114,27 +116,20 @@ def build_inter_graph(
     """
     if not prefix:
         raise GraphError("cannot build a graph from an empty session")
-    slot: dict[int, int] = {}
-    codes: set[int] = set()  # dst << 32 | src for every directed edge
-    for seq in [prefix] + [_as_items(s) for s in neighbor_sessions]:
-        if len(seq) == 0:
-            raise GraphError("neighbor sessions must be non-empty")
-        a = slot.setdefault(seq[0], len(slot))
-        for item in seq[1:]:
-            b = slot.setdefault(item, len(slot))
-            codes.add(a << 32 | b)
-            codes.add(b << 32 | a)
-            a = b
-    codes.update(i << 32 | i for i in range(len(slot)))
-    edges = np.array(sorted(codes), dtype=np.int64)
-    session_slots = [slot[item] for item in prefix]
-    return InterGraph(
-        node_items=list(slot),
-        src=edges & 0xFFFFFFFF,
-        dst=edges >> 32,
-        session_slots=session_slots,
-        last_slot=session_slots[-1],
-    )
+    seqs = [prefix] + [s.items if isinstance(s, Session) else s for s in neighbor_sessions]
+    lengths = [len(seq) for seq in seqs]
+    if not all(lengths):
+        raise GraphError("neighbor sessions must be non-empty")
+    node_items, slots = _first_slots(chain.from_iterable(seqs))
+    n = len(node_items)
+    at = np.array(slots, dtype=np.intp)
+    inside = np.ones(len(at) - 1, dtype=bool)      # drop the pairs across sequence ends
+    inside[np.cumsum(lengths)[:-1] - 1] = False
+    a, b = at[:-1][inside], at[1:][inside]
+    codes = np.unique(np.concatenate([a * n + b, b * n + a, np.arange(n) * (n + 1)]))
+    dst, src = np.divmod(codes, n)
+    session_slots = slots[: len(prefix)]
+    return InterGraph(node_items, src, dst, session_slots, session_slots[-1])
 
 
 @dataclass
@@ -159,45 +154,31 @@ class PackedGraphs:
     last: np.ndarray            # (B,)
 
 
-def _pack(node_items, edges, positions, weight=None) -> PackedGraphs:
+def _pack(graphs, positions, weight=None) -> PackedGraphs:
     """Concatenate per-graph arrays, shifting each graph's slots by the nodes before it."""
-    src, dst, rows = [], [], []
-    offset = 0
-    for items, (s, d), p in zip(node_items, edges, positions):
-        src.append(s + offset)
-        dst.append(d + offset)
-        rows.append(np.add(p, offset))
-        offset += len(items)
-    sizes = [len(items) for items in node_items]
+    sizes = [len(g.node_items) for g in graphs]
     lengths = [len(p) for p in positions]
-    graphs = np.arange(len(sizes))
+    ids = np.arange(len(sizes))
+    first_row = np.cumsum(sizes) - sizes
+    edge_shift = np.repeat(first_row, [len(g.src) for g in graphs])
+    position_graph = np.repeat(ids, lengths)
     return PackedGraphs(
-        node_items=np.concatenate(node_items, dtype=np.intp),
-        node_graph=np.repeat(graphs, sizes),
-        src=np.concatenate(src, dtype=np.intp),
-        dst=np.concatenate(dst, dtype=np.intp),
+        node_items=np.concatenate([g.node_items for g in graphs], dtype=np.intp),
+        node_graph=np.repeat(ids, sizes),
+        src=np.concatenate([g.src for g in graphs]) + edge_shift,
+        dst=np.concatenate([g.dst for g in graphs]) + edge_shift,
         weight=weight,
-        positions=np.concatenate(rows, dtype=np.intp),
-        position_graph=np.repeat(graphs, lengths),
+        positions=np.concatenate(positions, dtype=np.intp) + first_row[position_graph],
+        position_graph=position_graph,
         last=np.cumsum(lengths) - 1,
     )
 
 
 def pack_intra(graphs: Sequence[IntraGraph]) -> PackedGraphs:
-    """Pack transition graphs; an edge exists where a_out or a_in is nonzero."""
-    edges, weights = [], []
-    for g in graphs:
-        dst, src = np.nonzero(g.a_out + g.a_in)
-        edges.append((src, dst))
-        weights.append((g.a_out[dst, src], g.a_in[dst, src]))
-    weight = np.concatenate(weights, axis=1).T                         # (E, 2)
-    return _pack([g.node_items for g in graphs], edges, [g.alias for g in graphs], weight)
+    """Pack transition graphs with their (a_out, a_in) edge weights."""
+    return _pack(graphs, [g.alias for g in graphs], np.concatenate([g.weight for g in graphs]))
 
 
 def pack_inter(graphs: Sequence[InterGraph]) -> PackedGraphs:
     """Pack neighbor graphs (self loops included, no edge weights)."""
-    return _pack(
-        [g.node_items for g in graphs],
-        [(g.src, g.dst) for g in graphs],
-        [g.session_slots for g in graphs],
-    )
+    return _pack(graphs, [g.session_slots for g in graphs])

@@ -337,7 +337,7 @@ def inter_encode(
 
 
 def fuse(s_intra: Tensor, s_inter: Tensor, p: FusionParams) -> Tensor:
-    """Sigmoid-gated blend of (d,) or (B, d) session vectors.
+    """Sigmoid-gated blend of two (B, d) blocks of session vectors.
 
     Each output coordinate stays between its two inputs.
     """
@@ -346,8 +346,8 @@ def fuse(s_intra: Tensor, s_inter: Tensor, p: FusionParams) -> Tensor:
 
 
 def score_and_predict(s_h: Tensor, embedding: Tensor) -> Tensor:
-    """Dot session vectors, (d,) or (B, d), against every item embedding; softmax per row."""
-    return gk.softmax(s_h @ gk.transpose(embedding), axis=-1)            # (..., |I|)
+    """Dot (B, d) session vectors against every item embedding; softmax per row."""
+    return gk.softmax(s_h @ gk.transpose(embedding), axis=-1)            # (B, |I|)
 
 
 def _flat(t: Tensor) -> Tensor:

@@ -101,6 +101,24 @@ def test_read_events_csv_names_the_line_csv_cannot_split(tmp_path):
         list(read_events_csv(p))
 
 
+def test_read_events_csv_names_physical_lines_after_a_quoted_newline(tmp_path):
+    """A quoted field spanning two lines puts later records one line further on;
+    a bad row and an undecodable byte there both name the physical line."""
+    p = tmp_path / "bad.csv"
+    head = b's1,10,"a\nb"\ns1,11,c\n'
+    p.write_bytes(head + b"s1,oops,d\n")
+    with pytest.raises(CorpusError, match="line 4: unparseable timestamp"):
+        list(read_events_csv(p))
+    p.write_bytes(head + b"s1,\xff,d\n")
+    with pytest.raises(CorpusError, match="line 4: not UTF-8"):
+        list(read_events_csv(p))
+    p.write_bytes(b'"session\nkey",time,item\ns1,10,a\n')  # a header record of two lines
+    assert list(read_events_csv(p, skip_header=True)) == [ev("s1", 10, "a")]
+    p.write_bytes(b'"session\nkey",time,item\ns1,10,a\ns1,x,b\n')
+    with pytest.raises(CorpusError, match="line 4"):
+        list(read_events_csv(p, skip_header=True))
+
+
 # ---------------------------------------------------------------------------
 # ingestion
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sessionrec import build_inter_graph, build_intra_graph, pack_inter, pack_intra
@@ -15,13 +15,25 @@ from reference_model import ref_inter_graph, ref_intra_graph
 prefixes = st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=12)
 
 
+def assert_edges_match(g, a_out, a_in):
+    """g's edges are exactly the (dst, src) entries where a_out or a_in is nonzero,
+    in ascending order, and each carries that (a_out, a_in) pair."""
+    n = len(a_out)
+    expect = [(i, j) for i in range(n) for j in range(n) if a_out[i][j] or a_in[i][j]]
+    assert list(zip(g.dst.tolist(), g.src.tolist())) == expect
+    assert g.weight.shape == (len(expect), 2)
+    for (i, j), (w_out, w_in) in zip(expect, g.weight.tolist()):
+        assert w_out == float(a_out[i][j])
+        assert w_in == float(a_in[i][j])
+
+
 def test_single_click_graph():
     g = build_intra_graph([3])
     assert g.node_items == [3]
     assert g.alias == [0]
-    assert g.a_out.shape == (1, 1)
-    assert g.a_out[0, 0] == 0.0
-    assert g.a_in[0, 0] == 0.0
+    assert g.last_slot == 0
+    assert g.src.shape == g.dst.shape == (0,)
+    assert g.weight.shape == (0, 2)
 
 
 def test_hand_derived_adjacency():
@@ -45,10 +57,7 @@ def test_hand_derived_adjacency():
         [0, 1, 0, 0],
         [0, 1, 0, 0],
     ]
-    for i in range(4):
-        for j in range(4):
-            assert g.a_out[i, j] == float(expect_out[i][j])
-            assert g.a_in[i, j] == float(expect_in[i][j])
+    assert_edges_match(g, expect_out, expect_in)
     assert g.alias == [0, 1, 2, 1, 3, 0]
     assert g.last_slot == 0
 
@@ -57,31 +66,31 @@ def test_repeated_item_collapses_to_one_node():
     g = build_intra_graph([5, 5, 5])
     assert g.node_items == [5]
     # self transition: the only outgoing mass loops back
-    assert g.a_out[0, 0] == 1.0
-    assert g.a_in[0, 0] == 1.0
+    assert (g.dst.tolist(), g.src.tolist()) == ([0], [0])
+    assert g.weight.tolist() == [[1.0, 1.0]]
 
 
 @given(prefixes)
+@example([3])
+@example([5, 5, 5])
+@example([0, 1, 1, 0, 0, 1])
 @settings(max_examples=200)
 def test_intra_matches_reference(prefix):
     g = build_intra_graph(prefix)
     node_items, alias, a_out, a_in = ref_intra_graph(prefix)
     assert g.node_items == node_items
     assert g.alias == alias
-    n = len(node_items)
-    for i in range(n):
-        for j in range(n):
-            assert g.a_out[i, j] == float(a_out[i][j])
-            assert g.a_in[i, j] == float(a_in[i][j])
+    assert g.last_slot == alias[-1]
+    assert_edges_match(g, a_out, a_in)
 
 
 @given(prefixes)
 @settings(max_examples=200)
 def test_intra_row_sums_zero_or_one(prefix):
     g = build_intra_graph(prefix)
-    for mat in (g.a_out, g.a_in):
-        for row in mat:
-            total = row.sum()
+    n = len(g.node_items)
+    for column in g.weight.T:  # a_out, then a_in: row i sums over the edges into slot i
+        for total in np.bincount(g.dst, column, minlength=n):
             assert abs(total - 1.0) < 1e-12 or total == 0.0
 
 
@@ -179,18 +188,17 @@ def test_packed_batch_offsets_each_graph_by_the_nodes_before_it():
 @given(st.lists(prefixes, min_size=1, max_size=4))
 @settings(max_examples=50)
 def test_packed_intra_edges_carry_the_adjacency_weights(batch):
-    graphs = [build_intra_graph(prefix) for prefix in batch]
-    packed = pack_intra(graphs)
+    packed = pack_intra([build_intra_graph(prefix) for prefix in batch])
     n = len(packed.node_items)
-    a_out, a_in = np.zeros((n, n)), np.zeros((n, n))
-    a_out[packed.dst, packed.src] = packed.weight[:, 0]
-    a_in[packed.dst, packed.src] = packed.weight[:, 1]
-    expect_out, expect_in = np.zeros((n, n)), np.zeros((n, n))  # block diagonal
+    dense = np.zeros((2, n, n))
+    dense[:, packed.dst, packed.src] = packed.weight.T
+    expect = np.zeros((2, n, n))  # the reference's a_out and a_in, block diagonal
     offset = 0
-    for g in graphs:
-        block = slice(offset, offset + len(g.node_items))
-        expect_out[block, block] = g.a_out
-        expect_in[block, block] = g.a_in
-        offset += len(g.node_items)
-    assert (a_out == expect_out).all()
-    assert (a_in == expect_in).all()
+    for prefix in batch:
+        _, _, a_out, a_in = ref_intra_graph(prefix)
+        block = slice(offset, offset + len(a_out))
+        expect[:, block, block] = [[[float(x) for x in row] for row in m] for m in (a_out, a_in)]
+        offset += len(a_out)
+    assert (dense == expect).all()
+    assert len(packed.src) == np.count_nonzero(expect.any(axis=0))  # one edge per nonzero entry
+    assert (np.diff(packed.dst) >= 0).all()

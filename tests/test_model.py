@@ -12,6 +12,8 @@ from reference_model import (
     ref_gat_layer,
     ref_ggnn,
     ref_inter_encode,
+    ref_inter_graph,
+    ref_intra_graph,
     ref_loss,
     ref_readout,
     ref_readout_alphas,
@@ -100,11 +102,14 @@ def test_ggnn_matches_reference():
     cfg = small_config()
     params = build_params(cfg, seed=11)
     v = params.store.values()
-    graph = build_intra_graph([0, 1, 2, 1, 0, 3])
-    rows = RNG.normal(0.0, 1.0, (len(graph.node_items), cfg.dim))
+    prefix = [0, 1, 2, 1, 0, 3]
+    node_items, _, a_out, a_in = ref_intra_graph(prefix)
+    a_out, a_in = (np.array([[float(x) for x in row] for row in m]) for m in (a_out, a_in))
+    rows = RNG.normal(0.0, 1.0, (len(node_items), cfg.dim))
+    packed = pack_intra([build_intra_graph(prefix)])
     for steps in (1, 3):
-        mine = ggnn_encode(pack_intra([graph]), gk.Tensor(rows), params.intra, steps).values
-        ref = ref_ggnn(graph.a_out, graph.a_in, rows, v, steps)
+        mine = ggnn_encode(packed, gk.Tensor(rows), params.intra, steps).values
+        ref = ref_ggnn(a_out, a_in, rows, v, steps)
         assert np.allclose(mine, ref, atol=1e-10)
 
 
@@ -130,8 +135,11 @@ def test_readout_matches_reference_and_is_unnormalized():
 
 
 def gat_fixture(n_heads=3, d=6, width=None):
-    graph = build_inter_graph([0, 1, 2], [[2, 3, 4], [4, 5]])
-    n = len(graph.node_items)
+    """The package's inter graph of one session, the reference's adjacency of it, and weights."""
+    prefix, neighbor_sessions = [0, 1, 2], [[2, 3, 4], [4, 5]]
+    graph = build_inter_graph(prefix, neighbor_sessions)
+    _, adjacency, _ = ref_inter_graph(prefix, neighbor_sessions)
+    n = len(adjacency)
     width = width or d
     h = RNG.normal(0.0, 1.0, (n, width))
     heads = []
@@ -139,7 +147,7 @@ def gat_fixture(n_heads=3, d=6, width=None):
         w = RNG.normal(0.0, 0.5, (d, width))
         attn = RNG.normal(0.0, 0.5, 2 * d)
         heads.append((w, attn))
-    return graph, h, heads
+    return graph, adjacency, h, heads
 
 
 def stacked_layer(heads):
@@ -151,44 +159,46 @@ def stacked_layer(heads):
 
 
 def test_gat_layer_matches_reference():
-    graph, h, heads = gat_fixture()
+    graph, adjacency, h, heads = gat_fixture()
     native_layer = stacked_layer(heads)
     for average in (False, True):
         mine = gat_layer(pack_inter([graph]), gk.Tensor(h), native_layer, average=average).values
-        ref = ref_gat_layer(graph.adjacency, h, heads, average=average)
+        ref = ref_gat_layer(adjacency, h, heads, average=average)
         assert mine.shape == ref.shape
         assert np.allclose(mine, ref, atol=1e-10)
 
 
 def test_gat_layer_uniform_attention_matches_reference():
-    graph, h, heads = gat_fixture()
+    graph, adjacency, h, heads = gat_fixture()
     native_layer = stacked_layer(heads)
     mine = gat_layer(
         pack_inter([graph]), gk.Tensor(h), native_layer, average=True, uniform=True
     ).values
-    ref = ref_gat_layer(graph.adjacency, h, heads, average=True, uniform=True)
+    ref = ref_gat_layer(adjacency, h, heads, average=True, uniform=True)
     assert np.allclose(mine, ref, atol=1e-10)
 
 
 def test_gat_attention_rows_are_distributions():
-    graph, h, heads = gat_fixture()
+    _, adjacency, h, heads = gat_fixture()
     w, attn = heads[0]
-    rows = ref_gat_alphas(graph.adjacency, h, w, attn)
+    rows = ref_gat_alphas(adjacency, h, w, attn)
     for i, row in rows.items():
         weights = np.array(list(row.values()))
         assert abs(weights.sum() - 1.0) < 1e-9
         assert ((weights > 0) & (weights < 1)).all()
-        assert set(row) == set(graph.adjacency[i])
+        assert set(row) == set(adjacency[i])
 
 
 def test_stacked_gat_matches_reference():
     cfg = small_config()
     params = build_params(cfg, seed=13)
     v = params.store.values()
-    graph = build_inter_graph([0, 1, 2], [[2, 3, 4], [4, 5]])
-    rows = RNG.normal(0.0, 1.0, (len(graph.node_items), cfg.dim))
-    mine = inter_encode(pack_inter([graph]), gk.Tensor(rows), params.inter_layers).values
-    ref = ref_inter_encode(graph.adjacency, rows, v, cfg.heads, cfg.gat_layers)
+    prefix, neighbor_sessions = [0, 1, 2], [[2, 3, 4], [4, 5]]
+    node_items, adjacency, _ = ref_inter_graph(prefix, neighbor_sessions)
+    rows = RNG.normal(0.0, 1.0, (len(node_items), cfg.dim))
+    packed = pack_inter([build_inter_graph(prefix, neighbor_sessions)])
+    mine = inter_encode(packed, gk.Tensor(rows), params.inter_layers).values
+    ref = ref_inter_encode(adjacency, rows, v, cfg.heads, cfg.gat_layers)
     assert np.allclose(mine, ref, atol=1e-10)
 
 
@@ -198,7 +208,7 @@ def test_fuse_matches_reference_and_interpolates():
     v = params.store.values()
     a = RNG.normal(0.0, 1.0, cfg.dim)
     b = RNG.normal(0.0, 1.0, cfg.dim)
-    mine = fuse(gk.Tensor(a), gk.Tensor(b), params.fusion).values
+    mine = fuse(gk.Tensor(a[None]), gk.Tensor(b[None]), params.fusion).values[0]  # one (1, d) row
     assert np.allclose(mine, ref_fuse(a, b, v), atol=1e-12)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
@@ -208,11 +218,11 @@ def test_fuse_matches_reference_and_interpolates():
 def test_scores_and_losses_match_reference():
     emb = RNG.normal(0.0, 1.0, (7, 4))
     s_h = RNG.normal(0.0, 1.0, 4)
-    yhat = score_and_predict(gk.Tensor(s_h), gk.Tensor(emb))
-    assert np.allclose(yhat.values, ref_scores(s_h, emb), atol=1e-12)
+    yhat = score_and_predict(gk.Tensor(s_h[None]), gk.Tensor(emb))  # one (1, d) row
+    assert np.allclose(yhat.values[0], ref_scores(s_h, emb), atol=1e-12)
     assert abs(yhat.values.sum() - 1.0) < 1e-12
 
-    assert np.isclose(loss(yhat, target=3).item(), ref_loss(yhat.values, 3), atol=1e-10)
+    assert np.isclose(loss(yhat, target=3).item(), ref_loss(yhat.values[0], 3), atol=1e-10)
 
     extreme = gk.Tensor([1e-15, 1.0 - 1e-15])
     assert np.isclose(
