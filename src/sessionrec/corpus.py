@@ -178,8 +178,9 @@ def parse_timestamp(text: str) -> int:
 
 
 def _first_undecodable_line(path: Union[str, Path]) -> int:
-    with open(path, "rb") as fh:  # a line holding a bad byte does not survive a round trip
-        return next((n for n, b in enumerate(fh, 1) if b.decode(errors="replace").encode() != b), 0)
+    with open(path, encoding="latin-1", newline="") as fh:  # raw bytes, in csv's lines
+        lines = enumerate((line.encode("latin-1") for line in fh), 1)  # bad bytes won't round-trip
+        return next((n for n, b in lines if b.decode(errors="replace").encode() != b), 0)
 
 
 def read_events_csv(

@@ -18,11 +18,11 @@ from .baselines import ItemKnn, pop_scores, sknn_scores
 from .corpus import SessionCorpus, TrainingExample, augment
 from .errors import ConfigError
 from .model import ModelConfig, ModelParams, forward_batch
-from .neighbors import InvertedIndex, RetrievalConfig, build_index, neighbors
+from .neighbors import InvertedIndex, Neighbors, RetrievalConfig, build_index, neighbors
 
 BASELINES = ("pop", "sknn", "itemknn")
-# Cases per packed forward in evaluate_model. The tape holds (E, heads, d)
-# per-edge blocks for a whole chunk, so this bounds evaluation memory.
+# Cases per packed forward in evaluate_model. The tape holds a chunk's (N, heads,
+# d) node blocks and (E, heads, 1) edge weights, so this bounds evaluation memory.
 EVAL_CHUNK = 16
 
 
@@ -93,6 +93,13 @@ def test_examples(corpus: SessionCorpus) -> list[TrainingExample]:
     return out
 
 
+def neighbors_of_cases(
+    index: InvertedIndex, cases: Sequence[TrainingExample], retrieval: RetrievalConfig
+) -> list[Neighbors]:
+    """Each case's neighbor sessions, retrieved with its session start time as "now"."""
+    return [neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval)) for ex in cases]
+
+
 def evaluate_model(
     params: ModelParams,
     config: ModelConfig,
@@ -101,13 +108,15 @@ def evaluate_model(
     cutoffs: Sequence[int] = (5, 10),
     index: Optional[InvertedIndex] = None,
     cases: Optional[Sequence[TrainingExample]] = None,
+    case_neighbors: Optional[Sequence[Neighbors]] = None,
 ) -> EvalReport:
     """Next-item metrics for a trained model over the corpus test partition.
 
     Neighbor retrieval searches the training partition only, with each case's
     session start time as "now". Cases are scored EVAL_CHUNK at a time, each
     chunk as one packed forward. Pass ``cases`` to evaluate a custom case list
-    (the trainer's validation split does).
+    (the trainer's validation split does), and ``case_neighbors``, one list
+    per case as ``neighbors_of_cases`` returns them, to skip retrieval.
     """
     if index is None:
         index = build_index(corpus)
@@ -119,13 +128,11 @@ def evaluate_model(
     ranks: list[Optional[int]] = []
     for start in range(0, len(cases), EVAL_CHUNK):
         chunk = cases[start : start + EVAL_CHUNK]
-        neighbor_lists = [
-            [
-                corpus.sessions[sid]
-                for sid, _ in neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval))
-            ]
-            for ex in chunk
-        ]
+        if case_neighbors is None:
+            found = neighbors_of_cases(index, chunk, retrieval)
+        else:
+            found = case_neighbors[start : start + EVAL_CHUNK]
+        neighbor_lists = [[corpus.sessions[sid] for sid, _ in nbrs] for nbrs in found]
         yhat, _ = forward_batch([ex.prefix for ex in chunk], neighbor_lists, params, config)
         ranks.extend(rank_of(scores, ex.label) for scores, ex in zip(yhat.values, chunk))
     return report_from_ranks(ranks, cutoffs)

@@ -286,6 +286,33 @@ def segment_sum(x: Tensor, seg, n: int) -> Tensor:
     return Tensor(_segment_rows(x.values, ids, n), (x,), (lambda g: g[ids],), op="segment_sum")
 
 
+def edge_sum(z: Tensor, alpha: Tensor, src, dst, n: int) -> Tensor:
+    """Row i of the result adds alpha[e] * z[src[e]] over the edges e with dst[e] == i.
+
+    ``z`` is (N, ..., d) and ``alpha`` (E, ..., 1). The values and gradients
+    are those of ``segment_sum(slice_rows(z, src) * alpha, dst, n)``, bit for
+    bit, but no (E, ..., d) edge block outlives the call.
+    """
+    s, t = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    zv, av = z.values, alpha.values
+    alpha_shape = s.shape + zv.shape[1:-1] + (1,)  # one weight per edge and middle index
+    if s.ndim != 1 or t.shape != s.shape or zv.ndim < 2 or av.shape != alpha_shape:
+        raise ShapeError(f"edge_sum: z {zv.shape}, alpha {av.shape}, src {s.shape}, dst {t.shape}")
+    if s.size and (s.min() < 0 or s.max() >= len(zv)):
+        raise ShapeError(f"edge_sum source out of range for {len(zv)} rows")
+    vjps = (
+        lambda g: _segment_rows(_gather_times(g, t, av), s, len(zv)),
+        lambda g: _gather_times(g, t, zv[s]).sum(axis=-1, keepdims=True),
+    )
+    return Tensor(_segment_rows(_gather_times(zv, s, av), t, n), (z, alpha), vjps, op="edge_sum")
+
+
+def _gather_times(x: Array, idx: Array, scale: Array) -> Array:
+    rows = x[idx]  # a fresh block, scaled in place
+    rows *= scale
+    return rows
+
+
 def _segment_rows(x: Array, ids: Array, n: int) -> Array:
     """The scatter-add behind segment_sum and the slice_rows gradient.
 

@@ -205,19 +205,19 @@ def ggnn_encode(
     """Run the gated update over packed transition graphs.
 
     ``rows`` holds one embedding per node row, (N, d). Each step projects
-    every row through the outgoing and incoming edge weights at once,
-    gathers the projection at each edge's source, scales its two halves by
-    the edge's a_out and a_in weights and segment-sums into the destination,
-    so row i receives [a_out @ h W_out | a_in @ h W_in] of its own graph. The
+    every row through the outgoing and incoming edge weights at once, as
+    two halves, and ``edge_sum`` adds each edge's source halves, scaled by
+    the edge's a_out and a_in weights, into its destination, so row i
+    receives [a_out @ h W_out | a_in @ h W_in] of its own graph. The
     messages are blended into the node state with GRU-style update/reset
     gates, each one product of the joined row [a | h].
     """
     n, d = rows.shape
-    scale = gk.Tensor(np.repeat(graph.weight, d, axis=1))                # (E, 2d)
+    scale = gk.Tensor(graph.weight[:, :, None])                          # (E, 2, 1)
     h = rows
     for _ in range(steps):
-        sent = gk.slice_rows(h @ p.w_edge, graph.src) * scale            # (E, 2d)
-        a = gk.segment_sum(sent, graph.dst, n) + p.b_edge                # (N, 2d)
+        sent = gk.edge_sum(gk.reshape(h @ p.w_edge, (n, 2, d)), scale, graph.src, graph.dst, n)
+        a = gk.reshape(sent, (n, 2 * d)) + p.b_edge                      # (N, 2d)
         joined = gk.concat([a, h], axis=1)                               # (N, 3d)
         z = gk.sigmoid(joined @ p.w_update)
         r = gk.sigmoid(joined @ p.w_reset)
@@ -293,6 +293,7 @@ def gat_layer(
     average: bool,
     slope: float = 0.2,
     uniform: bool = False,
+    targets: Optional[np.ndarray] = None,
 ) -> Tensor:
     """One multi-head graph attention layer over a packed edge list.
 
@@ -303,36 +304,42 @@ def gat_layer(
     With ``uniform=True`` attention is fixed at 1/|neighborhood| (structure
     only, no learned scores).
 
-    All heads share one projection GEMM over every packed row. Each edge
-    carries its source's projection scaled by the edge's unnormalized
-    weight; a segment sum into the destination, divided by the
-    destination's weight total, gives the attention-weighted mean.
+    All heads share one projection GEMM; ``edge_sum`` adds each edge's source
+    projection, weighted by its normalized attention, into its destination.
+    With ``targets`` (ascending node rows) only the edges into them run, only
+    the rows those edges read are projected, and each target gets its row of
+    the full layer: the same edges in the same order.
     """
-    n = h.shape[0]
+    src, dst, out, n = graph.src, graph.dst, graph.dst, h.shape[0]  # out: each edge's result row
+    if targets is not None:
+        kept = np.isin(dst, targets)
+        read = np.unique(src[kept])  # the self loops put every target among them
+        h = gk.slice_rows(h, read)
+        src, dst = np.searchsorted(read, src[kept]), np.searchsorted(read, dst[kept])
+        out, n = np.searchsorted(targets, graph.dst[kept]), len(targets)
     heads, d_out = layer.attn.shape[0], layer.attn.shape[1] // 2
-    src, dst = graph.src, graph.dst
-    z = gk.reshape(h @ layer.w, (n, heads, d_out))                       # (N, H, d_out)
-    sent = gk.slice_rows(z, src)                                         # (E, H, d_out)
+    z = gk.reshape(h @ layer.w, (h.shape[0], heads, d_out))              # (rows, H, d_out)
     if uniform:
-        totals = gk.Tensor(np.bincount(dst, minlength=n)[:, None, None])
+        degree = np.bincount(out, minlength=n)[out, None, None]
+        alpha = gk.Tensor(np.ones((len(out), heads, 1)) / degree)
     else:
-        weights, totals = _edge_softmax_parts(_edge_logits(z, layer.attn, src, dst, slope), dst, n)
-        sent = sent * weights
-    aggregates = gk.segment_sum(sent, dst, n) / totals                   # (N, H, d_out)
+        weights, totals = _edge_softmax_parts(_edge_logits(z, layer.attn, src, dst, slope), out, n)
+        alpha = weights / gk.slice_rows(totals, out)                     # (E, H, 1)
+    aggregates = gk.edge_sum(z, alpha, src, out, n)                      # (n, H, d_out)
     if average:
-        return gk.sigmoid(gk.mean(aggregates, axis=1))                   # (N, d_out)
+        return gk.sigmoid(gk.mean(aggregates, axis=1))                   # (n, d_out)
     return gk.reshape(gk.sigmoid(aggregates), (n, heads * d_out))
 
 
 def inter_encode(
     graph: PackedGraphs, rows: Tensor, layers: Sequence[GatLayer],
-    slope: float = 0.2, uniform: bool = False,
+    slope: float = 0.2, uniform: bool = False, targets: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Stack GAT layers over the packed neighbor graphs; the last head-averages to (N, d)."""
+    """Stack GAT layers over packed neighbor graphs; the last head-averages, at ``targets`` only."""
     h = rows
-    last = len(layers) - 1
     for i, layer in enumerate(layers):
-        h = gat_layer(graph, h, layer, average=(i == last), slope=slope, uniform=uniform)
+        last = i == len(layers) - 1
+        h = gat_layer(graph, h, layer, last, slope, uniform, targets if last else None)
     return h
 
 
@@ -446,16 +453,14 @@ def forward_batch(
         if variant == "avg_pool":
             s_inter = _segment_mean(rows_inter, inter.node_graph, count)
         else:
+            targets = np.unique(inter.positions)  # the only rows the readout reads
             h = inter_encode(
-                inter,
-                rows_inter,
-                params.inter_layers,
-                slope=config.leaky_slope,
-                uniform=(variant == "mean_gat"),
+                inter, rows_inter, params.inter_layers, slope=config.leaky_slope,
+                uniform=(variant == "mean_gat"), targets=targets,
             )
             s_inter = session_readout(
-                gk.slice_rows(h, inter.positions), inter.position_graph, inter.last,
-                params.inter_readout, attention=(variant != "mean_readout"),
+                gk.slice_rows(h, np.searchsorted(targets, inter.positions)), inter.position_graph,
+                inter.last, params.inter_readout, attention=(variant != "mean_readout"),
             )
 
     if variant == "intra_only":

@@ -27,7 +27,7 @@ from . import gradkit as gk
 from .corpus import SessionCorpus, TrainingExample, augment
 from .config import check_at_least, check_types
 from .errors import ConfigError, NumericsError, TrainingError
-from .evaluation import evaluate_model
+from .evaluation import evaluate_model, neighbors_of_cases
 from .model import ModelConfig, ModelParams, build_params, forward_batch, loss
 from .neighbors import InvertedIndex, Neighbors, RetrievalConfig, build_index, neighbors
 
@@ -184,6 +184,7 @@ def train(
 
     index = build_index(corpus)
     cache = precompute_neighbors(index, fit_examples, config.retrieval)
+    val_neighbors = neighbors_of_cases(index, val_examples, config.retrieval)  # same every epoch
 
     params = build_params(model_config, config.seed)
     store = params.store
@@ -237,13 +238,8 @@ def train(
 
         if val_examples:
             val_report = evaluate_model(
-                params,
-                model_config,
-                corpus,
-                config.retrieval,
-                cutoffs=(10,),
-                index=index,
-                cases=val_examples,
+                params, model_config, corpus, config.retrieval, cutoffs=(10,),
+                index=index, cases=val_examples, case_neighbors=val_neighbors,
             )
             entry["val_recall10"] = val_report.recall[10]
 

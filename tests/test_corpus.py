@@ -119,6 +119,18 @@ def test_read_events_csv_names_physical_lines_after_a_quoted_newline(tmp_path):
         list(read_events_csv(p, skip_header=True))
 
 
+def test_read_events_csv_counts_bare_carriage_returns_as_line_ends(tmp_path):
+    """csv ends a line at \\r, \\n or \\r\\n; a bad row and a bad byte on line 3 both say so."""
+    p = tmp_path / "bad.csv"
+    for newline in (b"\r", b"\r\n", b"\n"):
+        p.write_bytes(newline.join([b"s1,10,a", b"s1,11,b", b"s1,oops,c", b""]))
+        with pytest.raises(CorpusError, match="line 3: unparseable timestamp"):
+            list(read_events_csv(p))
+        p.write_bytes(newline.join([b"s1,10,a", b"s1,11,b", b"s1,\xff,c", b""]))
+        with pytest.raises(CorpusError, match="line 3: not UTF-8"):
+            list(read_events_csv(p))
+
+
 # ---------------------------------------------------------------------------
 # ingestion
 

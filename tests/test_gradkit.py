@@ -226,6 +226,57 @@ def test_segment_sums_match_add_at_on_both_kernel_paths():
         assert np.allclose(g, expected, rtol=0, atol=1e-12)
 
 
+def test_edge_sum_values_and_central_differences():
+    # several heads, unsorted sources, destination 3 receiving no edge, and
+    # the (N, 2, d) shape of the GGNN's two message halves
+    rng = np.random.default_rng(31)
+    src, dst = np.array([4, 0, 2, 0, 1, 4, 3]), np.array([0, 0, 1, 2, 2, 2, 4])
+    for shape in [(5, 3, 4), (5, 2, 3)]:
+        z = Tensor(rng.normal(size=shape))
+        alpha = Tensor(rng.normal(size=(len(src), shape[1], 1)))
+        out = gk.edge_sum(z, alpha, src, dst, 5).values
+        expected = np.zeros(shape)
+        np.add.at(expected, dst, alpha.values * z.values[src])
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+        assert (out[3] == 0.0).all()
+        probe = Tensor(rng.normal(size=shape))
+        fd_check(lambda z, a: gk.sum(gk.edge_sum(z, a, src, dst, 5) * probe), [z, alpha], tol=1e-7)
+
+
+def test_edge_sum_equals_gather_scale_and_segment_sum_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for rows, heads, width, edges in [(6, 2, 3, 15), (300, 8, 100, 2000)]:
+        src = rng.integers(0, rows, edges)
+        dst = np.sort(rng.integers(0, rows, edges))
+        z = Tensor(rng.normal(size=(rows, heads, width)))
+        w = Tensor(rng.normal(size=(edges, heads)))
+        probe = Tensor(rng.normal(size=(rows, heads, width)))
+        alpha = gk.reshape(w, (edges, heads, 1))
+        fused = gk.edge_sum(z, alpha, src, dst, rows)
+        unfused = gk.segment_sum(gk.slice_rows(z, src) * alpha, dst, rows)
+        assert (fused.values == unfused.values).all()
+        fused_grads = gk.backward(gk.sum(fused * probe), wrt=[z, w])
+        unfused_grads = gk.backward(gk.sum(unfused * probe), wrt=[z, w])
+        for a, b in zip(fused_grads, unfused_grads):
+            assert (a == b).all()
+
+
+def test_edge_sum_rejects_mismatched_shapes():
+    z, alpha = Tensor(np.ones((3, 2, 4))), Tensor(np.ones((2, 2, 1)))
+    gk.edge_sum(z, alpha, [0, 2], [1, 1], 3)
+    for z_, alpha_, src, dst in [
+        (z, Tensor(np.ones((2, 2, 4))), [0, 2], [1, 1]),  # alpha not one weight per head
+        (z, Tensor(np.ones((2, 3, 1))), [0, 2], [1, 1]),  # head counts differ
+        (z, alpha, [0, 2, 1], [1, 1, 1]),                 # one weight per edge
+        (z, alpha, [0, 2], [1]),                          # src and dst differ in length
+        (Tensor(np.ones(3)), Tensor(np.ones((2, 1))), [0, 2], [1, 1]),  # z needs a row axis
+        (z, alpha, [0, 3], [1, 1]),                       # source out of range
+        (z, alpha, [0, 2], [1, 3]),                       # destination out of range
+    ]:
+        with pytest.raises(ShapeError):
+            gk.edge_sum(z_, alpha_, src, dst, 3)
+
+
 def test_grad_nonlinearities():
     x = t((6,))
     fd_check(lambda x: gk.sum(gk.sigmoid(x)), [x], tol=1e-6)

@@ -202,6 +202,41 @@ def test_stacked_gat_matches_reference():
     assert np.allclose(mine, ref, atol=1e-10)
 
 
+def test_gat_layer_at_targets_returns_the_full_layers_rows():
+    """Run only at some rows of a packed batch, a layer returns those rows of the full layer.
+
+    The gradients of the layer's input and weights agree with the full
+    layer's under a loss that reads only the target rows.
+    """
+    rng = np.random.default_rng(41)
+    examples = [([0, 1, 2], [[2, 3, 4], [4, 5]]), ([5, 5, 1], []), ([3], [[3, 0], [1, 2, 6]])]
+    packed = pack_inter([build_inter_graph(prefix, nbrs) for prefix, nbrs in examples])
+    adjacency: list = []
+    for prefix, nbrs in examples:
+        shift = len(adjacency)
+        adjacency += [[shift + j for j in row] for row in ref_inter_graph(prefix, nbrs)[1]]
+    n, d, width = len(adjacency), 4, 5
+    per_head = [(rng.normal(0.0, 0.5, (d, width)), rng.normal(0.0, 0.5, 2 * d)) for _ in range(3)]
+    layer = stacked_layer(per_head)
+    h = gk.Tensor(rng.normal(0.0, 1.0, (n, width)))
+    for average, uniform in [(True, False), (False, False), (True, True)]:
+        full = gat_layer(packed, h, layer, average=average, uniform=uniform)
+        ref = ref_gat_layer(adjacency, h.values, per_head, average=average, uniform=uniform)
+        for _ in range(4):
+            targets = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            mine = gat_layer(packed, h, layer, average=average, uniform=uniform, targets=targets)
+            assert mine.shape == (len(targets),) + full.shape[1:]
+            assert np.allclose(mine.values, full.values[targets], rtol=0, atol=1e-12)
+            assert np.allclose(mine.values, ref[targets], rtol=0, atol=1e-10)
+            probe = rng.normal(0.0, 1.0, mine.shape)
+            spread = np.zeros(full.shape)
+            spread[targets] = probe
+            grads = gk.backward(gk.sum(mine * gk.Tensor(probe)), wrt=[h, layer.w, layer.attn])
+            full_grads = gk.backward(gk.sum(full * gk.Tensor(spread)), wrt=[h, layer.w, layer.attn])
+            for a, b in zip(grads, full_grads):
+                assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
 def test_fuse_matches_reference_and_interpolates():
     cfg = small_config()
     params = build_params(cfg, seed=14)

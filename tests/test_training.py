@@ -18,7 +18,7 @@ from sessionrec.training import (
     precompute_neighbors,
     train,
 )
-from sessionrec.neighbors import RetrievalConfig, build_index
+from sessionrec.neighbors import RetrievalConfig, build_index, neighbors
 
 
 def direct_corpus(train_items, test_items=(), train_count=None):
@@ -216,6 +216,26 @@ def test_validation_examples_are_not_retrieved_for_the_fit_cache(monkeypatch):
     result = train(corpus, ModelConfig(vocab_size=3, dim=4, heads=2, gat_layers=1), cfg)
     assert result.history[0]["val_recall10"] is not None  # validation ran
     assert sorted(set(seen)) == [0, 1]  # the fit sessions; 2 and 3 validate
+
+
+def test_validation_neighbors_are_retrieved_once_not_every_epoch(monkeypatch):
+    import sessionrec.evaluation as evaluation
+    import sessionrec.training as training
+
+    retrieved_at = []
+
+    def recording(index, prefix, **kwargs):
+        retrieved_at.append(kwargs["now"])
+        return neighbors(index, prefix, **kwargs)
+
+    monkeypatch.setattr(training, "neighbors", recording)
+    monkeypatch.setattr(evaluation, "neighbors", recording)
+    corpus = chain_corpus(n_sessions=60, n_chains=2, chain_len=6, seed=9)
+    cfg = fast_train_config(epochs=3, patience=3, val_fraction=0.2)
+    result = train(corpus, small_model(corpus), cfg)
+    assert len(result.history) == 3 and result.history[-1]["val_recall10"] is not None
+    val_starts = {s.start_time for s in corpus.train_sessions()[-12:]}  # 20% of 60 validate
+    assert sum(now in val_starts for now in retrieved_at) == 61  # one per validation case
 
 
 # ---------------------------------------------------------------------------
