@@ -28,7 +28,6 @@ from .corpus import (
     Event,
     PreprocessConfig,
     SessionCorpus,
-    drop_unseen_test_sessions,
     filter_corpus,
     ingest_events,
     load_corpus,
@@ -157,7 +156,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     corpus = split_by_time(corpus, prep.test_window)
     if prep.fraction:
         corpus = take_recent_fraction(corpus, prep.fraction)
-        corpus = drop_unseen_test_sessions(corpus)
     corpus.validate()
     out = Path(args.output)
     save_corpus(corpus, out)

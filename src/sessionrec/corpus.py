@@ -193,9 +193,15 @@ def read_events_csv(
 ) -> Iterator[Event]:
     """Stream events from a delimited UTF-8 file.
 
-    Column positions are zero-based. Rows that are too short or not UTF-8, that
-    csv cannot split or that carry a bad timestamp raise CorpusError naming the line.
+    Column positions are zero-based. A delimiter that is not one character, a
+    negative column, and rows that are too short or not UTF-8, that csv cannot
+    split or that carry a bad timestamp raise CorpusError, naming the line.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise CorpusError(f"delimiter must be one character, got {delimiter!r}")
+    for name, col in (("session", session_col), ("time", time_col), ("item", item_col)):
+        if col < 0:
+            raise CorpusError(f"{name} column must be >= 0, got {col}")
     want = max(session_col, time_col, item_col) + 1
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -360,9 +366,9 @@ def take_recent_fraction(
 ) -> SessionCorpus:
     """Keep only the ceil(fraction * |train|) most recent training sessions.
 
-    The test partition is left untouched, so callers shrinking an already-split
-    corpus should follow up with :func:`drop_unseen_test_sessions`. Accepts
-    fractions as "1/4" strings, floats, or Fraction instances.
+    Test sessions with items the kept sessions never click are dropped, so the
+    result passes :meth:`SessionCorpus.validate`. Accepts fractions as "1/4"
+    strings, floats, or Fraction instances.
     """
     try:
         frac = Fraction(fraction)
@@ -370,11 +376,9 @@ def take_recent_fraction(
         raise CorpusError(f"fraction must read like '1/4' or 0.25, got {fraction!r}") from None
     if not 0 < frac <= 1:
         raise CorpusError(f"fraction must be in (0, 1], got {frac}")
-    n_train = corpus.train_count
-    keep = math.ceil(frac * n_train)
-    kept_train = corpus.sessions[n_train - keep : n_train]
-    kept = [(s.start_time, list(s.items)) for s in kept_train + corpus.test_sessions()]
-    return _rebuild(kept, corpus.vocab.key, train_count=keep)
+    keep = math.ceil(frac * corpus.train_count)
+    recent = corpus.sessions[corpus.train_count - keep :]
+    return drop_unseen_test_sessions(SessionCorpus(recent, corpus.vocab, keep))
 
 
 def augment(session: Session) -> list[TrainingExample]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,11 +18,13 @@ from .baselines import ItemKnn, pop_scores, sknn_scores
 from .corpus import SessionCorpus, TrainingExample, augment
 from .errors import ConfigError
 from .model import ModelConfig, ModelParams, forward_batch
-from .neighbors import InvertedIndex, Neighbors, RetrievalConfig, build_index, neighbors
+from .neighbors import InvertedIndex, Neighbors, RetrievalConfig, build_index, precompute_neighbors
 
 BASELINES = ("pop", "sknn", "itemknn")
-# Cases per packed forward in evaluate_model. The tape holds a chunk's (N, heads,
-# d) node blocks and (E, heads, 1) edge weights, so this bounds evaluation memory.
+# Cases per packed forward in evaluate_model, and per retrieval there and in the
+# sknn baseline. The tape holds a chunk's (N, heads, d) node blocks and (E, heads,
+# 1) edge weights, and neighbor lists are held a chunk at a time, so this bounds
+# evaluation memory.
 EVAL_CHUNK = 16
 
 
@@ -74,30 +76,12 @@ def report_from_ranks(
     return EvalReport(cases=n, recall=recall, mrr=mrr)
 
 
-def _collect_ranks(
-    cases: Sequence[TrainingExample],
-    score_one: Callable[[TrainingExample], Optional[np.ndarray]],
-) -> list[Optional[int]]:
-    """Rank every case; a case scored None (no neighbors) is a miss."""
-    return [
-        None if (scores := score_one(ex)) is None else rank_of(scores, ex.label)
-        for ex in cases
-    ]
-
-
 def test_examples(corpus: SessionCorpus) -> list[TrainingExample]:
     """Every (prefix, next item) prediction case in the test partition."""
     out: list[TrainingExample] = []
     for s in corpus.test_sessions():
         out.extend(augment(s))
     return out
-
-
-def neighbors_of_cases(
-    index: InvertedIndex, cases: Sequence[TrainingExample], retrieval: RetrievalConfig
-) -> list[Neighbors]:
-    """Each case's neighbor sessions, retrieved with its session start time as "now"."""
-    return [neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval)) for ex in cases]
 
 
 def evaluate_model(
@@ -116,7 +100,7 @@ def evaluate_model(
     session start time as "now". Cases are scored EVAL_CHUNK at a time, each
     chunk as one packed forward. Pass ``cases`` to evaluate a custom case list
     (the trainer's validation split does), and ``case_neighbors``, one list
-    per case as ``neighbors_of_cases`` returns them, to skip retrieval.
+    per case as ``precompute_neighbors`` returns them, to skip retrieval.
     """
     if index is None:
         index = build_index(corpus)
@@ -129,7 +113,7 @@ def evaluate_model(
     for start in range(0, len(cases), EVAL_CHUNK):
         chunk = cases[start : start + EVAL_CHUNK]
         if case_neighbors is None:
-            found = neighbors_of_cases(index, chunk, retrieval)
+            found = precompute_neighbors(index, chunk, retrieval)
         else:
             found = case_neighbors[start : start + EVAL_CHUNK]
         neighbor_lists = [[corpus.sessions[sid] for sid, _ in nbrs] for nbrs in found]
@@ -160,18 +144,16 @@ def evaluate_baseline(
 
     if name == "pop":
         static = pop_scores(corpus)
-        score_one = lambda ex: static
+        ranks = [rank_of(static, ex.label) for ex in cases]
     elif name == "itemknn":
         knn = ItemKnn(corpus)
-        score_one = lambda ex: knn.scores(ex.prefix)
+        ranks = [rank_of(knn.scores(ex.prefix), ex.label) for ex in cases]
     else:
         index = build_index(corpus)
         n_items = len(corpus.vocab)
-
-        def score_one(ex: TrainingExample) -> Optional[np.ndarray]:
-            nbrs = neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval))
-            if not nbrs:
-                return None
-            return sknn_scores(nbrs, index, n_items)
-
-    return report_from_ranks(_collect_ranks(cases, score_one), cutoffs)
+        ranks = []
+        for start in range(0, len(cases), EVAL_CHUNK):
+            chunk = cases[start : start + EVAL_CHUNK]
+            for ex, nbrs in zip(chunk, precompute_neighbors(index, chunk, retrieval)):
+                ranks.append(rank_of(sknn_scores(nbrs, index, n_items), ex.label) if nbrs else None)
+    return report_from_ranks(ranks, cutoffs)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import check_at_least, check_types, section_from_dict
-from .corpus import SessionCorpus
+from .corpus import SessionCorpus, TrainingExample
 from .errors import ConfigError, RetrievalError
 
 Neighbors = list[tuple[int, float]]
@@ -34,7 +34,8 @@ Neighbors = list[tuple[int, float]]
 class RetrievalConfig:
     """Neighbor search knobs shared by training, evaluation and serving.
 
-    ``neighbors(index, prefix, now=..., **vars(config))`` runs one search.
+    ``neighbors(index, prefix, now=..., **vars(config))`` runs one search;
+    :func:`precompute_neighbors` runs one per prediction case.
     """
 
     k: int = 120
@@ -186,3 +187,17 @@ def neighbors(
     # candidates are newest first, so ties on similarity break toward the newer id
     best = kept[np.lexsort((kept, -sim[kept]))][:k]
     return list(zip(found[best].tolist(), sim[best].tolist()))
+
+
+def precompute_neighbors(
+    index: InvertedIndex,
+    cases: Sequence[TrainingExample],
+    retrieval: RetrievalConfig,
+) -> list[Neighbors]:
+    """Each case's neighbors, one list per case in case order.
+
+    The case's session start time is "now", so a case can only retrieve
+    sessions that began strictly earlier: no peeking forward in time, and a
+    session never retrieves itself.
+    """
+    return [neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval)) for ex in cases]

@@ -27,9 +27,9 @@ from . import gradkit as gk
 from .corpus import SessionCorpus, TrainingExample, augment
 from .config import check_at_least, check_types
 from .errors import ConfigError, NumericsError, TrainingError
-from .evaluation import evaluate_model, neighbors_of_cases
+from .evaluation import evaluate_model
 from .model import ModelConfig, ModelParams, build_params, forward_batch, loss
-from .neighbors import InvertedIndex, Neighbors, RetrievalConfig, build_index, neighbors
+from .neighbors import Neighbors, RetrievalConfig, build_index, precompute_neighbors
 
 logger = logging.getLogger(__name__)
 
@@ -84,25 +84,6 @@ def group_learning_rates(config: TrainConfig, epoch: int) -> dict[str, float]:
     }
 
 
-def precompute_neighbors(
-    index: InvertedIndex,
-    examples: list[TrainingExample],
-    retrieval: RetrievalConfig,
-) -> dict[tuple[int, int], Neighbors]:
-    """Retrieve neighbors once per (session, prefix length) pair.
-
-    The source session's start time is "now", so an example can only retrieve
-    sessions that began strictly earlier: no peeking forward in time, and a
-    session never retrieves itself.
-    """
-    cache: dict[tuple[int, int], Neighbors] = {}
-    for ex in examples:
-        key = (ex.session_id, len(ex.prefix))
-        if key not in cache:
-            cache[key] = neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval))
-    return cache
-
-
 def _length_bucketed_batches(
     examples: list[TrainingExample],
     order: np.ndarray,
@@ -123,8 +104,8 @@ def _length_bucketed_batches(
 
 def _fit_batch(
     examples: list[TrainingExample],
+    found: list[Neighbors],
     corpus: SessionCorpus,
-    cache: dict[tuple[int, int], Neighbors],
     params: ModelParams,
     model_config: ModelConfig,
     tensors: list[gk.Tensor],
@@ -133,10 +114,7 @@ def _fit_batch(
 
     The tape dies on return, so it is freed before the optimizer step.
     """
-    neighbor_lists = [
-        [corpus.sessions[sid] for sid, _ in cache[(ex.session_id, len(ex.prefix))]]
-        for ex in examples
-    ]
+    neighbor_lists = [[corpus.sessions[sid] for sid, _ in nbrs] for nbrs in found]
     yhat, _ = forward_batch([ex.prefix for ex in examples], neighbor_lists, params, model_config)
     objective = loss(yhat, [ex.label for ex in examples])
     grads = gk.backward(objective * (1.0 / len(examples)), wrt=tensors)
@@ -183,8 +161,9 @@ def train(
         val_examples.extend(augment(s))
 
     index = build_index(corpus)
-    cache = precompute_neighbors(index, fit_examples, config.retrieval)
-    val_neighbors = neighbors_of_cases(index, val_examples, config.retrieval)  # same every epoch
+    # retrieved once each: the lists do not change between epochs
+    fit_neighbors = precompute_neighbors(index, fit_examples, config.retrieval)
+    val_neighbors = precompute_neighbors(index, val_examples, config.retrieval)
 
     params = build_params(model_config, config.seed)
     store = params.store
@@ -213,7 +192,8 @@ def train(
             examples = [fit_examples[idx] for idx in batch]
             try:
                 batch_loss, grads = _fit_batch(
-                    examples, corpus, cache, params, model_config, tensors
+                    examples, [fit_neighbors[idx] for idx in batch],
+                    corpus, params, model_config, tensors,
                 )
             except NumericsError as exc:
                 sessions = sorted({ex.session_id for ex in examples})

@@ -424,10 +424,17 @@ def test_corrupt_events_exit_two_with_one_error_line(events_csv, tmp_path, capsy
         ("train", ["--batch-size", "0"]),
         ("train", ["--variant", "bogus"]),
         ("preprocess", {"min_support": "2"}),
+        ("preprocess", ["--delimiter=;;"]),
+        ("preprocess", ["--delimiter="]),
+        # each negative column names the right column counted from the end of a row
+        ("preprocess", ["--session-col=-3"]),
+        ("preprocess", ["--time-col=-2"]),
+        ("preprocess", ["--item-col=-1"]),
     ],
     ids=[
         "dim", "lr", "epochs", "stale-threads", "stale-share-readout", "stale-loss-form",
-        "batch-size", "variant", "min-support",
+        "batch-size", "variant", "min-support", "two-char-delimiter", "empty-delimiter",
+        "negative-session-col", "negative-time-col", "negative-item-col",
     ],
 )
 def test_bad_settings_exit_two_with_one_error_line(
@@ -436,7 +443,10 @@ def test_bad_settings_exit_two_with_one_error_line(
     if command == "train":
         argv = ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "run")]
     else:
-        argv = ["preprocess", "--input", str(events_csv), "--output", str(tmp_path / "c")]
+        argv = [
+            "preprocess", "--input", str(events_csv), "--output", str(tmp_path / "c"),
+            "--test-window", "200",  # a window the events can be split by
+        ]
     if isinstance(extra, dict):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(extra))

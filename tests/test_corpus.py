@@ -291,11 +291,11 @@ def test_take_recent_fraction_then_drop_unseen():
     ])
     s = split_by_time(c, test_window=50)  # train s1, s2; test s3
     shrunk = take_recent_fraction(s, "1/2")  # keeps only s2; "c" now untrained
-    with pytest.raises(CorpusError):
-        shrunk.validate()
-    fixed = drop_unseen_test_sessions(shrunk)
-    fixed.validate()
-    assert len(fixed.test_sessions()) == 0  # s3 needed the dropped item
+    shrunk.validate()
+    assert len(shrunk.test_sessions()) == 0  # s3 needed the dropped item
+    assert shrunk.vocab.keys == ["a", "b"]
+    again = drop_unseen_test_sessions(shrunk)
+    assert (again.sessions, again.vocab.keys) == (shrunk.sessions, shrunk.vocab.keys)
 
 
 def test_take_recent_fraction_range():

@@ -13,6 +13,7 @@ from sessionrec.baselines import ItemKnn, pop_scores, sknn_scores
 from sessionrec.corpus import ItemVocab, Session, SessionCorpus
 from sessionrec.errors import ConfigError, RetrievalError
 from sessionrec.evaluation import (
+    EVAL_CHUNK,
     EvalReport,
     RetrievalConfig,
     evaluate_baseline,
@@ -186,27 +187,37 @@ def test_evaluate_baseline_pop_end_to_end():
 
 
 def test_evaluate_baseline_sknn_matches_reference_route():
-    corpus = corpus_of(
-        [[0, 1, 2], [1, 2], [2, 3], [0, 3]],
-        [[1, 2, 0], [3, 2]],
+    rng = np.random.default_rng(1)
+    # 24 test cases, more than one retrieval chunk; cases 4, 10, 16 and 19 find no neighbors
+    chunked = corpus_of(
+        [rng.choice(8, size=3, replace=False).tolist() for _ in range(12)],
+        [rng.choice(8, size=4, replace=False).tolist() for _ in range(8)],
     )
-    retrieval = RetrievalConfig(k=3, threshold=0.1, m=10)
-    report = evaluate_baseline("sknn", corpus, retrieval=retrieval, cutoffs=(5,))
+    for corpus, retrieval, misses in [
+        (
+            corpus_of([[0, 1, 2], [1, 2], [2, 3], [0, 3]], [[1, 2, 0], [3, 2]]),
+            RetrievalConfig(k=3, threshold=0.1, m=10),
+            0,
+        ),
+        (chunked, RetrievalConfig(k=3, threshold=0.5, m=10), 4),
+    ]:
+        report = evaluate_baseline("sknn", corpus, retrieval=retrieval, cutoffs=(5,))
 
-    triples = [(s.id, s.items, s.start_time) for s in corpus.train_sessions()]
-    session_items = {s.id: s.items for s in corpus.train_sessions()}
-    expected_ranks = []
-    for case in expand_test_sessions(corpus):
-        entries = ref_neighbors(
-            triples, list(case.prefix), k=3, threshold=0.1, m=10, now=case.start_time
-        )
-        if not entries:
-            expected_ranks.append(None)
-            continue
-        scores = ref_sknn_scores(entries, session_items, len(corpus.vocab))
-        expected_ranks.append(ref_rank(scores, case.label))
-    expected = report_from_ranks(expected_ranks, cutoffs=(5,))
-    assert report == expected
+        triples = [(s.id, s.items, s.start_time) for s in corpus.train_sessions()]
+        session_items = {s.id: s.items for s in corpus.train_sessions()}
+        expected_ranks = []
+        for case in expand_test_sessions(corpus):
+            entries = ref_neighbors(
+                triples, list(case.prefix), now=case.start_time, **vars(retrieval)
+            )
+            if not entries:
+                expected_ranks.append(None)
+                continue
+            scores = ref_sknn_scores(entries, session_items, len(corpus.vocab))
+            expected_ranks.append(ref_rank(scores, case.label))
+        assert expected_ranks.count(None) == misses
+        assert report == report_from_ranks(expected_ranks, cutoffs=(5,))
+    assert len(expected_ranks) > EVAL_CHUNK
 
 
 def test_evaluate_baseline_sknn_no_neighbors_is_a_miss():

@@ -1,12 +1,13 @@
 """Trainer behavior: schedules, determinism, logging, and stopping rules."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from sessionrec import gradkit as gk
-from sessionrec.corpus import ItemVocab, Session, SessionCorpus, TrainingExample
+from sessionrec.corpus import ItemVocab, Session, SessionCorpus, TrainingExample, augment
 from sessionrec.errors import NumericsError, TrainingError
 from sessionrec.model import ModelConfig
 from sessionrec.synthetic import chain_corpus
@@ -15,10 +16,9 @@ from sessionrec.training import (
     TrainConfig,
     _length_bucketed_batches,
     group_learning_rates,
-    precompute_neighbors,
     train,
 )
-from sessionrec.neighbors import RetrievalConfig, build_index, neighbors
+from sessionrec.neighbors import RetrievalConfig, build_index, precompute_neighbors
 
 
 def direct_corpus(train_items, test_items=(), train_count=None):
@@ -87,13 +87,14 @@ def test_precomputed_neighbors_never_peek_forward_or_at_self():
         TrainingExample((0,), 1, session_id=sid, start_time=corpus.sessions[sid].start_time)
         for sid in (1, 2)
     ]
-    cache = precompute_neighbors(index, examples, TrainConfig().retrieval)
-    assert [sid for sid, _ in cache[(1, 1)]] == [0]
-    assert [sid for sid, _ in cache[(2, 1)]] == [1, 0]  # equal similarity, newer first
-    for (owner, _), entries in cache.items():
+    found = precompute_neighbors(index, examples, TrainConfig().retrieval)
+    assert len(found) == len(examples)  # one list per case, in case order
+    assert [sid for sid, _ in found[0]] == [0]
+    assert [sid for sid, _ in found[1]] == [1, 0]  # equal similarity, newer first
+    for ex, entries in zip(examples, found):
         for sid, _ in entries:
-            assert sid != owner
-            assert corpus.sessions[sid].start_time < corpus.sessions[owner].start_time
+            assert sid != ex.session_id
+            assert corpus.sessions[sid].start_time < ex.start_time
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +200,14 @@ def test_validation_recall_is_logged_when_enabled():
     assert 0.0 <= result.history[0]["val_recall10"] <= 1.0
 
 
-def test_validation_examples_are_not_retrieved_for_the_fit_cache(monkeypatch):
+def test_fit_and_validation_cases_are_retrieved_in_separate_lists(monkeypatch):
     import sessionrec.training as training
 
-    seen = []
+    retrieved = []
 
-    def recording(index, examples, retrieval):
-        seen.extend(ex.session_id for ex in examples)
-        return precompute_neighbors(index, examples, retrieval)
+    def recording(index, cases, retrieval):
+        retrieved.append(sorted({ex.session_id for ex in cases}))
+        return precompute_neighbors(index, cases, retrieval)
 
     monkeypatch.setattr(training, "precompute_neighbors", recording)
     corpus = direct_corpus([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]])
@@ -215,27 +216,27 @@ def test_validation_examples_are_not_retrieved_for_the_fit_cache(monkeypatch):
     )
     result = train(corpus, ModelConfig(vocab_size=3, dim=4, heads=2, gat_layers=1), cfg)
     assert result.history[0]["val_recall10"] is not None  # validation ran
-    assert sorted(set(seen)) == [0, 1]  # the fit sessions; 2 and 3 validate
+    assert retrieved == [[0, 1], [2, 3]]  # the fit sessions, then the validation ones
 
 
 def test_validation_neighbors_are_retrieved_once_not_every_epoch(monkeypatch):
-    import sessionrec.evaluation as evaluation
-    import sessionrec.training as training
-
-    retrieved_at = []
+    retrieval = sys.modules["sessionrec.neighbors"]  # the package attribute is the function
+    original = retrieval.neighbors
+    retrieved = []
 
     def recording(index, prefix, **kwargs):
-        retrieved_at.append(kwargs["now"])
-        return neighbors(index, prefix, **kwargs)
+        retrieved.append((kwargs["now"], tuple(prefix)))
+        return original(index, prefix, **kwargs)
 
-    monkeypatch.setattr(training, "neighbors", recording)
-    monkeypatch.setattr(evaluation, "neighbors", recording)
+    monkeypatch.setattr(retrieval, "neighbors", recording)
     corpus = chain_corpus(n_sessions=60, n_chains=2, chain_len=6, seed=9)
     cfg = fast_train_config(epochs=3, patience=3, val_fraction=0.2)
     result = train(corpus, small_model(corpus), cfg)
     assert len(result.history) == 3 and result.history[-1]["val_recall10"] is not None
-    val_starts = {s.start_time for s in corpus.train_sessions()[-12:]}  # 20% of 60 validate
-    assert sum(now in val_starts for now in retrieved_at) == 61  # one per validation case
+    fit, val = corpus.train_sessions()[:-12], corpus.train_sessions()[-12:]  # 20% of 60 validate
+    cases = [(ex.start_time, ex.prefix) for s in fit + val for ex in augment(s)]
+    assert sum(len(augment(s)) for s in val) == 61
+    assert sorted(retrieved) == sorted(cases)  # every fit and validation case exactly once
 
 
 # ---------------------------------------------------------------------------
