@@ -25,14 +25,12 @@ def sknn_scores(
     An empty neighbor list yields all zeros; callers treat that as "no
     recommendation" rather than ranking on ties.
     """
-    scores = np.zeros(n_items)
     if not neighbor_entries:
-        return scores
+        return np.zeros(n_items)
     sids, sims = zip(*neighbor_entries)
     items, counts = index.session_items(np.array(sids, dtype=np.int64))
-    # unbuffered, in neighbor order: each item sums its similarities as a loop would
-    np.add.at(scores, items, np.repeat(sims, counts))
-    return scores
+    # in neighbor order: each item sums its similarities as a loop would
+    return np.bincount(items, np.repeat(sims, counts), minlength=n_items)
 
 
 class ItemKnn:

@@ -474,16 +474,23 @@ def backward(
 ) -> Optional[list[Array]]:
     """Accumulate gradients of a scalar ``output`` through the recorded tape.
 
-    Sets ``.grad`` on the output, on every leaf of the tape and on each
-    ``wrt`` tensor. Any other node's gradient is dropped once its VJPs have
-    run, so the replay holds only the gradients still to be propagated. With
-    ``wrt``, also returns the gradient for each requested tensor (zeros if it
-    never fed the output). Each tape node is visited exactly once.
+    Sets ``.grad`` on the output and, without ``wrt``, on every leaf of the
+    tape. With ``wrt``, runs only the VJPs into tensors on a path from a
+    ``wrt`` tensor to the output, sets ``.grad`` on each ``wrt`` tensor (other
+    leaves get None) and returns the gradient for each (zeros if it never fed
+    the output). Any other node's gradient is dropped once its VJPs have run,
+    so the replay holds only the gradients still to be propagated. Each tape
+    node is visited exactly once.
     """
     if output.values.size != 1:
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
     order = tape(output)
     kept = {id(output)} | {id(t) for t in wrt or ()}
+    # tensors on a path from a wrt tensor to the output; all of them without wrt
+    live = {id(t) for t in (order if wrt is None else wrt)}
+    for node in order if wrt is not None else ():
+        if not live.isdisjoint(map(id, node.parents)):
+            live.add(id(node))
     grads: dict[int, Array] = {id(output): np.ones_like(output.values)}
     found: dict[int, Array] = {}
     for node in reversed(order):
@@ -494,6 +501,8 @@ def backward(
         if g is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
+            if id(parent) not in live:
+                continue
             contribution = vjp(g)
             seen = grads.get(id(parent))
             grads[id(parent)] = contribution if seen is None else seen + contribution

@@ -11,6 +11,8 @@ distinct items sit in one flat array cut by offsets (CSR form). Training
 sessions must be in chronological order (start times never decrease), so the
 sessions that start before a cutoff time form an id prefix found by bisection,
 and only the newest ``m`` eligible ids of each posting list can be candidates.
+A candidate's shared-item count is the number of query items whose posting
+list holds it (a binary search), so scoring never reads a candidate's items.
 """
 
 from __future__ import annotations
@@ -92,20 +94,21 @@ def build_index(corpus: SessionCorpus) -> InvertedIndex:
     width = int(clicks.max()) + 1 if len(clicks) else 1
     keys = np.repeat(np.arange(n, dtype=np.int64), raw_len) * width + clicks
     keys.sort()
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     sids, items = np.divmod(keys, width)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(sids, minlength=n), out=offsets[1:])
 
-    # A stable sort by item keeps the ids of each posting list ascending.
-    order = np.argsort(items, kind="stable")
-    posted, by_item = sids[order], items[order]
-    bounds = np.flatnonzero(np.concatenate(([True], by_item[1:] != by_item[:-1], [True])))
+    # Keys ordered by item and then session id keep each posting list ascending.
+    posted = np.sort(items * n + sids) % n
+    posted.flags.writeable = False  # candidates() hands out views of it
+    per_item = np.bincount(items, minlength=width)
+    present = np.flatnonzero(per_item)
+    ends = np.cumsum(per_item)[present].tolist()  # a list starts where the one before ends
     postings = {
-        item: posted[lo:hi]
-        for item, lo, hi in zip(
-            by_item[bounds[:-1]].tolist(), bounds[:-1].tolist(), bounds[1:].tolist()
-        )
+        item: posted[lo:hi] for item, lo, hi in zip(present.tolist(), [0] + ends[:-1], ends)
     }
     return InvertedIndex(postings, items, offsets, raw_len, start_time)
 
@@ -122,11 +125,12 @@ def candidates(
     prefix: Sequence[int],
     m: int = RetrievalConfig.m,
     now: Optional[int] = None,
-) -> list[int]:
+) -> np.ndarray:
     """The ``m`` most recent indexed sessions sharing an item with the prefix.
 
     ``now`` restricts candidates to sessions starting strictly earlier; None
-    means no time restriction (ad-hoc queries). Result is newest first.
+    means no time restriction (ad-hoc queries). Result is an int64 array of
+    session ids, newest first, read-only when it is a view of a posting list.
     """
     if not prefix:
         raise RetrievalError("cannot retrieve candidates for an empty prefix")
@@ -141,13 +145,13 @@ def candidates(
         if hi:
             windows.append(ids[max(0, hi - m) : hi])
     if not windows:
-        return []
+        return np.zeros(0, dtype=np.int64)
     pool = windows[0]
     if len(windows) > 1:
         pool = np.concatenate(windows)
         pool.sort()
         pool = pool[np.concatenate((pool[1:] != pool[:-1], [True]))][-m:]
-    return pool[::-1].tolist()
+    return pool[::-1]
 
 
 def neighbors(
@@ -161,8 +165,9 @@ def neighbors(
 ) -> Neighbors:
     """Top-k most similar past sessions for a prefix.
 
-    Candidates come from :func:`candidates`; sessions below the similarity
-    threshold are discarded; the survivors are ranked by similarity with ties
+    Candidates come from :func:`candidates`, and l(s) from the index's
+    offsets (or ``raw_len``); sessions below the similarity threshold are
+    discarded; the survivors are ranked by similarity with ties
     going to the more recent session, and the best ``k`` are returned.
     """
     _check_count("neighbor count", k)
@@ -172,16 +177,18 @@ def neighbors(
         raise RetrievalError(f"threshold must be in [0, 1], got {threshold}")
     if not isinstance(raw_length, bool):
         raise RetrievalError(f"raw_length must be true or false, got {raw_length!r}")
-    found = np.array(candidates(index, prefix, m=m, now=now), dtype=np.int64)
+    found = candidates(index, prefix, m=m, now=now)
     if not len(found):
         return []
-    query = np.array(sorted(set(prefix)), dtype=np.int64)
+    query = dict.fromkeys(prefix)
+    # a candidate shares each distinct query item whose posting list holds it
+    shared = np.zeros(len(found), dtype=np.int64)
+    for item in query:
+        ids = index.postings.get(item)
+        if ids is not None:
+            shared += ids[np.minimum(ids.searchsorted(found), len(ids) - 1)] == found
     lq = len(prefix) if raw_length else len(query)
-    items, counts = index.session_items(found)
-    slot = np.minimum(query.searchsorted(items), len(query) - 1)
-    bounds = np.cumsum(counts) - counts
-    shared = np.add.reduceat(query[slot] == items, bounds, dtype=np.int64)
-    ls = index.raw_len[found] if raw_length else counts
+    ls = index.raw_len[found] if raw_length else index.offsets[found + 1] - index.offsets[found]
     sim = shared / np.sqrt(lq * ls)
     kept = np.flatnonzero(sim >= threshold)
     # candidates are newest first, so ties on similarity break toward the newer id

@@ -9,7 +9,7 @@ import pytest
 
 from sessionrec import gradkit as gk
 from sessionrec.cli import DATA_DIR_ENV, RunConfig, build_parser, main, resolve_config
-from sessionrec.corpus import PreprocessConfig, load_corpus
+from sessionrec.corpus import ItemVocab, PreprocessConfig, SessionCorpus, load_corpus, save_corpus
 from sessionrec.errors import ConfigError
 from sessionrec.model import ModelConfig
 from sessionrec.neighbors import RetrievalConfig
@@ -265,6 +265,13 @@ def test_neighbors_reads_corpus_from_environment(corpus_dir, capsys, monkeypatch
     corpus = load_corpus(corpus_dir)
     code = main(["neighbors", "--session", corpus.vocab.key(0), "--threshold", "0"])
     assert code == 0
+
+
+def test_neighbors_on_an_empty_training_partition_finds_nothing(tmp_path, capsys):
+    save_corpus(SessionCorpus([], ItemVocab(["a", "b"], [1, 1]), 0), tmp_path)
+    code, doc = run_json(capsys, ["neighbors", "--corpus", str(tmp_path), "--session", "a"])
+    assert code == 0
+    assert doc == []
 
 
 def test_graph_command_without_corpus(capsys):

@@ -411,6 +411,25 @@ def test_backward_sets_grad_attribute():
     assert float(y.grad) == 1.0
 
 
+def test_backward_with_wrt_skips_constant_branches():
+    param, const = t((3,)), t((3,))
+    squashed = gk.sigmoid(const)  # an inner node fed by constants only
+
+    def refuse(g):
+        raise AssertionError("VJP into a constant branch was run")
+
+    prod = Tensor(
+        param.values * squashed.values, (param, squashed),
+        (lambda g: g * squashed.values, refuse), op="mul",
+    )
+    (g,) = gk.backward(gk.sum(prod), wrt=[param])
+    assert np.array_equal(g, squashed.values)
+    assert param.grad is g and const.grad is None
+    # without wrt every leaf still gets its gradient
+    gk.backward(gk.sum(param * squashed))
+    assert np.allclose(const.grad, param.values * squashed.values * (1 - squashed.values))
+
+
 def test_nan_trap_names_the_op():
     with np.errstate(all="ignore"):  # the bad values are the point here
         with pytest.raises(NumericsError, match="log"):

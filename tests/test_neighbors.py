@@ -1,5 +1,6 @@
 """Inverted-index retrieval against a brute-force full scan."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,27 +35,27 @@ def as_triples(corpus):
 def test_candidates_newest_first_and_deduplicated():
     c = corpus_from_items([[0, 1], [1, 2], [3, 4], [0, 2]])
     idx = build_index(c)
-    assert candidates(idx, [0, 1, 0]) == [3, 1, 0]
+    assert candidates(idx, [0, 1, 0]).tolist() == [3, 1, 0]
 
 
 def test_candidates_now_is_strict():
     c = corpus_from_items([[0, 1], [0, 2], [0, 3]])
     idx = build_index(c)
     # session 1 starts at 110; "now" equal to that start excludes it
-    assert candidates(idx, [0], now=110) == [0]
-    assert candidates(idx, [0], now=111) == [1, 0]
+    assert candidates(idx, [0], now=110).tolist() == [0]
+    assert candidates(idx, [0], now=111).tolist() == [1, 0]
 
 
 def test_candidates_m_caps_most_recent():
     c = corpus_from_items([[0], [0, 1], [0, 2], [0, 3]])
     idx = build_index(c)
-    assert candidates(idx, [0], m=2) == [3, 2]
+    assert candidates(idx, [0], m=2).tolist() == [3, 2]
 
 
 def test_candidates_ignore_test_partition():
     c = corpus_from_items([[0, 1], [0, 2], [0, 3]], train_count=2)
     idx = build_index(c)
-    assert candidates(idx, [0]) == [1, 0]
+    assert candidates(idx, [0]).tolist() == [1, 0]
 
 
 def test_candidates_validation():
@@ -83,14 +84,34 @@ def test_candidates_match_newest_first_scan(sessions, prefix, m, now_offset):
     c = corpus_from_items(sessions)
     idx = build_index(c)
     now = None if now_offset is None else 100 + now_offset
-    got = candidates(idx, prefix, m=m, now=now)
+    found = candidates(idx, prefix, m=m, now=now)
+    assert found.dtype == np.int64
+    got = found.tolist()
     query = set(prefix)
     want = [
         s.id for s in reversed(c.train_sessions())
         if (now is None or s.start_time < now) and query & set(s.items)
     ][:m]
     assert got == want
-    assert all(type(sid) is int for sid in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(item_seqs, min_size=1, max_size=40), st.integers(min_value=0, max_value=40))
+def test_build_index_matches_brute_force(sessions, train_count):
+    # 40 sessions of up to 6 items: enough equal items that an unstable sort
+    # by item alone would scramble the posting lists
+    c = corpus_from_items(sessions, train_count=min(train_count, len(sessions)))
+    idx = build_index(c)
+    want = {}
+    for s in c.train_sessions():
+        for item in set(s.items):
+            want.setdefault(item, []).append(s.id)
+    assert {item: ids.tolist() for item, ids in idx.postings.items()} == want
+    assert len(idx) == c.train_count and len(idx.offsets) == c.train_count + 1
+    for s in c.train_sessions():
+        held = idx.items[idx.offsets[s.id] : idx.offsets[s.id + 1]]
+        assert held.tolist() == sorted(set(s.items))
+    assert idx.offsets[-1] == len(idx.items)
 
 
 def test_build_index_rejects_unordered_start_times():
@@ -129,6 +150,20 @@ def test_neighbors_k_truncates_after_ranking():
     idx = build_index(c)
     got = neighbors(idx, [0], k=1, threshold=0.0)
     assert got == [(2, 1.0)]
+
+
+def test_shared_count_reads_whole_posting_lists():
+    # item 0 is in sessions 0-3, item 1 only in session 1. With m=2 and "now"
+    # before session 3, item 0's window is sessions 1 and 2; session 1 enters
+    # through item 1 and must count item 0 too, although item 0's posting list
+    # runs past both ends of its window.
+    sessions = [[0], [0, 1], [0], [0]]
+    c = corpus_from_items(sessions)
+    idx = build_index(c)
+    for m, want in ((2, [(1, 1.0), (2, 1 / 2**0.5)]), (1, [(2, 1 / 2**0.5)])):
+        got = neighbors(idx, [1, 0], threshold=0.0, m=m, now=130)
+        assert got == want
+        assert got == ref_neighbors(as_triples(c), [1, 0], threshold=0.0, m=m, now=130)
 
 
 def test_neighbors_parameter_validation():
