@@ -13,7 +13,8 @@ from .neighbors import InvertedIndex, Neighbors, build_index
 
 def pop_scores(corpus: SessionCorpus) -> np.ndarray:
     """Training-partition click counts per item; ranking ties break by index."""
-    clicks = [item for s in corpus.train_sessions() for item in s.items]
+    view = corpus.clicks
+    clicks = view.items[: view.offsets[min(corpus.train_count, len(view.start_time))]]
     return np.bincount(clicks, minlength=len(corpus.vocab)).astype(np.float64)
 
 

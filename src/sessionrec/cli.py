@@ -110,7 +110,7 @@ def write_run_config(directory: Path, command: str, cfg: RunConfig, paths: dict)
     config = {name: getattr(section, name) for name, section in cfg.settings().items()}
     doc = {"command": command, "paths": paths, "config": config}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    write_atomic(directory / RUN_CONFIG_FILENAME, text.encode("utf-8"))
+    write_atomic(directory / RUN_CONFIG_FILENAME, [text.encode("utf-8")])
 
 
 def _corpus_dir(args: argparse.Namespace) -> Path:
@@ -156,7 +156,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     corpus = split_by_time(corpus, prep.test_window)
     if prep.fraction:
         corpus = take_recent_fraction(corpus, prep.fraction)
-    corpus.validate()
     out = Path(args.output)
     save_corpus(corpus, out)
     write_run_config(out, "preprocess", cfg, {"input": str(args.input), "output": str(out)})
@@ -286,7 +285,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        write_atomic(out / "report.json", text.encode("utf-8"))
+        write_atomic(out / "report.json", [text.encode("utf-8")])
         write_run_config(out, "evaluate", cfg, {"corpus": str(_corpus_dir(args))})
     _emit(payload)
     return 0

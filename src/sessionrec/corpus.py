@@ -4,6 +4,7 @@ A corpus is an ordered list of sessions (each an ordered list of item indices)
 plus the vocabulary that maps raw item keys to dense indices. Sessions are kept
 in chronological order of their first click and carry dense ids equal to their
 position, so "more recent" and "higher id" mean the same thing everywhere.
+Bulk readers work on the same clicks as flat arrays, :attr:`SessionCorpus.clicks`.
 """
 
 from __future__ import annotations
@@ -12,20 +13,24 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .config import check_at_least, check_types
 from .errors import CorpusError
 from .files import read_json_object, write_atomic
 
-CORPUS_FORMAT_VERSION = 1
+CORPUS_FORMAT_VERSION = 2
 VOCAB_FORMAT_VERSION = 1
 CORPUS_FILENAME = "corpus.bin"
 VOCAB_FILENAME = "vocab.json"
+_HEADER = struct.Struct("<BIIQ")  # version, sessions, train sessions, clicks
 
 
 @dataclass
@@ -51,7 +56,7 @@ class Event:
     item_key: str
 
 
-@dataclass
+@dataclass(slots=True)  # a corpus holds one per session: no per-instance __dict__
 class Session:
     """An ordered click sequence with items mapped to vocabulary indices."""
 
@@ -111,17 +116,34 @@ class ItemVocab:
         return list(self._counts)
 
 
+class Clicks(NamedTuple):
+    """Every session's clicks in flat read-only arrays: session s started at
+    ``start_time[s]`` and clicked ``items[offsets[s]:offsets[s + 1]]``."""
+
+    start_time: np.ndarray  # int64, one per session
+    offsets: np.ndarray  # int64, one per session plus one
+    items: np.ndarray  # integer item indices, in session order
+
+
+def _first(mask: np.ndarray) -> int:
+    """Position of the first true entry, or the length when there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
 @dataclass
 class SessionCorpus:
     """Chronologically ordered sessions with a train/test boundary.
 
     ``sessions[:train_count]`` is the training partition, the remainder is the
-    test partition (empty until :func:`split_by_time` runs).
+    test partition (empty until :func:`split_by_time` runs). A corpus is not
+    changed after construction: functions that edit one build a new corpus,
+    so :attr:`clicks`, derived once, stays true to the sessions.
     """
 
     sessions: list[Session]
     vocab: ItemVocab
     train_count: int
+    _clicks: Optional[Clicks] = field(default=None, init=False, repr=False, compare=False)
 
     def train_sessions(self) -> list[Session]:
         return self.sessions[: self.train_count]
@@ -129,29 +151,42 @@ class SessionCorpus:
     def test_sessions(self) -> list[Session]:
         return self.sessions[self.train_count :]
 
+    @property
+    def clicks(self) -> Clicks:
+        """The sessions as flat arrays, derived on first use unless
+        :func:`load_corpus` handed over the file's own."""
+        if self._clicks is None:
+            offsets = np.cumsum([0, *(len(s.items) for s in self.sessions)], dtype=np.int64)
+            items = np.fromiter(chain.from_iterable(s.items for s in self.sessions), np.int64)
+            start_time = np.array([s.start_time for s in self.sessions], dtype=np.int64)
+            for array in (start_time, offsets, items):
+                array.flags.writeable = False
+            self._clicks = Clicks(start_time, offsets, items)
+        return self._clicks
+
     def validate(self) -> None:
-        """Check the structural invariants; raise CorpusError on violation."""
-        n_items = len(self.vocab)
-        train_items: set[int] = set()
-        prev_start = None
-        for pos, s in enumerate(self.sessions):
-            if s.id != pos:
-                raise CorpusError(f"session ids not dense at position {pos}")
-            if not s.items:
-                raise CorpusError(f"session {pos} is empty")
-            if any(i < 0 or i >= n_items for i in s.items):
-                raise CorpusError(f"session {pos} has out-of-range item index")
-            if prev_start is not None and s.start_time < prev_start:
-                raise CorpusError("sessions are not in chronological order")
-            prev_start = s.start_time
-            if pos < self.train_count:
-                train_items.update(s.items)
-        for s in self.test_sessions():
-            missing = [i for i in s.items if i not in train_items]
-            if missing:
-                raise CorpusError(
-                    f"test session {s.id} contains items absent from training"
-                )
+        """Check the structural invariants; raise CorpusError naming the first
+        session, in order, whose id is not its position, that is empty, holds an
+        item outside the vocabulary or starts before the one before it. Only
+        then must every test item occur in training."""
+        start_time, offsets, items = self.clicks
+        n = len(self.sessions)
+        bad_item = _first((items < 0) | (items >= len(self.vocab)))
+        pos, message = min(  # the first failing session; on a tie, the check made first
+            (next((p for p, s in enumerate(self.sessions) if s.id != p), n),
+             "session ids not dense at position {}"),
+            (_first(offsets[1:] == offsets[:-1]), "session {} is empty"),
+            (offsets.searchsorted(bad_item, "right") - 1, "session {} has out-of-range item index"),
+            (1 + _first(start_time[1:] < start_time[:-1]), "sessions are not in chronological order"),
+            key=lambda check: check[0],
+        )
+        if pos < n:
+            raise CorpusError(message.format(pos))
+        cut = offsets[min(self.train_count, n)]
+        unseen = cut + _first(~np.isin(items[cut:], items[:cut]))
+        if unseen < len(items):
+            pos = offsets.searchsorted(unseen, "right") - 1
+            raise CorpusError(f"test session {pos} contains items absent from training")
 
 
 def parse_timestamp(text: str) -> int:
@@ -290,29 +325,26 @@ def filter_corpus(
 
     Raises CorpusError if nothing survives.
     """
-    kept = [(s.start_time, list(s.items)) for s in corpus.sessions]
+    view, n = corpus.clicks, len(corpus.sessions)
+    owner = np.repeat(np.arange(n), np.diff(view.offsets))  # the session of each click
+    kept = np.ones(len(view.items), dtype=bool)
     while True:
-        support: dict[int, int] = {}
-        for _start, items in kept:
-            for i in items:
-                support[i] = support.get(i, 0) + 1
-        weak = {i for i, c in support.items() if c < min_support}
-        changed = False
-        surviving: list[tuple[int, list[int]]] = []
-        for start, items in kept:
-            pruned = [i for i in items if i not in weak] if weak else items
-            if len(pruned) != len(items):
-                changed = True
-            if len(pruned) >= min_len:
-                surviving.append((start, pruned))
-            else:
-                changed = True
-        kept = surviving
-        if not kept:
-            raise CorpusError("filtering removed every session")
-        if not changed:
+        support = np.bincount(view.items[kept], minlength=len(corpus.vocab))
+        pruned = kept & (support >= min_support)[view.items]
+        long_enough = np.bincount(owner[pruned], minlength=n) >= min_len
+        pruned &= long_enough[owner]
+        if np.array_equal(pruned, kept):
             break
-    return _rebuild(kept, corpus.vocab.key, train_count=len(kept))
+        kept = pruned
+    if not long_enough.any():
+        raise CorpusError("filtering removed every session")
+    flat = view.items[kept].tolist()
+    bounds = [0, *np.cumsum(np.bincount(owner[kept], minlength=n)).tolist()]
+    survivors = [
+        (corpus.sessions[s].start_time, flat[bounds[s] : bounds[s + 1]])
+        for s in np.flatnonzero(long_enough).tolist()
+    ]
+    return _rebuild(survivors, corpus.vocab.key, train_count=len(survivors))
 
 
 def split_by_time(corpus: SessionCorpus, test_window: int) -> SessionCorpus:
@@ -331,9 +363,7 @@ def split_by_time(corpus: SessionCorpus, test_window: int) -> SessionCorpus:
     starts = [s.start_time for s in corpus.sessions]
     span = max(starts) - min(starts)
     if test_window >= span:
-        raise CorpusError(
-            f"test window ({test_window}s) covers the whole corpus span ({span}s)"
-        )
+        raise CorpusError(f"test window ({test_window}s) covers the whole corpus span ({span}s)")
     cutoff = max(starts) - test_window
     train = [s for s in corpus.sessions if s.start_time <= cutoff]
     test = [s for s in corpus.sessions if s.start_time > cutoff]
@@ -353,9 +383,7 @@ def drop_unseen_test_sessions(corpus: SessionCorpus) -> SessionCorpus:
     shrink the training partition (see :func:`take_recent_fraction`).
     """
     train = corpus.train_sessions()
-    train_items: set[int] = set()
-    for s in train:
-        train_items.update(s.items)
+    train_items = {i for s in train for i in s.items}
     test = [s for s in corpus.test_sessions() if all(i in train_items for i in s.items)]
     kept = [(s.start_time, list(s.items)) for s in train + test]
     return _rebuild(kept, corpus.vocab.key, train_count=len(train))
@@ -383,41 +411,37 @@ def take_recent_fraction(
 
 def augment(session: Session) -> list[TrainingExample]:
     """Expand a session into (prefix, next-click) examples, shortest first."""
-    out = []
-    for i in range(1, len(session.items)):
-        out.append(
-            TrainingExample(
-                prefix=tuple(session.items[:i]),
-                label=session.items[i],
-                session_id=session.id,
-                start_time=session.start_time,
-            )
-        )
-    return out
+    items = session.items
+    return [
+        TrainingExample(tuple(items[:i]), items[i], session.id, session.start_time)
+        for i in range(1, len(items))
+    ]
 
 
 def save_corpus(corpus: SessionCorpus, directory: Union[str, Path]) -> None:
-    """Write corpus.bin (length-prefixed binary) and vocab.json into a directory.
+    """Validate a corpus, then write corpus.bin and vocab.json into a directory.
 
-    corpus.bin layout, little-endian: format version byte at offset 0, then
-    u32 session count, u32 train count, and per session an i64 start time,
-    u32 length, and that many u32 item indices. Serialization is deterministic,
-    so save/load/save round-trips are bit-identical.
+    corpus.bin is format 2, columnar and little-endian: a header of u8 version,
+    u32 session count, u32 train count and u64 click count, then every
+    session's i64 start time, every session's u32 length, and the u32 items of
+    all clicks in session order. Format 1 files (one record per session) must
+    be preprocessed again. Save/load/save round-trips are bit-identical.
     """
+    corpus.validate()  # so every item fits its u32 and the file loads back
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    parts = [struct.pack("<BII", CORPUS_FORMAT_VERSION, len(corpus.sessions), corpus.train_count)]
-    for s in corpus.sessions:
-        parts.append(struct.pack("<qI", s.start_time, len(s.items)))
-        parts.append(struct.pack(f"<{len(s.items)}I", *s.items))
-    write_atomic(directory / CORPUS_FILENAME, b"".join(parts))
+    start_time, offsets, items = corpus.clicks
+    header = _HEADER.pack(CORPUS_FORMAT_VERSION, len(start_time), corpus.train_count, len(items))
+    columns = [start_time.astype("<i8", copy=False), np.diff(offsets).astype("<u4"),
+               items.astype("<u4", copy=False)]
+    write_atomic(directory / CORPUS_FILENAME, [header, *columns])
     vocab_doc = {
         "version": VOCAB_FORMAT_VERSION,
         "items": corpus.vocab.keys,
         "counts": corpus.vocab.counts,
     }
     text = json.dumps(vocab_doc, ensure_ascii=False, separators=(",", ":")) + "\n"
-    write_atomic(directory / VOCAB_FILENAME, text.encode("utf-8"))
+    write_atomic(directory / VOCAB_FILENAME, [text.encode("utf-8")])
 
 
 def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
@@ -427,26 +451,28 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
         blob = (directory / CORPUS_FILENAME).read_bytes()
     except OSError as exc:
         raise CorpusError(f"cannot read corpus from {directory}: {exc}") from None
-    if len(blob) < 9:
+    if blob and blob[0] != CORPUS_FORMAT_VERSION:
+        raise CorpusError(f"unsupported corpus format version {blob[0]}: re-run preprocess")
+    if len(blob) < _HEADER.size:
         raise CorpusError("corpus.bin truncated")
-    version, n_sessions, train_count = struct.unpack_from("<BII", blob, 0)
-    if version != CORPUS_FORMAT_VERSION:
-        raise CorpusError(f"unsupported corpus format version {version}")
-    offset = struct.calcsize("<BII")
-    sessions: list[Session] = []
-    for sid in range(n_sessions):
-        try:
-            start, length = struct.unpack_from("<qI", blob, offset)
-            offset += struct.calcsize("<qI")
-            items = list(struct.unpack_from(f"<{length}I", blob, offset))
-            offset += 4 * length
-        except struct.error:
-            raise CorpusError("corpus.bin truncated mid-session") from None
-        sessions.append(Session(sid, items, start))
-    if offset != len(blob):
-        raise CorpusError("corpus.bin has trailing bytes")
+    _, n_sessions, train_count, n_clicks = _HEADER.unpack_from(blob)
+    if len(blob) != _HEADER.size + 12 * n_sessions + 4 * n_clicks:
+        raise CorpusError(f"corpus.bin size {len(blob)} does not match its header")
     if train_count > n_sessions:
         raise CorpusError("corpus.bin train boundary out of range")
+    start_time = np.frombuffer(blob, "<i8", n_sessions, _HEADER.size)
+    lengths = np.frombuffer(blob, "<u4", n_sessions, _HEADER.size + 8 * n_sessions)
+    items = np.frombuffer(blob, "<u4", n_clicks, _HEADER.size + 12 * n_sessions)
+    offsets = np.zeros(n_sessions + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    offsets.flags.writeable = False
+    if offsets[-1] != n_clicks:
+        raise CorpusError("corpus.bin session lengths do not add up to its click count")
+    flat, bounds = items.tolist(), offsets.tolist()
+    sessions = [
+        Session(sid, flat[lo:hi], start)
+        for sid, (start, lo, hi) in enumerate(zip(start_time.tolist(), bounds, bounds[1:]))
+    ]
 
     vocab_doc = read_json_object(directory / VOCAB_FILENAME, CorpusError)
     version = vocab_doc.get("version")
@@ -457,7 +483,7 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
         raise CorpusError("vocab.json items must be a list of strings")
     if not (isinstance(counts, list) and all(type(c) is int and c >= 0 for c in counts)):
         raise CorpusError("vocab.json counts must be a list of non-negative integers")
-    vocab = ItemVocab(keys, counts)
-    corpus = SessionCorpus(sessions, vocab, train_count)
+    corpus = SessionCorpus(sessions, ItemVocab(keys, counts), train_count)
+    corpus._clicks = Clicks(start_time, offsets, items)
     corpus.validate()
     return corpus

@@ -78,10 +78,7 @@ def report_from_ranks(
 
 def test_examples(corpus: SessionCorpus) -> list[TrainingExample]:
     """Every (prefix, next item) prediction case in the test partition."""
-    out: list[TrainingExample] = []
-    for s in corpus.test_sessions():
-        out.extend(augment(s))
-    return out
+    return [ex for s in corpus.test_sessions() for ex in augment(s)]
 
 
 def evaluate_model(

@@ -6,17 +6,18 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 
-def write_atomic(path: Union[str, Path], data: bytes) -> None:
-    """Replace ``path`` with ``data`` through a temporary file in the same
-    directory and one rename, so a write that fails partway leaves the
-    previous file intact."""
+def write_atomic(path: Union[str, Path], parts: Sequence) -> None:
+    """Replace ``path`` with ``parts``, bytes-like buffers written in order, through
+    a temporary file in the same directory and one rename, so a write that fails
+    partway leaves the previous file intact."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            fh.writelines(parts)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

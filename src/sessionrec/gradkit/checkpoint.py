@@ -48,14 +48,9 @@ def save_params(
         name_b = name.encode("utf-8")
         group_b = store.group(name).encode("utf-8")
         arr = np.ascontiguousarray(tensor.values, dtype="<f8")
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
-        parts.append(struct.pack("<B", len(group_b)))
-        parts.append(group_b)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(memoryview(arr))  # joined below without an intermediate copy
-    write_atomic(path, b"".join(parts))
+        parts += [struct.pack("<H", len(name_b)), name_b, struct.pack("<B", len(group_b)), group_b]
+        parts += [struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), memoryview(arr)]
+    write_atomic(path, parts)
 
 
 def load_params(path: Union[str, Path]) -> tuple[ParamStore, dict]:

@@ -374,8 +374,14 @@ def _run_sums(x: Array, starts: Array) -> Array:
 
 def sigmoid(a: Tensor) -> Tensor:
     v = a.values
-    e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(v, out=np.empty_like(v))  # an array even for 0-d input, so the rest is in place
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # the numerator, 1 where v >= 0 else e <= 1, as a max: np.where's values without its branch
+    out = np.greater_equal(v, 0.0, out=np.empty_like(v))
+    np.maximum(out, e, out=out)
+    e += 1.0
+    out /= e
     return Tensor(out, (a,), (lambda g: g * out * (1.0 - out),), op="sigmoid")
 
 
@@ -385,9 +391,12 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+    """v where v > 0, else slope * v: the larger of the two for slope <= 1, else the
+    smaller; numpy returns the second operand on ties, so v = +-0 gives slope * v."""
     v = a.values
-    out = np.where(v > 0, v, slope * v)
-    return Tensor(out, (a,), (lambda g: g * np.where(v > 0, 1.0, slope),), op="leaky_relu")
+    out = (np.maximum if slope <= 1 else np.minimum)(v, slope * v)
+    factors = np.array([slope, 1.0])
+    return Tensor(out, (a,), (lambda g: g * factors[(v > 0).view(np.int8)],), op="leaky_relu")
 
 
 def exp(a: Tensor) -> Tensor:

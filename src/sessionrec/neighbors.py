@@ -18,7 +18,6 @@ list holds it (a binary search), so scoring never reads a candidate's items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Real
 from typing import Optional, Sequence
 
@@ -80,15 +79,13 @@ class InvertedIndex:
 
 def build_index(corpus: SessionCorpus) -> InvertedIndex:
     """Index the training sessions of a corpus for candidate lookup."""
-    sessions = corpus.train_sessions()
-    n = len(sessions)
-    start_time = np.array([s.start_time for s in sessions], dtype=np.int64)
+    view = corpus.clicks
+    n = min(corpus.train_count, len(view.start_time))
+    start_time = view.start_time[:n].copy()  # aligned and owned by the index
     if np.any(start_time[1:] < start_time[:-1]):
         raise RetrievalError("training sessions are not in chronological order")
-    raw_len = np.array([len(s.items) for s in sessions], dtype=np.int64)
-    clicks = np.fromiter(
-        chain.from_iterable(s.items for s in sessions), dtype=np.int64, count=int(raw_len.sum())
-    )
+    raw_len = np.diff(view.offsets[: n + 1])
+    clicks = view.items[: view.offsets[n]]
     # One key per click, ordered by session and then item; a sort puts the
     # repeats of an item within a session next to each other.
     width = int(clicks.max()) + 1 if len(clicks) else 1

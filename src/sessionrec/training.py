@@ -151,14 +151,10 @@ def train(
     if not fit_sessions:
         raise TrainingError("validation split left no sessions to fit on")
 
-    fit_examples: list[TrainingExample] = []
-    for s in fit_sessions:
-        fit_examples.extend(augment(s))
+    fit_examples = [ex for s in fit_sessions for ex in augment(s)]
     if not fit_examples:
         raise TrainingError("no training examples after augmentation")
-    val_examples: list[TrainingExample] = []
-    for s in val_sessions:
-        val_examples.extend(augment(s))
+    val_examples = [ex for s in val_sessions for ex in augment(s)]
 
     index = build_index(corpus)
     # retrieved once each: the lists do not change between epochs

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven in process through main()."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -568,6 +569,22 @@ def test_config_file_retrieval_beats_checkpoint_settings(train_dir, corpus_dir, 
     assert from_file != saved
     assert from_file == from_flags
     assert flag_over_file != from_file
+
+
+def test_format_1_corpus_exits_two_and_asks_for_preprocess(corpus_dir, tmp_path, capsys):
+    corpus = load_corpus(corpus_dir)
+    old = tmp_path / "corpus"
+    old.mkdir()
+    # format 1: a <BII header, then per session a <qI record and its u32 items
+    parts = [struct.pack("<BII", 1, len(corpus.sessions), corpus.train_count)]
+    for s in corpus.sessions:
+        parts.append(struct.pack(f"<qI{len(s.items)}I", s.start_time, len(s.items), *s.items))
+    (old / "corpus.bin").write_bytes(b"".join(parts))
+    (old / "vocab.json").write_bytes((corpus_dir / "vocab.json").read_bytes())
+    assert main(["neighbors", "--corpus", str(old), "--session", corpus.vocab.key(0)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "version 1" in err and "preprocess" in err
 
 
 def test_corrupt_vocab_exits_two_with_one_error_line(corpus_dir, tmp_path, capsys):

@@ -1,9 +1,14 @@
 """Event ingestion, filtering, temporal split, and persistence."""
 
+import re
+
 import pytest
 
 from sessionrec import (
     Event,
+    ItemVocab,
+    Session,
+    SessionCorpus,
     augment,
     drop_unseen_test_sessions,
     filter_corpus,
@@ -315,6 +320,52 @@ def test_validate_passes_on_consistent_corpus():
     c.validate()
 
 
+def built(*sessions, train_count=None, ids=None):
+    """A corpus over items a, b, c straight from (items, start time) pairs,
+    with dense ids unless ``ids`` is given; no checks on the way in."""
+    ids = range(len(sessions)) if ids is None else ids
+    return SessionCorpus(
+        [Session(sid, items, t) for sid, (items, t) in zip(ids, sessions)],
+        ItemVocab(["a", "b", "c"], [1, 1, 1]),
+        len(sessions) if train_count is None else train_count,
+    )
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        (built(([0], 1), ([1], 2), ([2], 3), ids=[0, 2, 3]), "session ids not dense at position 1"),
+        (built(([0], 1), ([], 2), ([1], 3)), "session 1 is empty"),
+        (built(([0], 1), ([1, 3], 2), ([1], 3)), "session 1 has out-of-range item index"),
+        (built(([0], 1), ([1, -1], 2), ([1], 3)), "session 1 has out-of-range item index"),
+        (built(([0], 1), ([1], 3), ([1], 2)), "sessions are not in chronological order"),
+        (built(([0, 1], 1), ([1, 2], 2), ([0], 3), train_count=1),
+         "test session 1 contains items absent from training"),
+    ],
+    ids=["ids-not-dense", "empty", "item-too-large", "item-negative", "out-of-order", "untrained-item"],
+)
+def test_validate_names_the_broken_invariant_and_session(corpus, message):
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        corpus.validate()
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        # each check's first violation sits in a later session than the other's
+        (built(([0], 1), ([5], 2), ([1], 3), ids=[0, 1, 7]), "session 1 has out-of-range item index"),
+        (built(([0], 1), ([1], 2), ([], 3), ([9], 4)), "session 2 is empty"),
+        (built(([0], 1), ([1], 0), ([], 3)), "sessions are not in chronological order"),
+        # untrained test items are checked only once every session is sound
+        (built(([0], 1), ([2], 2), ([], 3), train_count=1), "session 2 is empty"),
+    ],
+    ids=["range-before-ids", "empty-before-range", "order-before-empty", "structure-before-training"],
+)
+def test_validate_reports_the_first_violation_in_session_order(corpus, message):
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        corpus.validate()
+
+
 def test_augment_prefixes():
     c = make_corpus([("s", 1, "a"), ("s", 2, "b"), ("s", 3, "c")])
     exs = augment(c.sessions[0])
@@ -348,6 +399,18 @@ def test_corpus_roundtrip_bytes_stable(tmp_path):
     assert (tmp_path / "one" / "vocab.json").read_bytes() == (
         tmp_path / "two" / "vocab.json"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("train_count", [0, 2], ids=["empty", "no-test-partition"])
+def test_corpus_roundtrip_at_the_edges(tmp_path, train_count):
+    c = built(([0, 1], 5), ([1, 2, 1], 9))
+    c = SessionCorpus(c.sessions[:train_count], c.vocab, train_count)
+    save_corpus(c, tmp_path)
+    back = load_corpus(tmp_path)
+    assert back.train_count == train_count and back.test_sessions() == []
+    assert back.sessions == c.sessions
+    assert all(type(i) is int for s in back.sessions for i in s.items)
+    assert back.vocab.keys == c.vocab.keys
 
 
 def test_load_missing_directory(tmp_path):

@@ -1,5 +1,6 @@
 """The autodiff tape: op semantics, gradient fidelity, optimizer, persistence."""
 
+import io
 import struct
 from pathlib import Path
 
@@ -292,6 +293,41 @@ def test_grad_leaky_relu_away_from_kink():
     y = gk.sum(gk.leaky_relu(x))
     (g,) = gk.backward(y, wrt=[x])
     assert g.tolist() == [0.2, 0.2, 1.0, 1.0]
+
+
+def edge_and_random_values():
+    """Signed zeros and saturating inputs spread through random ones, at an
+    odd length so vectorised loops also run their tails."""
+    v = np.random.default_rng(0).standard_normal(1001)
+    v[::7] = np.resize([0.0, -0.0, 800.0, -800.0], len(v[::7]))
+    return v
+
+
+def values_and_grad(op, v, w):
+    """op's output and the gradient of sum(op(x) * w) with respect to x."""
+    x = Tensor(v)
+    y = op(x)
+    (g,) = gk.backward(gk.sum(y * Tensor(w)), wrt=[x])
+    return y.values, g
+
+
+def test_sigmoid_matches_the_select_formula_bit_for_bit():
+    v = edge_and_random_values()
+    w = np.random.default_rng(1).standard_normal(v.shape)
+    e = np.exp(-np.abs(v))
+    want = np.where(v >= 0, 1.0, e) / (1.0 + e)
+    out, g = values_and_grad(gk.sigmoid, v, w)
+    assert out.tobytes() == want.tobytes()
+    assert g.tobytes() == (w * want * (1.0 - want)).tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.2, 1.0, 1.5, -0.1])
+def test_leaky_relu_matches_the_select_formula_bit_for_bit(slope):
+    v = edge_and_random_values()
+    w = np.random.default_rng(1).standard_normal(v.shape)
+    out, g = values_and_grad(lambda x: gk.leaky_relu(x, slope), v, w)
+    assert out.tobytes() == np.where(v > 0, v, slope * v).tobytes()
+    assert g.tobytes() == (w * np.where(v > 0, 1.0, slope)).tobytes()
 
 
 def test_grad_clip_blocks_out_of_range():
@@ -654,12 +690,15 @@ def test_failed_checkpoint_write_leaves_previous_file(tmp_path, monkeypatch):
     gk.save_params(path, store_with([("w", (64,), "inter")]), {"epoch": 0})
     before = path.read_bytes()
 
-    def torn_write(self, data):
-        with open(self, "wb") as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError("disk full")
+    class TornFile(io.FileIO):
+        """Takes the first buffer written to it, then runs out of space."""
 
-    monkeypatch.setattr(Path, "write_bytes", torn_write)
+        def write(self, data):
+            if self.tell():
+                raise OSError("disk full")
+            return super().write(data)
+
+    monkeypatch.setattr(Path, "open", lambda self, mode="r": TornFile(self, mode))
     with pytest.raises(OSError, match="disk full"):
         gk.save_params(path, store_with([("w", (64,), "inter")], seed=1), {"epoch": 1})
     monkeypatch.undo()
