@@ -1,10 +1,12 @@
 """Click-stream corpora: ingestion, filtering, time splits, and persistence.
 
-A corpus is an ordered list of sessions (each an ordered list of item indices)
-plus the vocabulary that maps raw item keys to dense indices. Sessions are kept
-in chronological order of their first click and carry dense ids equal to their
-position, so "more recent" and "higher id" mean the same thing everywhere.
-Bulk readers work on the same clicks as flat arrays, :attr:`SessionCorpus.clicks`.
+A corpus is an ordered sequence of sessions (each an ordered list of item
+indices) plus the vocabulary that maps raw item keys to dense indices. Sessions
+are kept in chronological order of their first click and carry dense ids equal
+to their position, so "more recent" and "higher id" mean the same thing
+everywhere. Bulk readers work on the same clicks as flat arrays,
+:attr:`SessionCorpus.clicks`; a loaded corpus keeps only those, and reading one
+of its sessions builds a fresh copy (:class:`SessionRows`).
 """
 
 from __future__ import annotations
@@ -125,6 +127,40 @@ class Clicks(NamedTuple):
     items: np.ndarray  # integer item indices, in session order
 
 
+class SessionRows(Sequence[Session]):
+    """The sessions at ``rows`` of a :class:`Clicks`, read-only: reading a position
+    builds a fresh :class:`Session` whose id is its row; a slice is another view."""
+
+    def __init__(self, clicks: Clicks, rows: range):
+        self.clicks, self.rows = clicks, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SessionRows(self.clicks, self.rows[index])
+        sid = self.rows[index]
+        start_time, offsets, items = self.clicks
+        return Session(sid, items[offsets[sid] : offsets[sid + 1]].tolist(), int(start_time[sid]))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+def gather_rows(
+    offsets: np.ndarray, values: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``values[offsets[r]:offsets[r + 1]]`` for each r in ``rows``, concatenated,
+    and the length of each."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    # position j of segment s is starts[s] + j; arange supplies j plus the
+    # lengths of the segments before s, which the repeat takes back off
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return values[np.arange(len(shift)) + shift], lengths
+
+
 def _first(mask: np.ndarray) -> int:
     """Position of the first true entry, or the length when there is none."""
     return int(mask.argmax()) if mask.any() else len(mask)
@@ -135,20 +171,22 @@ class SessionCorpus:
     """Chronologically ordered sessions with a train/test boundary.
 
     ``sessions[:train_count]`` is the training partition, the remainder is the
-    test partition (empty until :func:`split_by_time` runs). A corpus is not
-    changed after construction: functions that edit one build a new corpus,
-    so :attr:`clicks`, derived once, stays true to the sessions.
+    test partition (empty until :func:`split_by_time` runs). ``sessions`` is a
+    list for a corpus built in memory and a :class:`SessionRows` view of fresh
+    copies for one read by :func:`load_corpus`. A corpus is not changed after
+    construction: functions that edit one build a new corpus, so
+    :attr:`clicks`, derived once, stays true to the sessions.
     """
 
-    sessions: list[Session]
+    sessions: Sequence[Session]
     vocab: ItemVocab
     train_count: int
     _clicks: Optional[Clicks] = field(default=None, init=False, repr=False, compare=False)
 
-    def train_sessions(self) -> list[Session]:
+    def train_sessions(self) -> Sequence[Session]:
         return self.sessions[: self.train_count]
 
-    def test_sessions(self) -> list[Session]:
+    def test_sessions(self) -> Sequence[Session]:
         return self.sessions[self.train_count :]
 
     @property
@@ -172,8 +210,11 @@ class SessionCorpus:
         start_time, offsets, items = self.clicks
         n = len(self.sessions)
         bad_item = _first((items < 0) | (items >= len(self.vocab)))
+        ids = (s.id for s in self.sessions)
+        if isinstance(self.sessions, SessionRows):  # a view's ids are its rows: build no Session
+            ids = () if self.sessions.rows == range(n) else self.sessions.rows
         pos, message = min(  # the first failing session; on a tie, the check made first
-            (next((p for p, s in enumerate(self.sessions) if s.id != p), n),
+            (next((p for p, sid in enumerate(ids) if sid != p), n),
              "session ids not dense at position {}"),
             (_first(offsets[1:] == offsets[:-1]), "session {} is empty"),
             (offsets.searchsorted(bad_item, "right") - 1, "session {} has out-of-range item index"),
@@ -338,11 +379,10 @@ def filter_corpus(
         kept = pruned
     if not long_enough.any():
         raise CorpusError("filtering removed every session")
-    flat = view.items[kept].tolist()
+    flat, starts = view.items[kept].tolist(), view.start_time.tolist()
     bounds = [0, *np.cumsum(np.bincount(owner[kept], minlength=n)).tolist()]
     survivors = [
-        (corpus.sessions[s].start_time, flat[bounds[s] : bounds[s + 1]])
-        for s in np.flatnonzero(long_enough).tolist()
+        (starts[s], flat[bounds[s] : bounds[s + 1]]) for s in np.flatnonzero(long_enough).tolist()
     ]
     return _rebuild(survivors, corpus.vocab.key, train_count=len(survivors))
 
@@ -360,17 +400,17 @@ def split_by_time(corpus: SessionCorpus, test_window: int) -> SessionCorpus:
     """
     if test_window <= 0:
         raise CorpusError("test window must be positive")
-    starts = [s.start_time for s in corpus.sessions]
-    span = max(starts) - min(starts)
+    starts = corpus.clicks.start_time
+    span = int(starts.max()) - int(starts.min())
     if test_window >= span:
         raise CorpusError(f"test window ({test_window}s) covers the whole corpus span ({span}s)")
-    cutoff = max(starts) - test_window
-    train = [s for s in corpus.sessions if s.start_time <= cutoff]
-    test = [s for s in corpus.sessions if s.start_time > cutoff]
-    if not train or not test:
+    late = starts > int(starts.max()) - test_window
+    train_count = len(late) - int(late.sum())
+    if train_count in (0, len(late)):
         raise CorpusError("degenerate split: empty train or test partition")
 
-    split = drop_unseen_test_sessions(SessionCorpus(train + test, corpus.vocab, len(train)))
+    # train sessions first, then test, each in its own order
+    split = _keep_trained(corpus, np.argsort(late, kind="stable").tolist(), train_count)
     if split.train_count == len(split.sessions):
         raise CorpusError("every test session contains items unseen in training")
     return split
@@ -382,11 +422,18 @@ def drop_unseen_test_sessions(corpus: SessionCorpus) -> SessionCorpus:
     Restores the "every test item is trained" invariant after operations that
     shrink the training partition (see :func:`take_recent_fraction`).
     """
-    train = corpus.train_sessions()
-    train_items = {i for s in train for i in s.items}
-    test = [s for s in corpus.test_sessions() if all(i in train_items for i in s.items)]
-    kept = [(s.start_time, list(s.items)) for s in train + test]
-    return _rebuild(kept, corpus.vocab.key, train_count=len(train))
+    return _keep_trained(corpus, range(len(corpus.sessions)), corpus.train_count)
+
+
+def _keep_trained(corpus: SessionCorpus, rows: Iterable[int], train_count: int) -> SessionCorpus:
+    """Re-index the sessions at ``rows``, the first ``train_count`` of them training
+    ones, dropping each later one that clicks an item no training one does."""
+    start_time, offsets, items = corpus.clicks
+    flat, bounds, starts = items.tolist(), offsets.tolist(), start_time.tolist()
+    kept = [(starts[s], flat[bounds[s] : bounds[s + 1]]) for s in rows]
+    trained = {i for _, clicks in kept[:train_count] for i in clicks}
+    kept[train_count:] = [(t, c) for t, c in kept[train_count:] if trained.issuperset(c)]
+    return _rebuild(kept, corpus.vocab.key, train_count)
 
 
 def take_recent_fraction(
@@ -405,8 +452,7 @@ def take_recent_fraction(
     if not 0 < frac <= 1:
         raise CorpusError(f"fraction must be in (0, 1], got {frac}")
     keep = math.ceil(frac * corpus.train_count)
-    recent = corpus.sessions[corpus.train_count - keep :]
-    return drop_unseen_test_sessions(SessionCorpus(recent, corpus.vocab, keep))
+    return _keep_trained(corpus, range(corpus.train_count - keep, len(corpus.sessions)), keep)
 
 
 def augment(session: Session) -> list[TrainingExample]:
@@ -445,7 +491,8 @@ def save_corpus(corpus: SessionCorpus, directory: Union[str, Path]) -> None:
 
 
 def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
-    """Read a corpus saved by :func:`save_corpus`."""
+    """Read a corpus saved by :func:`save_corpus`; its sessions are a
+    :class:`SessionRows` view over the file's columns."""
     directory = Path(directory)
     try:
         blob = (directory / CORPUS_FILENAME).read_bytes()
@@ -468,11 +515,6 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
     offsets.flags.writeable = False
     if offsets[-1] != n_clicks:
         raise CorpusError("corpus.bin session lengths do not add up to its click count")
-    flat, bounds = items.tolist(), offsets.tolist()
-    sessions = [
-        Session(sid, flat[lo:hi], start)
-        for sid, (start, lo, hi) in enumerate(zip(start_time.tolist(), bounds, bounds[1:]))
-    ]
 
     vocab_doc = read_json_object(directory / VOCAB_FILENAME, CorpusError)
     version = vocab_doc.get("version")
@@ -483,7 +525,9 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
         raise CorpusError("vocab.json items must be a list of strings")
     if not (isinstance(counts, list) and all(type(c) is int and c >= 0 for c in counts)):
         raise CorpusError("vocab.json counts must be a list of non-negative integers")
+    clicks = Clicks(start_time, offsets, items)
+    sessions = SessionRows(clicks, range(n_sessions))
     corpus = SessionCorpus(sessions, ItemVocab(keys, counts), train_count)
-    corpus._clicks = Clicks(start_time, offsets, items)
+    corpus._clicks = clicks
     corpus.validate()
     return corpus

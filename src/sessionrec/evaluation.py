@@ -18,7 +18,9 @@ from .baselines import ItemKnn, pop_scores, sknn_scores
 from .corpus import SessionCorpus, TrainingExample, augment
 from .errors import ConfigError
 from .model import ModelConfig, ModelParams, forward_batch
-from .neighbors import InvertedIndex, Neighbors, RetrievalConfig, build_index, precompute_neighbors
+from .neighbors import (
+    InvertedIndex, Neighbors, RetrievalConfig, build_index, neighbor_clicks, precompute_neighbors,
+)
 
 BASELINES = ("pop", "sknn", "itemknn")
 # Cases per packed forward in evaluate_model, and per retrieval there and in the
@@ -113,7 +115,7 @@ def evaluate_model(
             found = precompute_neighbors(index, chunk, retrieval)
         else:
             found = case_neighbors[start : start + EVAL_CHUNK]
-        neighbor_lists = [[corpus.sessions[sid] for sid, _ in nbrs] for nbrs in found]
+        neighbor_lists = neighbor_clicks(corpus, found)
         yhat, _ = forward_batch([ex.prefix for ex in chunk], neighbor_lists, params, config)
         ranks.extend(rank_of(scores, ex.label) for scores, ex in zip(yhat.values, chunk))
     return report_from_ranks(ranks, cutoffs)

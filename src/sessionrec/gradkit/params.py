@@ -48,8 +48,9 @@ class ParamStore:
         t = Tensor(np.require(values, np.float64, "C"), op=f"param:{name}")
         self._params[name] = t
         self._groups[name] = group
-        self._m[name] = np.zeros_like(t.values)
-        self._v[name] = np.zeros_like(t.values)
+        # untouched pages until adam_step writes them: a store that only predicts never fills them
+        self._m[name] = np.zeros(t.values.shape)
+        self._v[name] = np.zeros(t.values.shape)
         self._steps[name] = 0
         return t
 

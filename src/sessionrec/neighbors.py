@@ -18,13 +18,14 @@ list holds it (a binary search), so scoring never reads a candidate's items.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import check_at_least, check_types, section_from_dict
-from .corpus import SessionCorpus, TrainingExample
+from .corpus import SessionCorpus, TrainingExample, gather_rows
 from .errors import ConfigError, RetrievalError
 
 Neighbors = list[tuple[int, float]]
@@ -69,12 +70,7 @@ class InvertedIndex:
     def session_items(self, sids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The distinct items of the given sessions, concatenated in their order,
         and the number contributed by each session."""
-        starts = self.offsets[sids]
-        counts = self.offsets[sids + 1] - starts
-        # position j of segment s is starts[s] + j; arange supplies j plus the
-        # lengths of the segments before s, which the repeat takes back off
-        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        return self.items[np.arange(len(shift)) + shift], counts
+        return gather_rows(self.offsets, self.items, sids)
 
 
 def build_index(corpus: SessionCorpus) -> InvertedIndex:
@@ -205,3 +201,12 @@ def precompute_neighbors(
     session never retrieves itself.
     """
     return [neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval)) for ex in cases]
+
+
+def neighbor_clicks(corpus: SessionCorpus, found: Sequence[Neighbors]) -> list[list[list[int]]]:
+    """Each case's neighbour click sequences, cut from ``corpus.clicks`` in one gather."""
+    sids = np.array([sid for nbrs in found for sid, _ in nbrs], dtype=np.intp)
+    flat, lengths = gather_rows(corpus.clicks.offsets, corpus.clicks.items, sids)
+    flat, ends = flat.tolist(), np.cumsum(lengths).tolist()
+    seqs = iter([flat[lo:hi] for lo, hi in zip([0, *ends], ends)])
+    return [list(islice(seqs, len(nbrs))) for nbrs in found]

@@ -29,7 +29,9 @@ from .config import check_at_least, check_types
 from .errors import ConfigError, NumericsError, TrainingError
 from .evaluation import evaluate_model
 from .model import ModelConfig, ModelParams, build_params, forward_batch, loss
-from .neighbors import Neighbors, RetrievalConfig, build_index, precompute_neighbors
+from .neighbors import (
+    Neighbors, RetrievalConfig, build_index, neighbor_clicks, precompute_neighbors,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +116,7 @@ def _fit_batch(
 
     The tape dies on return, so it is freed before the optimizer step.
     """
-    neighbor_lists = [[corpus.sessions[sid] for sid, _ in nbrs] for nbrs in found]
+    neighbor_lists = neighbor_clicks(corpus, found)
     yhat, _ = forward_batch([ex.prefix for ex in examples], neighbor_lists, params, model_config)
     objective = loss(yhat, [ex.label for ex in examples])
     grads = gk.backward(objective * (1.0 / len(examples)), wrt=tensors)

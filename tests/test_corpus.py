@@ -1,9 +1,18 @@
 """Event ingestion, filtering, temporal split, and persistence."""
 
+import random
 import re
+import tempfile
+import tracemalloc
+from itertools import accumulate
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sessionrec.corpus as corpus_module
 from sessionrec import (
     Event,
     ItemVocab,
@@ -20,6 +29,7 @@ from sessionrec import (
     split_by_time,
     take_recent_fraction,
 )
+from sessionrec.corpus import SessionRows
 from sessionrec.errors import CorpusError
 
 
@@ -442,3 +452,155 @@ def test_corrupt_vocab_is_a_corpus_error(tmp_path, contents):
     (tmp_path / "vocab.json").write_bytes(contents)
     with pytest.raises(CorpusError):
         load_corpus(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# a loaded corpus serves its sessions from the click columns
+
+
+def events_corpus(seed, n_sessions=60, n_items=9):
+    """An ingested corpus of short random sessions over a few items, one
+    session starting every 10 s."""
+    rng = random.Random(seed)
+    rows = [
+        (f"s{s}", 10 * s + t, f"i{rng.randrange(n_items)}")
+        for s in range(n_sessions)
+        for t in range(rng.randint(1, 5))
+    ]
+    return make_corpus(rows)
+
+
+def loaded(corpus, directory):
+    save_corpus(corpus, directory)
+    return load_corpus(directory)
+
+
+def test_load_and_validate_build_no_session(tmp_path, monkeypatch):
+    built_now = []
+
+    class Counted(Session):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built_now.append(args[0])
+            super().__init__(*args)
+
+    save_corpus(split_by_time(events_corpus(0), test_window=100), tmp_path)
+    monkeypatch.setattr(corpus_module, "Session", Counted)
+    back = load_corpus(tmp_path)
+    back.validate()
+    assert built_now == []
+    assert back.sessions[-1] == back.sessions[len(back.sessions) - 1]
+    assert built_now == [len(back.sessions) - 1] * 2  # only the rows read
+
+
+def test_view_reads_like_the_saved_list(tmp_path):
+    corpus = split_by_time(events_corpus(1), test_window=100)
+    saved = corpus.sessions
+    view = loaded(corpus, tmp_path).sessions
+    n = len(saved)
+    assert isinstance(view, SessionRows) and len(view) == n
+    assert [view[i] for i in range(-n, n)] == [saved[i] for i in range(-n, n)]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    for part in (slice(3, 9), slice(None, -4), slice(-5, None), slice(2, 40, 3),
+                 slice(None, None, -1), slice(30, 5, -7), slice(9, 3)):
+        assert isinstance(view[part], SessionRows)
+        assert view[part] == saved[part] and list(view[part]) == saved[part]
+    assert list(reversed(view)) == saved[::-1]
+    assert view == saved and saved == view and view == view[:]
+    assert view != saved[:-1] and view != [*saved[:-1], saved[0]] and view != 5
+    assert view[2:][1:][-1] == saved[2:][1:][-1]
+
+
+def test_loaded_partitions_are_views_of_fresh_copies(tmp_path):
+    corpus = split_by_time(events_corpus(2), test_window=100)
+    back = loaded(corpus, tmp_path)
+    assert back.train_sessions() == corpus.train_sessions()
+    assert back.test_sessions() == corpus.test_sessions()
+    assert isinstance(back.test_sessions(), SessionRows)
+    assert back.test_sessions()[0].id == corpus.train_count
+    first = back.sessions[0]
+    first.items.append(0)
+    first.start_time = -1
+    assert back.sessions[0] == corpus.sessions[0]
+
+
+def test_validate_checks_the_ids_of_a_view_reused_elsewhere(tmp_path):
+    back = loaded(split_by_time(events_corpus(3), test_window=100), tmp_path)
+    shifted = SessionCorpus(back.sessions[1:], back.vocab, back.train_count - 1)
+    with pytest.raises(CorpusError, match="^session ids not dense at position 0$"):
+        shifted.validate()
+
+
+@st.composite
+def saveable_corpora(draw):
+    """Valid corpora of up to 12 sessions over up to 6 items, any time offset."""
+    n_items = draw(st.integers(1, 6))
+    clicks = st.lists(st.integers(0, n_items - 1), min_size=1, max_size=5)
+    sessions = draw(st.lists(clicks, min_size=0, max_size=12))
+    train_count = draw(st.integers(0, len(sessions)))
+    trained = {i for items in sessions[:train_count] for i in items}
+    sessions[train_count:] = [s for s in sessions[train_count:] if set(s) <= trained]
+    gaps = draw(st.lists(st.integers(0, 10**9), min_size=len(sessions), max_size=len(sessions)))
+    times = list(accumulate(gaps, initial=draw(st.integers(-(10**15), 10**15))))
+    return SessionCorpus(
+        [Session(sid, items, t) for sid, (items, t) in enumerate(zip(sessions, times))],
+        ItemVocab([f"k{i}" for i in range(n_items)], [1] * n_items),
+        train_count,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(saveable_corpora())
+def test_view_round_trips_what_was_saved(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        one, two = Path(tmp, "one"), Path(tmp, "two")
+        back = loaded(corpus, one)
+        assert list(back.sessions) == corpus.sessions and back.train_count == corpus.train_count
+        save_corpus(back, two)
+        for name in ("corpus.bin", "vocab.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def same_corpus(a, b):
+    return (list(a.sessions), a.train_count, a.vocab.keys, a.vocab.counts) == (
+        list(b.sessions), b.train_count, b.vocab.keys, b.vocab.counts
+    )
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_edits_of_a_loaded_corpus_match_the_in_memory_ones(tmp_path, seed):
+    ingested = events_corpus(seed, n_sessions=80)
+    assert same_corpus(filter_corpus(loaded(ingested, tmp_path / "a"), 3, 2),
+                       filter_corpus(ingested, 3, 2))
+    assert same_corpus(split_by_time(loaded(ingested, tmp_path / "b"), 150),
+                       split_by_time(ingested, 150))
+    split = split_by_time(ingested, 150)
+    back = loaded(split, tmp_path / "c")
+    for fraction in ("1/3", "2/3", 1):
+        assert same_corpus(take_recent_fraction(back, fraction),
+                           take_recent_fraction(split, fraction))
+    assert same_corpus(drop_unseen_test_sessions(back), drop_unseen_test_sessions(split))
+
+
+def test_load_corpus_memory_stays_near_the_file_size(tmp_path):
+    """Peak traced memory of a load is a small multiple of the files it reads:
+    no Python object per session or click. Per-session objects measured 15x."""
+    rng = np.random.default_rng(0)
+    n, n_items = 20_000, 2_000
+    sessions = [
+        Session(sid, rng.integers(0, n_items, length).tolist(), sid)
+        for sid, length in enumerate(1 + rng.geometric(1 / 3.5, n))
+    ]
+    vocab = ItemVocab([f"item-{i}" for i in range(n_items)], [1] * n_items)
+    save_corpus(SessionCorpus(sessions, vocab, n), tmp_path)
+    on_disk = sum((tmp_path / name).stat().st_size for name in ("corpus.bin", "vocab.json"))
+    tracemalloc.start()
+    try:
+        load_corpus(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * on_disk
