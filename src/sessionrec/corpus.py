@@ -4,9 +4,9 @@ A corpus is an ordered sequence of sessions (each an ordered list of item
 indices) plus the vocabulary that maps raw item keys to dense indices. Sessions
 are kept in chronological order of their first click and carry dense ids equal
 to their position, so "more recent" and "higher id" mean the same thing
-everywhere. Bulk readers work on the same clicks as flat arrays,
-:attr:`SessionCorpus.clicks`; a loaded corpus keeps only those, and reading one
-of its sessions builds a fresh copy (:class:`SessionRows`).
+everywhere. Every corpus stores its clicks only as flat arrays,
+:attr:`SessionCorpus.clicks`: ingestion, edits, checks and saves work on those,
+and reading one of its sessions builds a fresh copy (:class:`SessionRows`).
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,9 +57,9 @@ class Event:
     item_key: str
 
 
-@dataclass(slots=True)  # a corpus holds one per session: no per-instance __dict__
+@dataclass(slots=True)  # built on every read of a corpus session: no per-instance __dict__
 class Session:
-    """An ordered click sequence with items mapped to vocabulary indices."""
+    """An ordered click sequence of vocabulary indices; iterates and measures as its items."""
 
     id: int
     items: list[int]
@@ -68,6 +67,9 @@ class Session:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.items)
 
 
 @dataclass(frozen=True)
@@ -161,27 +163,55 @@ def gather_rows(
     return values[np.arange(len(shift)) + shift], lengths
 
 
+def _offsets(lengths) -> np.ndarray:
+    """Where each session's clicks start, then the click count."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _columns(sessions: Sequence[Session]) -> tuple[Clicks, int]:
+    """The clicks of ``sessions``, read in one walk, and the first position whose
+    session's id is not that position (their count when there is none)."""
+    starts, lengths, flat, misnumbered = [], [], [], len(sessions)
+    for p, s in enumerate(sessions):
+        if s.id != p and p < misnumbered:
+            misnumbered = p
+        starts.append(s.start_time)
+        lengths.append(len(s.items))
+        flat += s.items
+    columns = Clicks(np.array(starts, np.int64), _offsets(lengths), np.array(flat, np.int64))
+    return columns, misnumbered
+
+
 def _first(mask: np.ndarray) -> int:
     """Position of the first true entry, or the length when there is none."""
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
-@dataclass
 class SessionCorpus:
-    """Chronologically ordered sessions with a train/test boundary.
+    """Chronologically ordered sessions with a train/test boundary, stored only
+    as their :class:`Clicks`.
 
     ``sessions[:train_count]`` is the training partition, the remainder is the
     test partition (empty until :func:`split_by_time` runs). ``sessions`` is a
-    list for a corpus built in memory and a :class:`SessionRows` view of fresh
-    copies for one read by :func:`load_corpus`. A corpus is not changed after
-    construction: functions that edit one build a new corpus, so
-    :attr:`clicks`, derived once, stays true to the sessions.
+    :class:`SessionRows` view of fresh copies. Given :class:`Session` objects
+    instead of clicks, the corpus copies them into clicks and keeps the first
+    position whose id differs from it for :meth:`validate`. A corpus is not
+    changed after construction: functions that edit one build a new corpus.
     """
 
-    sessions: Sequence[Session]
-    vocab: ItemVocab
-    train_count: int
-    _clicks: Optional[Clicks] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self, sessions: Union[Clicks, Sequence[Session]], vocab: ItemVocab, train_count: int
+    ):
+        if isinstance(sessions, Clicks):
+            clicks, self._misnumbered = sessions, len(sessions.start_time)
+        else:
+            clicks, self._misnumbered = _columns(sessions)
+        for column in clicks:
+            column.flags.writeable = False
+        self.clicks, self.vocab, self.train_count = clicks, vocab, train_count
+        self.sessions = SessionRows(clicks, range(len(clicks.start_time)))
 
     def train_sessions(self) -> Sequence[Session]:
         return self.sessions[: self.train_count]
@@ -189,33 +219,16 @@ class SessionCorpus:
     def test_sessions(self) -> Sequence[Session]:
         return self.sessions[self.train_count :]
 
-    @property
-    def clicks(self) -> Clicks:
-        """The sessions as flat arrays, derived on first use unless
-        :func:`load_corpus` handed over the file's own."""
-        if self._clicks is None:
-            offsets = np.cumsum([0, *(len(s.items) for s in self.sessions)], dtype=np.int64)
-            items = np.fromiter(chain.from_iterable(s.items for s in self.sessions), np.int64)
-            start_time = np.array([s.start_time for s in self.sessions], dtype=np.int64)
-            for array in (start_time, offsets, items):
-                array.flags.writeable = False
-            self._clicks = Clicks(start_time, offsets, items)
-        return self._clicks
-
     def validate(self) -> None:
-        """Check the structural invariants; raise CorpusError naming the first
-        session, in order, whose id is not its position, that is empty, holds an
-        item outside the vocabulary or starts before the one before it. Only
-        then must every test item occur in training."""
+        """Check the invariants; raise CorpusError naming the first session, in
+        order, whose id is not its position, that is empty, holds an item outside
+        the vocabulary or starts before the one before it. Only then must the
+        train count lie in [0, sessions] and every test item occur in training."""
         start_time, offsets, items = self.clicks
-        n = len(self.sessions)
+        n = len(start_time)
         bad_item = _first((items < 0) | (items >= len(self.vocab)))
-        ids = (s.id for s in self.sessions)
-        if isinstance(self.sessions, SessionRows):  # a view's ids are its rows: build no Session
-            ids = () if self.sessions.rows == range(n) else self.sessions.rows
         pos, message = min(  # the first failing session; on a tie, the check made first
-            (next((p for p, sid in enumerate(ids) if sid != p), n),
-             "session ids not dense at position {}"),
+            (self._misnumbered, "session ids not dense at position {}"),
             (_first(offsets[1:] == offsets[:-1]), "session {} is empty"),
             (offsets.searchsorted(bad_item, "right") - 1, "session {} has out-of-range item index"),
             (1 + _first(start_time[1:] < start_time[:-1]), "sessions are not in chronological order"),
@@ -223,7 +236,9 @@ class SessionCorpus:
         )
         if pos < n:
             raise CorpusError(message.format(pos))
-        cut = offsets[min(self.train_count, n)]
+        if not 0 <= self.train_count <= n:
+            raise CorpusError(f"train count {self.train_count} is outside [0, {n}]")
+        cut = offsets[self.train_count]
         unseen = cut + _first(~np.isin(items[cut:], items[:cut]))
         if unseen < len(items):
             pos = offsets.searchsorted(unseen, "right") - 1
@@ -320,36 +335,27 @@ def ingest_events(events: Iterable[Event]) -> SessionCorpus:
     if not groups:
         raise CorpusError("no events to ingest")
 
-    kept: list[tuple[int, list[str]]] = []
-    for key in groups:  # dict order = first appearance, kept stable for tied starts
-        evs = sorted(groups[key], key=lambda e: e[0])
-        kept.append((evs[0][0], [item_key for _ts, item_key in evs]))
-    kept.sort(key=lambda t: t[0])
-    return _rebuild(kept, str, train_count=len(kept))
+    ordered = sorted((sorted(evs, key=lambda e: e[0]) for evs in groups.values()),
+                     key=lambda evs: evs[0][0])  # stable: ties keep their first-appearance order
+    index: dict[str, int] = {}
+    flat = [index.setdefault(key, len(index)) for evs in ordered for _ts, key in evs]
+    starts, lengths = [evs[0][0] for evs in ordered], [len(evs) for evs in ordered]
+    return _rebuild(starts, lengths, flat, list(index).__getitem__, len(ordered))
 
 
 def _rebuild(
-    kept: list[tuple[int, list]], key_of: Callable[[Any], str], train_count: int
+    start_time, lengths, items, key_of: Callable[[int], str], train_count: int
 ) -> SessionCorpus:
-    """Re-assign dense session ids and dense item indices (first-occurrence order);
-    ``key_of`` maps each item in ``kept`` to its raw key."""
-    remap: dict = {}
-    keys: list[str] = []
-    counts: list[int] = []
-    sessions: list[Session] = []
-    for sid, (start, items) in enumerate(kept):
-        mapped = []
-        for old in items:
-            new = remap.get(old)
-            if new is None:
-                new = len(remap)
-                remap[old] = new
-                keys.append(key_of(old))
-                counts.append(0)
-            counts[new] += 1
-            mapped.append(new)
-        sessions.append(Session(sid, mapped, start))
-    return SessionCorpus(sessions, ItemVocab(keys, counts), train_count)
+    """The sessions of these start times and lengths over the flat ``items``, with
+    dense item indices re-assigned in first-occurrence order; ``key_of`` maps an
+    old index to its raw key."""
+    old, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the old indices in first-occurrence order
+    items = np.argsort(order)[inverse]
+    vocab = ItemVocab([key_of(k) for k in old[order].tolist()],
+                      np.bincount(items, minlength=len(old)).tolist())
+    clicks = Clicks(np.asarray(start_time, np.int64), _offsets(lengths), items)
+    return SessionCorpus(clicks, vocab, train_count)
 
 
 def filter_corpus(
@@ -379,12 +385,9 @@ def filter_corpus(
         kept = pruned
     if not long_enough.any():
         raise CorpusError("filtering removed every session")
-    flat, starts = view.items[kept].tolist(), view.start_time.tolist()
-    bounds = [0, *np.cumsum(np.bincount(owner[kept], minlength=n)).tolist()]
-    survivors = [
-        (starts[s], flat[bounds[s] : bounds[s + 1]]) for s in np.flatnonzero(long_enough).tolist()
-    ]
-    return _rebuild(survivors, corpus.vocab.key, train_count=len(survivors))
+    lengths = np.bincount(owner[kept], minlength=n)[long_enough]
+    return _rebuild(view.start_time[long_enough], lengths, view.items[kept], corpus.vocab.key,
+                    train_count=len(lengths))
 
 
 def split_by_time(corpus: SessionCorpus, test_window: int) -> SessionCorpus:
@@ -410,7 +413,7 @@ def split_by_time(corpus: SessionCorpus, test_window: int) -> SessionCorpus:
         raise CorpusError("degenerate split: empty train or test partition")
 
     # train sessions first, then test, each in its own order
-    split = _keep_trained(corpus, np.argsort(late, kind="stable").tolist(), train_count)
+    split = _keep_trained(corpus, np.argsort(late, kind="stable"), train_count)
     if split.train_count == len(split.sessions):
         raise CorpusError("every test session contains items unseen in training")
     return split
@@ -422,18 +425,19 @@ def drop_unseen_test_sessions(corpus: SessionCorpus) -> SessionCorpus:
     Restores the "every test item is trained" invariant after operations that
     shrink the training partition (see :func:`take_recent_fraction`).
     """
-    return _keep_trained(corpus, range(len(corpus.sessions)), corpus.train_count)
+    return _keep_trained(corpus, np.arange(len(corpus.sessions)), corpus.train_count)
 
 
-def _keep_trained(corpus: SessionCorpus, rows: Iterable[int], train_count: int) -> SessionCorpus:
+def _keep_trained(corpus: SessionCorpus, rows: np.ndarray, train_count: int) -> SessionCorpus:
     """Re-index the sessions at ``rows``, the first ``train_count`` of them training
     ones, dropping each later one that clicks an item no training one does."""
     start_time, offsets, items = corpus.clicks
-    flat, bounds, starts = items.tolist(), offsets.tolist(), start_time.tolist()
-    kept = [(starts[s], flat[bounds[s] : bounds[s + 1]]) for s in rows]
-    trained = {i for _, clicks in kept[:train_count] for i in clicks}
-    kept[train_count:] = [(t, c) for t, c in kept[train_count:] if trained.issuperset(c)]
-    return _rebuild(kept, corpus.vocab.key, train_count)
+    flat, lengths = gather_rows(offsets, items, rows)
+    owner = np.repeat(np.arange(len(rows)), lengths)  # the row of each click
+    trained = flat[: lengths[:train_count].sum()]
+    keep = np.bincount(owner[~np.isin(flat, trained)], minlength=len(rows)) == 0
+    return _rebuild(start_time[rows][keep], lengths[keep], flat[keep[owner]], corpus.vocab.key,
+                    train_count)
 
 
 def take_recent_fraction(
@@ -452,7 +456,7 @@ def take_recent_fraction(
     if not 0 < frac <= 1:
         raise CorpusError(f"fraction must be in (0, 1], got {frac}")
     keep = math.ceil(frac * corpus.train_count)
-    return _keep_trained(corpus, range(corpus.train_count - keep, len(corpus.sessions)), keep)
+    return _keep_trained(corpus, np.arange(corpus.train_count - keep, len(corpus.sessions)), keep)
 
 
 def augment(session: Session) -> list[TrainingExample]:
@@ -510,9 +514,7 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
     start_time = np.frombuffer(blob, "<i8", n_sessions, _HEADER.size)
     lengths = np.frombuffer(blob, "<u4", n_sessions, _HEADER.size + 8 * n_sessions)
     items = np.frombuffer(blob, "<u4", n_clicks, _HEADER.size + 12 * n_sessions)
-    offsets = np.zeros(n_sessions + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    offsets.flags.writeable = False
+    offsets = _offsets(lengths)
     if offsets[-1] != n_clicks:
         raise CorpusError("corpus.bin session lengths do not add up to its click count")
 
@@ -525,9 +527,6 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
         raise CorpusError("vocab.json items must be a list of strings")
     if not (isinstance(counts, list) and all(type(c) is int and c >= 0 for c in counts)):
         raise CorpusError("vocab.json counts must be a list of non-negative integers")
-    clicks = Clicks(start_time, offsets, items)
-    sessions = SessionRows(clicks, range(n_sessions))
-    corpus = SessionCorpus(sessions, ItemVocab(keys, counts), train_count)
-    corpus._clicks = clicks
+    corpus = SessionCorpus(Clicks(start_time, offsets, items), ItemVocab(keys, counts), train_count)
     corpus.validate()
     return corpus

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Session
 from .errors import GraphError
 
 
@@ -107,7 +106,7 @@ def build_intra_graph(prefix: Sequence[int]) -> IntraGraph:
 
 def build_inter_graph(
     prefix: Sequence[int],
-    neighbor_sessions: Sequence[Union[Session, Sequence[int]]] = (),
+    neighbor_sessions: Sequence[Collection[int]] = (),
 ) -> InterGraph:
     """Build the undirected graph over a prefix and its neighbor sessions.
 
@@ -116,7 +115,7 @@ def build_inter_graph(
     """
     if not prefix:
         raise GraphError("cannot build a graph from an empty session")
-    seqs = [prefix] + [s.items if isinstance(s, Session) else s for s in neighbor_sessions]
+    seqs = [prefix, *neighbor_sessions]
     lengths = [len(seq) for seq in seqs]
     if not all(lengths):
         raise GraphError("neighbor sessions must be non-empty")

@@ -18,13 +18,12 @@ composite; graph structure enters as constant index arrays and tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 import numpy as np
 
 from . import gradkit as gk
 from .config import check_at_least, check_types, section_from_dict
-from .corpus import Session
 from .errors import ConfigError
 from .gradkit import ParamSpec, ParamStore, Tensor
 from .graphs import PackedGraphs, build_inter_graph, build_intra_graph, pack_inter, pack_intra
@@ -407,7 +406,7 @@ def _embedding_rows(
 
 def forward_batch(
     prefixes: Sequence[Sequence[int]],
-    neighbor_lists: Sequence[Sequence[Union[Session, Sequence[int]]]],
+    neighbor_lists: Sequence[Sequence[Collection[int]]],
     params: ModelParams,
     config: ModelConfig,
 ) -> tuple[Tensor, Tensor]:
@@ -474,7 +473,7 @@ def forward_batch(
 
 def forward(
     prefix: Sequence[int],
-    neighbor_sessions: Sequence[Union[Session, Sequence[int]]],
+    neighbor_sessions: Sequence[Collection[int]],
     params: ModelParams,
     config: ModelConfig,
 ) -> tuple[Tensor, Tensor]:

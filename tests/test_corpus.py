@@ -1,9 +1,12 @@
 """Event ingestion, filtering, temporal split, and persistence."""
 
+import math
 import random
 import re
 import tempfile
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -351,8 +354,11 @@ def built(*sessions, train_count=None, ids=None):
         (built(([0], 1), ([1], 3), ([1], 2)), "sessions are not in chronological order"),
         (built(([0, 1], 1), ([1, 2], 2), ([0], 3), train_count=1),
          "test session 1 contains items absent from training"),
+        (built(([0, 1], 1), ([1], 2), train_count=-1), "train count -1 is outside [0, 2]"),
+        (built(([0, 1], 1), ([1], 2), train_count=3), "train count 3 is outside [0, 2]"),
     ],
-    ids=["ids-not-dense", "empty", "item-too-large", "item-negative", "out-of-order", "untrained-item"],
+    ids=["ids-not-dense", "empty", "item-too-large", "item-negative", "out-of-order", "untrained-item",
+         "train-count-negative", "train-count-too-large"],
 )
 def test_validate_names_the_broken_invariant_and_session(corpus, message):
     with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
@@ -368,12 +374,21 @@ def test_validate_names_the_broken_invariant_and_session(corpus, message):
         (built(([0], 1), ([1], 0), ([], 3)), "sessions are not in chronological order"),
         # untrained test items are checked only once every session is sound
         (built(([0], 1), ([2], 2), ([], 3), train_count=1), "session 2 is empty"),
+        (built(([0], 1), ([], 2), train_count=5), "session 1 is empty"),
     ],
-    ids=["range-before-ids", "empty-before-range", "order-before-empty", "structure-before-training"],
+    ids=["range-before-ids", "empty-before-range", "order-before-empty", "structure-before-training",
+         "structure-before-train-count"],
 )
 def test_validate_reports_the_first_violation_in_session_order(corpus, message):
     with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
         corpus.validate()
+
+
+@pytest.mark.parametrize("train_count", [-1, 5])
+def test_save_writes_nothing_for_a_train_count_outside_the_sessions(tmp_path, train_count):
+    with pytest.raises(CorpusError, match="^train count"):
+        save_corpus(built(([0, 1], 1), ([1], 2), train_count=train_count), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_augment_prefixes():
@@ -485,8 +500,10 @@ def test_load_and_validate_build_no_session(tmp_path, monkeypatch):
             built_now.append(args[0])
             super().__init__(*args)
 
-    save_corpus(split_by_time(events_corpus(0), test_window=100), tmp_path)
     monkeypatch.setattr(corpus_module, "Session", Counted)
+    split = split_by_time(filter_corpus(events_corpus(0), min_support=2), test_window=100)
+    save_corpus(take_recent_fraction(split, "1/2"), tmp_path)
+    assert built_now == []  # nor do ingest, filter, split and fraction
     back = load_corpus(tmp_path)
     back.validate()
     assert built_now == []
@@ -583,6 +600,130 @@ def test_edits_of_a_loaded_corpus_match_the_in_memory_ones(tmp_path, seed):
         assert same_corpus(take_recent_fraction(back, fraction),
                            take_recent_fraction(split, fraction))
     assert same_corpus(drop_unseen_test_sessions(back), drop_unseen_test_sessions(split))
+
+
+# ---------------------------------------------------------------------------
+# the edits against a plain-list reference: a corpus is (start time, raw item
+# keys) rows plus a train count, and item indices exist only for comparing
+
+
+class RefError(Exception):
+    pass
+
+
+def ref_indexed(rows, train_count):
+    """Sessions with items indexed in first-occurrence order, keys, counts."""
+    index = {}
+    for _, keys in rows:
+        for key in keys:
+            index.setdefault(key, len(index))
+    sessions = [Session(sid, [index[k] for k in keys], t) for sid, (t, keys) in enumerate(rows)]
+    counts = Counter(k for _, keys in rows for k in keys)
+    return sessions, list(index), [counts[k] for k in index], train_count
+
+
+def ref_ingest(events):
+    clicks = {}
+    for e in events:
+        clicks.setdefault(e.session_key, []).append((e.timestamp, e.item_key))
+    ordered = sorted((sorted(c, key=lambda click: click[0]) for c in clicks.values()),
+                     key=lambda c: c[0][0])
+    return [(c[0][0], [key for _, key in c]) for c in ordered], len(ordered)
+
+
+def ref_filter(rows, train_count, min_support, min_len):
+    while True:
+        support = Counter(k for _, keys in rows for k in keys)
+        kept = [(t, [k for k in keys if support[k] >= min_support]) for t, keys in rows]
+        kept = [(t, keys) for t, keys in kept if len(keys) >= min_len]
+        if kept == rows:
+            break
+        rows = kept
+    if not rows:
+        raise RefError("filtering removed every session")
+    return rows, len(rows)
+
+
+def ref_keep_trained(train, test):
+    trained = {k for _, keys in train for k in keys}
+    return train + [(t, keys) for t, keys in test if trained.issuperset(keys)], len(train)
+
+
+def ref_split(rows, train_count, window):
+    if window <= 0:
+        raise RefError("test window must be positive")
+    first, last = min(t for t, _ in rows), max(t for t, _ in rows)
+    if window >= last - first:
+        raise RefError(f"test window ({window}s) covers the whole corpus span ({last - first}s)")
+    train = [(t, keys) for t, keys in rows if t <= last - window]
+    test = [(t, keys) for t, keys in rows if t > last - window]
+    if not train or not test:
+        raise RefError("degenerate split: empty train or test partition")
+    rows, train_count = ref_keep_trained(train, test)
+    if train_count == len(rows):
+        raise RefError("every test session contains items unseen in training")
+    return rows, train_count
+
+
+def ref_fraction(rows, train_count, fraction):
+    try:
+        frac = Fraction(fraction)
+    except (ValueError, ZeroDivisionError):
+        raise RefError(f"fraction must read like '1/4' or 0.25, got {fraction!r}") from None
+    if not 0 < frac <= 1:
+        raise RefError(f"fraction must be in (0, 1], got {frac}")
+    keep = math.ceil(frac * train_count)
+    return ref_keep_trained(rows[train_count - keep : train_count], rows[train_count:])
+
+
+def ref_drop(rows, train_count):
+    return ref_keep_trained(rows[:train_count], rows[train_count:])
+
+
+def outcome(edit, corpus):
+    """What an edit gives: the corpus (indexed if a reference's) or the error message."""
+    try:
+        got = edit(corpus)
+    except (CorpusError, RefError) as exc:
+        return None, str(exc)
+    if isinstance(got, SessionCorpus):
+        return got, (list(got.sessions), got.vocab.keys, got.vocab.counts, got.train_count)
+    return got, ref_indexed(*got)
+
+
+click_events = st.lists(
+    st.builds(Event, st.sampled_from("abcdefghij"), st.integers(0, 80), st.sampled_from("pqrstu")),
+    min_size=15, max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    click_events, st.integers(1, 3), st.integers(1, 3), st.integers(-1, 40),
+    st.sampled_from(["1/3", "1/2", "2/3", 1, 0.25, 0.9, "0", "3/2", "1/0", "half"]), st.data(),
+)
+def test_edits_match_a_plain_list_reference(events, min_support, min_len, window, fraction, data):
+    """ingest -> filter -> split -> fraction, then drop after a shrunk train
+    count: at every step the package and the reference give the same
+    sessions, keys, counts and train count, or the same error."""
+    steps = [
+        (lambda c: filter_corpus(c, min_support, min_len),
+         lambda r: ref_filter(*r, min_support, min_len)),
+        (lambda c: split_by_time(c, window), lambda r: ref_split(*r, window)),
+        (lambda c: take_recent_fraction(c, fraction), lambda r: ref_fraction(*r, fraction)),
+    ]
+    (mine, mine_seen), (ref, ref_seen) = outcome(ingest_events, events), outcome(ref_ingest, events)
+    for edit, ref_edit in steps:
+        assert mine_seen == ref_seen
+        if mine is None:
+            return
+        (mine, mine_seen), (ref, ref_seen) = outcome(edit, mine), outcome(ref_edit, ref)
+    assert mine_seen == ref_seen
+    if mine is not None:
+        shrunk = data.draw(st.integers(0, mine.train_count))
+        mine = SessionCorpus(mine.sessions, mine.vocab, shrunk)
+        ref_seen = outcome(lambda r: ref_drop(r[0], shrunk), ref)[1]
+        assert outcome(drop_unseen_test_sessions, mine)[1] == ref_seen
 
 
 def test_load_corpus_memory_stays_near_the_file_size(tmp_path):

@@ -234,7 +234,7 @@ def test_validation_neighbors_are_retrieved_once_not_every_epoch(monkeypatch):
     result = train(corpus, small_model(corpus), cfg)
     assert len(result.history) == 3 and result.history[-1]["val_recall10"] is not None
     fit, val = corpus.train_sessions()[:-12], corpus.train_sessions()[-12:]  # 20% of 60 validate
-    cases = [(ex.start_time, ex.prefix) for s in fit + val for ex in augment(s)]
+    cases = [(ex.start_time, ex.prefix) for s in [*fit, *val] for ex in augment(s)]
     assert sum(len(augment(s)) for s in val) == 61
     assert sorted(retrieved) == sorted(cases)  # every fit and validation case exactly once
 
