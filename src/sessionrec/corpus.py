@@ -343,17 +343,24 @@ def ingest_events(events: Iterable[Event]) -> SessionCorpus:
     return _rebuild(starts, lengths, flat, list(index).__getitem__, len(ordered))
 
 
+def first_occurrences(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key's first position, ascending, and every key's index among
+    those positions: the keys numbered in first-occurrence order."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def _rebuild(
     start_time, lengths, items, key_of: Callable[[int], str], train_count: int
 ) -> SessionCorpus:
     """The sessions of these start times and lengths over the flat ``items``, with
     dense item indices re-assigned in first-occurrence order; ``key_of`` maps an
     old index to its raw key."""
-    old, first, inverse = np.unique(items, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the old indices in first-occurrence order
-    items = np.argsort(order)[inverse]
-    vocab = ItemVocab([key_of(k) for k in old[order].tolist()],
-                      np.bincount(items, minlength=len(old)).tolist())
+    old = np.asarray(items)
+    first, items = first_occurrences(old)
+    vocab = ItemVocab([key_of(k) for k in old[first].tolist()],
+                      np.bincount(items, minlength=len(first)).tolist())
     clicks = Clicks(np.asarray(start_time, np.int64), _offsets(lengths), items)
     return SessionCorpus(clicks, vocab, train_count)
 
@@ -451,7 +458,7 @@ def take_recent_fraction(
     """
     try:
         frac = Fraction(fraction)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
         raise CorpusError(f"fraction must read like '1/4' or 0.25, got {fraction!r}") from None
     if not 0 < frac <= 1:
         raise CorpusError(f"fraction must be in (0, 1], got {frac}")

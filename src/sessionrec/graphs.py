@@ -1,26 +1,28 @@
 """Session graphs.
 
-Two views of click data feed the encoders: a directed multigraph over one
+Two views of click data feed the encoders: a directed multigraph over a
 session's transitions (an edge list carrying the normalized out/in weights,
 never the dense (n, n) matrices), and an undirected graph over a session plus
-its retrieved neighbors (an edge list with self loops). Both store their edges
-as the encoders read them: src -> dst, ascending by dst and then src. Node
-slots are assigned in first-occurrence order, scanning the session itself
-before any neighbor.
+its retrieved neighbors (an edge list with self loops). Edges run src -> dst,
+ascending by dst and then src.
 
-The encoders read graphs in packed form: the graphs of a mini-batch laid end
-to end in one node index space, so every per-node map runs once over all
-rows and every graph operation is a gather plus a segment sum.
+A mini-batch's graphs are built in one pass over its clicks laid end to end
+(``pack_intra``, ``pack_inter``), in one node index space: every per-node map
+runs once over all rows and every graph operation is a gather plus a segment
+sum. Nodes are numbered by (graph, item) in first-occurrence order, each
+session before its neighbors. ``build_intra_graph`` and ``build_inter_graph``
+are batches of one, unpacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
+from .corpus import first_occurrences
 from .errors import GraphError
 
 
@@ -73,64 +75,6 @@ class InterGraph:
         return m
 
 
-def _first_slots(items: Iterable[int]) -> tuple[list[int], list[int]]:
-    """The distinct items in first-occurrence order, and each position's slot among them."""
-    slot: dict[int, int] = {}
-    slots = [slot.setdefault(item, len(slot)) for item in items]
-    return list(slot), slots
-
-
-def build_intra_graph(prefix: Sequence[int]) -> IntraGraph:
-    """Build the directed transition graph of a single click sequence.
-
-    Consecutive clicks (a, b) contribute one unit of multiplicity to edge
-    a -> b (including self edges from repeated clicks). Each row of a_out / a_in
-    sums to 1 when the node has any outgoing / incoming edge, else 0.
-    """
-    if not prefix:
-        raise GraphError("cannot build a graph from an empty session")
-    node_items, alias = _first_slots(prefix)
-    n = len(node_items)
-    at = np.array(alias, dtype=np.intp)
-    a, b = at[:-1], at[1:]
-    # code dst * n + src: transition a -> b puts a_out[a, b] on edge b -> a, a_in[b, a] on a -> b
-    codes, edge = np.unique(np.concatenate([a * n + b, b * n + a]), return_inverse=True)
-    dst, src = np.divmod(codes, n)
-    m, e = len(a), len(codes)
-    # a node without out- (in-) transitions only ever divides a zero count
-    a_out = np.bincount(edge[:m], minlength=e) / np.maximum(np.bincount(a, minlength=n), 1)[dst]
-    a_in = np.bincount(edge[m:], minlength=e) / np.maximum(np.bincount(b, minlength=n), 1)[dst]
-    weight = np.stack([a_out, a_in], axis=1)
-    return IntraGraph(node_items, alias, alias[-1], src, dst, weight)
-
-
-def build_inter_graph(
-    prefix: Sequence[int],
-    neighbor_sessions: Sequence[Collection[int]] = (),
-) -> InterGraph:
-    """Build the undirected graph over a prefix and its neighbor sessions.
-
-    Every consecutive click pair in the prefix or in any neighbor session adds
-    one undirected edge (deduplicated), and every node carries a self loop.
-    """
-    if not prefix:
-        raise GraphError("cannot build a graph from an empty session")
-    seqs = [prefix, *neighbor_sessions]
-    lengths = [len(seq) for seq in seqs]
-    if not all(lengths):
-        raise GraphError("neighbor sessions must be non-empty")
-    node_items, slots = _first_slots(chain.from_iterable(seqs))
-    n = len(node_items)
-    at = np.array(slots, dtype=np.intp)
-    inside = np.ones(len(at) - 1, dtype=bool)      # drop the pairs across sequence ends
-    inside[np.cumsum(lengths)[:-1] - 1] = False
-    a, b = at[:-1][inside], at[1:][inside]
-    codes = np.unique(np.concatenate([a * n + b, b * n + a, np.arange(n) * (n + 1)]))
-    dst, src = np.divmod(codes, n)
-    session_slots = slots[: len(prefix)]
-    return InterGraph(node_items, src, dst, session_slots, session_slots[-1])
-
-
 @dataclass
 class PackedGraphs:
     """B graphs laid end to end in one node index space.
@@ -153,31 +97,88 @@ class PackedGraphs:
     last: np.ndarray            # (B,)
 
 
-def _pack(graphs, positions, weight=None) -> PackedGraphs:
-    """Concatenate per-graph arrays, shifting each graph's slots by the nodes before it."""
-    sizes = [len(g.node_items) for g in graphs]
-    lengths = [len(p) for p in positions]
-    ids = np.arange(len(sizes))
-    first_row = np.cumsum(sizes) - sizes
-    edge_shift = np.repeat(first_row, [len(g.src) for g in graphs])
-    position_graph = np.repeat(ids, lengths)
+def _lay_out(groups: Sequence[Sequence[Collection[int]]], edges: Callable) -> PackedGraphs:
+    """Graph b over the sequences of ``groups[b]``, its prefix first.
+
+    ``edges(a, b, n)`` gives the (src, dst, weight) edge list of n nodes from
+    the node rows of each consecutive click pair a -> b inside one sequence.
+    """
+    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+    seqs = list(chain.from_iterable(groups))
+    lengths = np.fromiter(map(len, seqs), np.intp, len(seqs))
+    heads = np.cumsum(sizes) - sizes  # each graph's prefix
+    if not lengths[heads].all():
+        raise GraphError("cannot build a graph from an empty session")
+    if not lengths.all():
+        raise GraphError("neighbor sessions must be non-empty")
+    items = np.array(list(chain.from_iterable(seqs))).astype(np.intp, casting="same_kind")
+    graph = np.repeat(np.repeat(np.arange(len(sizes)), sizes), lengths)  # each click's graph
+    distinct, rank = np.unique(items, return_inverse=True)  # ranks keep keys apart for any item
+    first, rows = first_occurrences(graph * len(distinct) + rank)
+    inside = np.ones(len(rows) - 1, dtype=bool)
+    inside[np.cumsum(lengths)[:-1] - 1] = False  # no pair across a sequence end
+    src, dst, weight = edges(rows[:-1][inside], rows[1:][inside], len(first))
+    at = np.repeat(np.bincount(heads, minlength=len(seqs)) > 0, lengths)  # the prefixes' clicks
     return PackedGraphs(
-        node_items=np.concatenate([g.node_items for g in graphs], dtype=np.intp),
-        node_graph=np.repeat(ids, sizes),
-        src=np.concatenate([g.src for g in graphs]) + edge_shift,
-        dst=np.concatenate([g.dst for g in graphs]) + edge_shift,
-        weight=weight,
-        positions=np.concatenate(positions, dtype=np.intp) + first_row[position_graph],
-        position_graph=position_graph,
-        last=np.cumsum(lengths) - 1,
+        node_items=items[first], node_graph=graph[first], src=src, dst=dst, weight=weight,
+        positions=rows[at], position_graph=graph[at], last=np.cumsum(lengths[heads]) - 1,
     )
 
 
-def pack_intra(graphs: Sequence[IntraGraph]) -> PackedGraphs:
-    """Pack transition graphs with their (a_out, a_in) edge weights."""
-    return _pack(graphs, [g.alias for g in graphs], np.concatenate([g.weight for g in graphs]))
+def _transition_edges(a: np.ndarray, b: np.ndarray, n: int):
+    """Both directions of every transition a -> b, weighted by (a_out, a_in)."""
+    # code dst * n + src: transition a -> b puts a_out[a, b] on edge b -> a, a_in[b, a] on a -> b
+    codes, edge = np.unique(np.concatenate([a * n + b, b * n + a]), return_inverse=True)
+    dst, src = np.divmod(codes, n)
+    m, e = len(a), len(codes)
+    # a node without out- (in-) transitions only ever divides a zero count
+    a_out = np.bincount(edge[:m], minlength=e) / np.maximum(np.bincount(a, minlength=n), 1)[dst]
+    a_in = np.bincount(edge[m:], minlength=e) / np.maximum(np.bincount(b, minlength=n), 1)[dst]
+    return src, dst, np.stack([a_out, a_in], axis=1)
 
 
-def pack_inter(graphs: Sequence[InterGraph]) -> PackedGraphs:
-    """Pack neighbor graphs (self loops included, no edge weights)."""
-    return _pack(graphs, [g.session_slots for g in graphs])
+def _undirected_edges(a: np.ndarray, b: np.ndarray, n: int):
+    """Every pair once in each direction, deduplicated, plus a self loop at every node."""
+    codes = np.unique(np.concatenate([a * n + b, b * n + a, np.arange(n) * (n + 1)]))
+    dst, src = np.divmod(codes, n)
+    return src, dst, None
+
+
+def pack_intra(prefixes: Sequence[Sequence[int]]) -> PackedGraphs:
+    """The transition graphs of B click sequences, with their (a_out, a_in) edge weights.
+
+    Consecutive clicks (a, b) contribute one unit of multiplicity to edge
+    a -> b (including self edges from repeated clicks). Each row of a_out / a_in
+    sums to 1 when the node has any outgoing / incoming edge, else 0.
+    """
+    return _lay_out([[prefix] for prefix in prefixes], _transition_edges)
+
+
+def pack_inter(
+    prefixes: Sequence[Sequence[int]], neighbor_lists: Sequence[Sequence[Collection[int]]]
+) -> PackedGraphs:
+    """The undirected graphs of B prefixes, each over itself and its neighbor sessions.
+
+    Every consecutive click pair in the prefix or in any neighbor session adds
+    one undirected edge (deduplicated), and every node carries a self loop.
+    """
+    return _lay_out(
+        [[prefix, *nbrs] for prefix, nbrs in zip(prefixes, neighbor_lists)], _undirected_edges
+    )
+
+
+def build_intra_graph(prefix: Sequence[int]) -> IntraGraph:
+    """The transition graph of a single click sequence: a batch of one, unpacked."""
+    g = pack_intra([prefix])
+    alias = g.positions.tolist()
+    return IntraGraph(g.node_items.tolist(), alias, alias[-1], g.src, g.dst, g.weight)
+
+
+def build_inter_graph(
+    prefix: Sequence[int],
+    neighbor_sessions: Sequence[Collection[int]] = (),
+) -> InterGraph:
+    """The graph over one prefix and its neighbor sessions: a batch of one, unpacked."""
+    g = pack_inter([prefix], [neighbor_sessions])
+    slots = g.positions.tolist()
+    return InterGraph(g.node_items.tolist(), g.src, g.dst, slots, slots[-1])

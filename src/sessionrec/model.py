@@ -26,7 +26,7 @@ from . import gradkit as gk
 from .config import check_at_least, check_types, section_from_dict
 from .errors import ConfigError
 from .gradkit import ParamSpec, ParamStore, Tensor
-from .graphs import PackedGraphs, build_inter_graph, build_intra_graph, pack_inter, pack_intra
+from .graphs import PackedGraphs, pack_inter, pack_intra
 
 VARIANTS = ("full", "intra_only", "inter_only", "avg_pool", "mean_gat", "mean_readout")
 
@@ -385,25 +385,6 @@ def loss(yhat: Tensor, target: Union[int, Sequence[int]]) -> Tensor:
     return gk.sum(gk.slice_rows(_flat(log_miss), flat) - gk.log(p_target)) - gk.sum(log_miss)
 
 
-def _embedding_rows(
-    embedding: Tensor, intra: Optional[PackedGraphs], inter: Optional[PackedGraphs]
-) -> tuple[Optional[Tensor], Optional[Tensor]]:
-    """Each branch's node rows, (N, d), with one gather of the embedding table.
-
-    Both graphs of an example give the prefix's distinct items their first
-    slots, in the same order, so the intra rows are those first rows of each
-    inter graph and backward scatters one dense (V, d) gradient.
-    """
-    rows_inter = None if inter is None else gk.slice_rows(embedding, inter.node_items)
-    if intra is None:
-        return None, rows_inter
-    if inter is None:
-        return gk.slice_rows(embedding, intra.node_items), rows_inter
-    prefix_nodes = np.bincount(intra.node_graph)[inter.node_graph]
-    slot = np.arange(len(inter.node_items)) - np.searchsorted(inter.node_graph, inter.node_graph)
-    return gk.slice_rows(rows_inter, np.flatnonzero(slot < prefix_nodes)), rows_inter
-
-
 def forward_batch(
     prefixes: Sequence[Sequence[int]],
     neighbor_lists: Sequence[Sequence[Collection[int]]],
@@ -413,7 +394,7 @@ def forward_batch(
     """Score B session prefixes, each with its neighbor sessions, in one packed pass.
 
     Returns (probabilities (B, |I|), blended session vectors (B, d)). Each
-    branch packs its B graphs end to end and runs its encoder and readout over
+    branch builds its B graphs end to end and runs its encoder and readout over
     the whole block; rows of different examples never mix, so row b equals a
     batch of one over example b. The variant field controls ablations: "intra_only" ignores neighbors
     entirely, "inter_only" drops the transition branch, "avg_pool" replaces
@@ -430,18 +411,19 @@ def forward_batch(
         raise ConfigError("cannot score an empty prefix")
     variant = config.variant
     count = len(prefixes)
-    intra = inter = None
-    if variant != "inter_only":
-        intra = pack_intra([build_intra_graph(prefix) for prefix in prefixes])
-    if variant != "intra_only":
-        inter = pack_inter(
-            [build_inter_graph(prefix, nbrs) for prefix, nbrs in zip(prefixes, neighbor_lists)]
-        )
-    rows_intra, rows_inter = _embedding_rows(params.embedding, intra, inter)
+    intra = None if variant == "inter_only" else pack_intra(prefixes)
+    inter = None if variant == "intra_only" else pack_inter(prefixes, neighbor_lists)
+    # both graphs number a prefix's items first, in the same order: the intra rows are the
+    # inter rows its clicks name, so one gather of the embedding table feeds both branches
+    # and backward scatters one dense (V, d) gradient
+    rows_inter = None if inter is None else gk.slice_rows(params.embedding, inter.node_items)
+    prefix_rows = None if inter is None else np.unique(inter.positions)
 
     s_intra = None
     if intra is not None:
-        h = ggnn_encode(intra, rows_intra, params.intra, config.ggnn_steps)
+        rows = (gk.slice_rows(params.embedding, intra.node_items) if inter is None
+                else gk.slice_rows(rows_inter, prefix_rows))
+        h = ggnn_encode(intra, rows, params.intra, config.ggnn_steps)
         s_intra = session_readout(
             gk.slice_rows(h, intra.positions), intra.position_graph, intra.last,
             params.intra_readout,
@@ -452,14 +434,14 @@ def forward_batch(
         if variant == "avg_pool":
             s_inter = _segment_mean(rows_inter, inter.node_graph, count)
         else:
-            targets = np.unique(inter.positions)  # the only rows the readout reads
-            h = inter_encode(
+            h = inter_encode(  # at the only rows the readout reads
                 inter, rows_inter, params.inter_layers, slope=config.leaky_slope,
-                uniform=(variant == "mean_gat"), targets=targets,
+                uniform=(variant == "mean_gat"), targets=prefix_rows,
             )
             s_inter = session_readout(
-                gk.slice_rows(h, np.searchsorted(targets, inter.positions)), inter.position_graph,
-                inter.last, params.inter_readout, attention=(variant != "mean_readout"),
+                gk.slice_rows(h, np.searchsorted(prefix_rows, inter.positions)),
+                inter.position_graph, inter.last, params.inter_readout,
+                attention=(variant != "mean_readout"),
             )
 
     if variant == "intra_only":

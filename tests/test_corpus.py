@@ -322,6 +322,9 @@ def test_take_recent_fraction_range():
         take_recent_fraction(c, "0")
     with pytest.raises(CorpusError):
         take_recent_fraction(c, "3/2")
+    for unreadable in [float("inf"), float("-inf"), None, [1, 4]]:
+        with pytest.raises(CorpusError, match="fraction must read like"):
+            take_recent_fraction(c, unreadable)
 
 
 # ---------------------------------------------------------------------------

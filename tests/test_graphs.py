@@ -165,30 +165,58 @@ def test_inter_edge_list_is_sorted_with_both_directions_and_self_loops():
     assert all((i, i) in pairs for i in range(len(g.node_items)))
 
 
-def test_packed_batch_offsets_each_graph_by_the_nodes_before_it():
-    graphs = [build_inter_graph([0, 1], [[1, 2]]), build_inter_graph([5], []), build_inter_graph([2, 2, 9])]
-    packed = pack_inter(graphs)
+def test_packed_inter_batch_by_hand():
+    packed = pack_inter([[0, 1], [5], [2, 2, 9]], [[[1, 2]], [], []])
     assert packed.node_items.tolist() == [0, 1, 2, 5, 2, 9]
     assert packed.node_graph.tolist() == [0, 0, 0, 1, 2, 2]
     assert packed.positions.tolist() == [0, 1, 3, 4, 4, 5]
     assert packed.position_graph.tolist() == [0, 0, 1, 2, 2, 2]
     assert packed.last.tolist() == [1, 2, 5]
-    offset = 0
-    start = 0
-    for g in graphs:
-        stop = start + len(g.src)
-        assert (packed.src[start:stop] == g.src + offset).all()
-        assert (packed.dst[start:stop] == g.dst + offset).all()
-        start, offset = stop, offset + len(g.node_items)
-    assert stop == len(packed.src)
-    assert (np.diff(packed.dst) >= 0).all()
     assert packed.weight is None
+
+
+def assert_packs_its_batches_of_one(packed, ones):
+    """Graph b of the batch is batch of one b, shifted by the nodes and positions before it."""
+    node = edge = position = 0
+    for b, one in enumerate(ones):
+        n, e, p = len(one.node_items), len(one.src), len(one.positions)
+        assert packed.node_items[node : node + n].tolist() == one.node_items.tolist()
+        assert (packed.node_graph[node : node + n] == b).all()
+        assert (packed.src[edge : edge + e] == one.src + node).all()
+        assert (packed.dst[edge : edge + e] == one.dst + node).all()
+        if one.weight is None:
+            assert packed.weight is None
+        else:
+            assert packed.weight[edge : edge + e].tobytes() == one.weight.tobytes()
+        assert (packed.positions[position : position + p] == one.positions + node).all()
+        assert (packed.position_graph[position : position + p] == b).all()
+        assert packed.last[b] == position + one.last[0]
+        node, edge, position = node + n, edge + e, position + p
+    assert node == len(packed.node_items)
+    assert (edge, position) == (len(packed.src), len(packed.positions))
+    assert (np.diff(packed.dst) >= 0).all()
+
+
+# few distinct items, so examples share items and sessions repeat clicks
+few_items = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8)
+
+
+@given(st.lists(st.tuples(few_items, st.lists(few_items, max_size=3)), min_size=1, max_size=5))
+@example([([0, 1], [[1, 2]]), ([5], []), ([2, 2, 9], [])])
+@settings(max_examples=200)
+def test_packed_batch_offsets_each_graph_by_the_nodes_before_it(batch):
+    prefixes = [prefix for prefix, _ in batch]
+    assert_packs_its_batches_of_one(pack_intra(prefixes), [pack_intra([p]) for p in prefixes])
+    assert_packs_its_batches_of_one(
+        pack_inter(prefixes, [nbrs for _, nbrs in batch]),
+        [pack_inter([prefix], [nbrs]) for prefix, nbrs in batch],
+    )
 
 
 @given(st.lists(prefixes, min_size=1, max_size=4))
 @settings(max_examples=50)
 def test_packed_intra_edges_carry_the_adjacency_weights(batch):
-    packed = pack_intra([build_intra_graph(prefix) for prefix in batch])
+    packed = pack_intra(batch)
     n = len(packed.node_items)
     dense = np.zeros((2, n, n))
     dense[:, packed.dst, packed.src] = packed.weight.T

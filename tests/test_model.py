@@ -20,8 +20,9 @@ from reference_model import (
     ref_scores,
 )
 from sessionrec import gradkit as gk
-from sessionrec.errors import ConfigError
-from sessionrec.graphs import build_inter_graph, build_intra_graph, pack_inter, pack_intra
+from sessionrec import graphs
+from sessionrec.errors import ConfigError, ShapeError
+from sessionrec.graphs import pack_inter, pack_intra
 from sessionrec.model import (
     GatLayer,
     ModelConfig,
@@ -106,7 +107,7 @@ def test_ggnn_matches_reference():
     node_items, _, a_out, a_in = ref_intra_graph(prefix)
     a_out, a_in = (np.array([[float(x) for x in row] for row in m]) for m in (a_out, a_in))
     rows = RNG.normal(0.0, 1.0, (len(node_items), cfg.dim))
-    packed = pack_intra([build_intra_graph(prefix)])
+    packed = pack_intra([prefix])
     for steps in (1, 3):
         mine = ggnn_encode(packed, gk.Tensor(rows), params.intra, steps).values
         ref = ref_ggnn(a_out, a_in, rows, v, steps)
@@ -137,7 +138,7 @@ def test_readout_matches_reference_and_is_unnormalized():
 def gat_fixture(n_heads=3, d=6, width=None):
     """The package's inter graph of one session, the reference's adjacency of it, and weights."""
     prefix, neighbor_sessions = [0, 1, 2], [[2, 3, 4], [4, 5]]
-    graph = build_inter_graph(prefix, neighbor_sessions)
+    graph = pack_inter([prefix], [neighbor_sessions])
     _, adjacency, _ = ref_inter_graph(prefix, neighbor_sessions)
     n = len(adjacency)
     width = width or d
@@ -162,7 +163,7 @@ def test_gat_layer_matches_reference():
     graph, adjacency, h, heads = gat_fixture()
     native_layer = stacked_layer(heads)
     for average in (False, True):
-        mine = gat_layer(pack_inter([graph]), gk.Tensor(h), native_layer, average=average).values
+        mine = gat_layer(graph, gk.Tensor(h), native_layer, average=average).values
         ref = ref_gat_layer(adjacency, h, heads, average=average)
         assert mine.shape == ref.shape
         assert np.allclose(mine, ref, atol=1e-10)
@@ -171,9 +172,7 @@ def test_gat_layer_matches_reference():
 def test_gat_layer_uniform_attention_matches_reference():
     graph, adjacency, h, heads = gat_fixture()
     native_layer = stacked_layer(heads)
-    mine = gat_layer(
-        pack_inter([graph]), gk.Tensor(h), native_layer, average=True, uniform=True
-    ).values
+    mine = gat_layer(graph, gk.Tensor(h), native_layer, average=True, uniform=True).values
     ref = ref_gat_layer(adjacency, h, heads, average=True, uniform=True)
     assert np.allclose(mine, ref, atol=1e-10)
 
@@ -196,7 +195,7 @@ def test_stacked_gat_matches_reference():
     prefix, neighbor_sessions = [0, 1, 2], [[2, 3, 4], [4, 5]]
     node_items, adjacency, _ = ref_inter_graph(prefix, neighbor_sessions)
     rows = RNG.normal(0.0, 1.0, (len(node_items), cfg.dim))
-    packed = pack_inter([build_inter_graph(prefix, neighbor_sessions)])
+    packed = pack_inter([prefix], [neighbor_sessions])
     mine = inter_encode(packed, gk.Tensor(rows), params.inter_layers).values
     ref = ref_inter_encode(adjacency, rows, v, cfg.heads, cfg.gat_layers)
     assert np.allclose(mine, ref, atol=1e-10)
@@ -210,7 +209,7 @@ def test_gat_layer_at_targets_returns_the_full_layers_rows():
     """
     rng = np.random.default_rng(41)
     examples = [([0, 1, 2], [[2, 3, 4], [4, 5]]), ([5, 5, 1], []), ([3], [[3, 0], [1, 2, 6]])]
-    packed = pack_inter([build_inter_graph(prefix, nbrs) for prefix, nbrs in examples])
+    packed = pack_inter(*zip(*examples))
     adjacency: list = []
     for prefix, nbrs in examples:
         shift = len(adjacency)
@@ -401,6 +400,29 @@ def test_batch_tape_has_as_many_nodes_as_a_batch_of_one(variant):
     eight = gk.tape(loss(yhat8, list(range(8))))
     one = gk.tape(loss(yhat1, [0]))
     assert len(eight) == len(one)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**40])
+def test_out_of_range_items_in_a_batch_fail_loudly(bad):
+    """An item outside the vocabulary is its own node, never merged with another graph's."""
+    cfg = small_config()
+    params = build_params(cfg, seed=3)
+    with pytest.raises(ShapeError):
+        forward_batch([[2, 3], [bad, 2]], [[], []], params, cfg)
+    with pytest.raises(ShapeError):
+        forward_batch([[2, 3], [1, 2]], [[[3, 4]], [[2, bad]]], params, cfg)
+
+
+def test_forward_batch_builds_no_per_example_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a per-example graph object")
+
+    monkeypatch.setattr(graphs, "IntraGraph", refuse)
+    monkeypatch.setattr(graphs, "InterGraph", refuse)
+    cfg = ModelConfig(vocab_size=8, dim=4, heads=2, gat_layers=2)
+    prefixes, neighbor_lists = zip(*MIXED_BATCH)
+    yhat, _ = forward_batch(list(prefixes), list(neighbor_lists), build_params(cfg, seed=6), cfg)
+    assert yhat.shape == (len(MIXED_BATCH), 8)
 
 
 def test_grad_check_fixture_tape_stays_under_157_nodes():
