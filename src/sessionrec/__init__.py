@@ -60,6 +60,7 @@ from .model import (
     ModelParams,
     bind_params,
     build_params,
+    encode_batch,
     forward,
     forward_batch,
     fuse,

@@ -129,6 +129,9 @@ class Clicks(NamedTuple):
     items: np.ndarray  # integer item indices, in session order
 
 
+ITER_BLOCK = 512  # sessions per tolist() when iterating a SessionRows: about 0.1 MB of ints
+
+
 class SessionRows(Sequence[Session]):
     """The sessions at ``rows`` of a :class:`Clicks`, read-only: reading a position
     builds a fresh :class:`Session` whose id is its row; a slice is another view."""
@@ -145,6 +148,19 @@ class SessionRows(Sequence[Session]):
         sid = self.rows[index]
         start_time, offsets, items = self.clicks
         return Session(sid, items[offsets[sid] : offsets[sid + 1]].tolist(), int(start_time[sid]))
+
+    def __iter__(self) -> Iterator[Session]:
+        """The same sessions as indexing, each block of ``ITER_BLOCK`` sliced from one
+        ``tolist()`` of its clicks instead of one array slice per session."""
+        start_time, offsets, items = self.clicks
+        for lo in range(0, len(self.rows), ITER_BLOCK):
+            ids = self.rows[lo : lo + ITER_BLOCK]
+            rows = np.arange(ids.start, ids.stop, ids.step)
+            flat, lengths = gather_rows(offsets, items, rows)
+            flat, begin = flat.tolist(), 0
+            for sid, end, start in zip(ids, np.cumsum(lengths).tolist(), start_time[rows].tolist()):
+                yield Session(sid, flat[begin:end], start)
+                begin = end
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)

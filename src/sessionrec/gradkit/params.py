@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -126,12 +127,13 @@ def adam_step(
     ``lr`` is either one float or a mapping from group name to learning rate.
     Parameters absent from ``grads`` keep their moments and step counters, so
     bias correction stays per-parameter correct when updates are sparse.
-    Every gradient's name, shape, finiteness and learning-rate group is
-    checked before any parameter changes, so a rejected step leaves the store
-    as it was. Each parameter is updated in blocks of ``ADAM_BLOCK`` values
-    through two block-sized scratch buffers, with each expression evaluated in
-    its textbook order, so the update is bit-identical to the allocating
-    formula and makes no parameter-sized temporaries.
+    Every gradient's name, shape, finiteness and learning rate (a finite
+    positive number for its group) is checked before any parameter changes,
+    so a rejected step leaves the store as it was. Each parameter is updated
+    in blocks of ``ADAM_BLOCK`` values through two block-sized scratch
+    buffers, with each expression evaluated in its textbook order, so the
+    update is bit-identical to the allocating formula and makes no
+    parameter-sized temporaries.
     """
     for name in grads:
         if name not in store:
@@ -154,6 +156,8 @@ def adam_step(
                 raise ConfigError(f"no learning rate for group {group!r}") from None
         else:
             step_lr = lr
+        if isinstance(step_lr, bool) or not (isinstance(step_lr, Real) and 0 < step_lr < math.inf):
+            raise ConfigError(f"learning rate for {name} must be positive and finite, got {step_lr!r}")
         updates.append((name, g.reshape(-1), step_lr))
 
     scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import NumericsError, ShapeError
+from ..errors import ConfigError, NumericsError, ShapeError
 
 Array = np.ndarray
 TensorLike = Union["Tensor", Array, float, int]
@@ -262,6 +262,23 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out, tuple(parts), vjps, op="concat", screen=False)
 
 
+class _RowScatter:
+    """The slice_rows VJP. Called, it returns a fresh dense gradient; ``add_into``
+    adds the same row sums into a gradient ``backward`` owns, at the gathered rows only."""
+
+    __slots__ = ("idx", "n")
+
+    def __init__(self, idx: Array, n: int):
+        self.idx, self.n = idx, n
+
+    def __call__(self, g: Array) -> Array:
+        return _segment_rows(g, self.idx, self.n)
+
+    def add_into(self, out: Array, g: Array) -> None:
+        rows, sums = _segment_runs(g, self.idx, self.n)
+        out[rows] += sums
+
+
 def slice_rows(a: Tensor, indices) -> Tensor:
     """Gather along axis 0. Duplicate indices accumulate gradient additively."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -271,7 +288,7 @@ def slice_rows(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"slice_rows index out of range for axis of length {n}")
     out = a.values[idx]
-    return Tensor(out, (a,), (lambda g: _segment_rows(g, idx, n),), op="slice_rows", screen=False)
+    return Tensor(out, (a,), (_RowScatter(idx, n),), op="slice_rows", screen=False)
 
 
 def segment_sum(x: Tensor, seg, n: int) -> Tensor:
@@ -314,13 +331,23 @@ def _gather_times(x: Array, idx: Array, scale: Array) -> Array:
 
 
 def _segment_rows(x: Array, ids: Array, n: int) -> Array:
-    """The scatter-add behind segment_sum and the slice_rows gradient.
+    """The scatter-add behind segment_sum and the slice_rows gradient."""
+    rows, sums = _segment_runs(x, ids, n)
+    if len(rows) == n:  # every segment is present, in order
+        return sums
+    out = np.zeros((n,) + x.shape[1:])
+    out[rows] = sums
+    return out
+
+
+def _segment_runs(x: Array, ids: Array, n: int) -> tuple[Array, Array]:
+    """The ids present, ascending, and for each the sum of the rows of x that name it.
 
     A stable sort (skipped when the ids already ascend) groups equal ids into
     runs, and each run is added up in row order, so results are deterministic.
     """
     if ids.size == 0:
-        return np.zeros((n,) + x.shape[1:])
+        return ids, x[:0]
     step = ids[1:] - ids[:-1]
     if step.size and np.minimum.reduce(step) < 0:
         order = np.argsort(ids, kind="stable")
@@ -329,12 +356,7 @@ def _segment_rows(x: Array, ids: Array, n: int) -> Array:
     if ids[0] < 0 or ids[-1] >= n:
         raise ShapeError(f"segment id out of range for {n} segments")
     starts = np.concatenate(([1], step)).nonzero()[0]
-    sums = _run_sums(x, starts)
-    if len(starts) == n:  # every segment is present, in order
-        return sums
-    out = np.zeros((n,) + x.shape[1:])
-    out[ids[starts]] = sums
-    return out
+    return ids[starts], _run_sums(x, starts)
 
 
 # np.add.reduceat makes one inner-loop call per run and column, which on wide
@@ -416,17 +438,89 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor(out, (a,), (lambda g: g * mask,), op="clip")
 
 
+def _softmax_values(v: Array, axis: int) -> Array:
+    out = v - v.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    v = a.values
-    shifted = v - v.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_values(a.values, axis)
 
     def vjp(g: Array) -> Array:
         dot = (g * out).sum(axis=axis, keepdims=True)
         return out * (g - dot)
 
     return Tensor(out, (a,), (vjp,), op="softmax")
+
+
+PROB_CLAMP = 1e-12
+
+
+def item_targets(target, rows: int, n: int) -> Array:
+    """``target`` as one item index in [0, n) per row of a (rows, n) block.
+
+    Takes an integer or a flat sequence of ``rows`` integers; anything else
+    (floats, strings, nested lists, bools) raises ConfigError.
+    """
+    try:
+        found = np.asarray(target)
+    except ValueError:  # a ragged nest of lists
+        found = np.asarray(None)
+    if found.dtype.kind not in "iu" or found.ndim > 1:
+        raise ConfigError(f"targets must be integer item indices, got {target!r}")
+    if found.size != rows:
+        raise ConfigError(f"expected {rows} targets, got {target!r}")
+    if np.minimum.reduce(found, axis=None) < 0 or np.maximum.reduce(found, axis=None) >= n:
+        raise ConfigError(f"target {target} out of range for {n} items")
+    return found.reshape(-1).astype(np.intp)
+
+
+def score_loss(s_h: Tensor, embedding: Tensor, targets) -> Tensor:
+    """The summed two-sided loss of softmax(s_h @ embedding.T), one target per row.
+
+    ``s_h`` is (B, d), ``embedding`` (V, d) and ``targets`` as
+    :func:`item_targets` takes them. Value and gradients are those of
+    ``model.loss(model.score_and_predict(...))``, bit for bit, as one tape
+    node: the VJP forms the (B, V) logit gradient once for both parents.
+    """
+    sv, ev = s_h.values, embedding.values
+    if sv.ndim != 2 or ev.ndim != 2 or sv.shape[1] != ev.shape[1]:
+        raise ShapeError(f"score_loss takes (B, d) and (V, d), got {sv.shape} and {ev.shape}")
+    rows, n = sv.shape[0], ev.shape[0]
+    flat = np.arange(rows) * n + item_targets(targets, rows, n)
+    probs = _softmax_values(np.matmul(sv, ev.T), -1)
+    kept = (probs >= PROB_CLAMP) & (probs <= 1.0 - PROB_CLAMP)  # where the clamp passes gradient
+    miss = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p_target = miss.reshape(-1)[flat]
+    np.subtract(1.0, miss, out=miss)                                     # 1 - p
+    log_miss = np.log(miss)
+    out = (log_miss.reshape(-1)[flat] - np.log(p_target)).sum() - log_miss.sum()
+    stash: list = []  # (g, logit gradient) from s_h's VJP, taken by the embedding's
+
+    def logit_grad(g: Array) -> Array:
+        # the chain's order: g / (1 - p) off target and -g / p_t on it, the
+        # clamp's mask, then the softmax VJP p * (grad - sum(grad * p))
+        grad = g / miss
+        grad.reshape(-1)[flat] = (-g) / p_target
+        grad *= kept
+        dot = (grad * probs).sum(axis=-1, keepdims=True)
+        grad -= dot
+        grad *= probs
+        return grad
+
+    def vjp_s(g: Array) -> Array:
+        grad = logit_grad(g)
+        stash[:] = (g, grad)
+        return np.matmul(grad, ev)
+
+    def vjp_e(g: Array) -> Array:
+        grad = stash[1] if stash and stash[0] is g else logit_grad(g)
+        stash.clear()
+        return np.matmul(grad.T, sv)
+
+    return Tensor(out, (s_h, embedding), (vjp_s, vjp_e), op="score_loss")
 
 
 def sum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:  # noqa: A001
@@ -478,6 +572,14 @@ def tape(output: Tensor) -> list[Tensor]:
     return order
 
 
+# Ops whose every VJP returns a new array that nothing else holds. The others
+# (add, sub, transpose, reshape, concat) may hand a parent g or a view of it.
+FRESH_VJP_OPS = frozenset({
+    "mul", "div", "neg", "matmul", "slice_rows", "segment_sum", "edge_sum", "sigmoid",
+    "tanh", "leaky_relu", "exp", "log", "clip", "softmax", "sum", "mean", "score_loss",
+})
+
+
 def backward(
     output: Tensor, wrt: Optional[Sequence[Tensor]] = None
 ) -> Optional[list[Array]]:
@@ -490,6 +592,13 @@ def backward(
     the output). Any other node's gradient is dropped once its VJPs have run,
     so the replay holds only the gradients still to be propagated. Each tape
     node is visited exactly once.
+
+    A tensor fed by several ops sums their gradients. The sum is taken in
+    place when ``backward`` owns the array it holds: one a fresh-array op
+    (``FRESH_VJP_OPS``) returned, or one ``backward`` allocated for an earlier
+    sum. A ``slice_rows`` gradient is then added into the gathered rows only.
+    Any other array may be ``g`` itself or a view of it, so it is summed out
+    of place.
     """
     if output.values.size != 1:
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
@@ -501,20 +610,32 @@ def backward(
         if not live.isdisjoint(map(id, node.parents)):
             live.add(id(node))
     grads: dict[int, Array] = {id(output): np.ones_like(output.values)}
+    owned: set[int] = set()  # keys of the gradients in grads that backward may write into
     found: dict[int, Array] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
+        owned.discard(id(node))
         if not node.parents or id(node) in kept:
             node.grad = g
             found[id(node)] = g
         if g is None:
             continue
+        fresh = node.op in FRESH_VJP_OPS
         for parent, vjp in zip(node.parents, node.vjps):
-            if id(parent) not in live:
+            key = id(parent)
+            if key not in live:
                 continue
-            contribution = vjp(g)
-            seen = grads.get(id(parent))
-            grads[id(parent)] = contribution if seen is None else seen + contribution
+            seen = grads.get(key)
+            if key in owned:
+                if type(vjp) is _RowScatter:
+                    vjp.add_into(seen, g)
+                else:
+                    seen += vjp(g)
+                continue
+            total = vjp(g) if seen is None else seen + vjp(g)
+            grads[key] = total
+            if type(total) is np.ndarray and (fresh or seen is not None):
+                owned.add(key)
     if wrt is None:
         return None
     return [g if (g := found.get(id(t))) is not None else np.zeros_like(t.values) for t in wrt]

@@ -13,6 +13,8 @@ map runs once over all node rows, and every graph operation is a gather plus a
 segment sum, so examples never mix. ``forward`` is a batch of one. All math
 runs on the gradkit tape, so one backward pass differentiates the whole
 composite; graph structure enters as constant index arrays and tensors.
+Training scores ``encode_batch``'s session vectors with ``gk.score_loss``,
+which records the softmax and the loss as one tape node.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .gradkit import ParamSpec, ParamStore, Tensor
 from .graphs import PackedGraphs, pack_inter, pack_intra
 
 VARIANTS = ("full", "intra_only", "inter_only", "avg_pool", "mean_gat", "mean_readout")
-
-PROB_CLAMP = 1e-12
 
 
 @dataclass
@@ -370,33 +370,31 @@ def loss(yhat: Tensor, target: Union[int, Sequence[int]]) -> Tensor:
     log. The target entries are gathered, so no one-hot block is built:
     -sum_i [y_i log p_i + (1 - y_i) log(1 - p_i)]
     = sum_t [log(1 - p_t) - log p_t] - sum_i log(1 - p_i).
+    Targets that are not integers in [0, V), one per row, raise ConfigError.
+    Training takes the same value and gradients from ``gk.score_loss`` as
+    one tape node.
     """
     n = yhat.shape[-1]
     rows = yhat.shape[0] if yhat.ndim == 2 else 1
-    targets = np.asarray(target, dtype=np.intp).reshape(-1)
-    if targets.shape != (rows,):
-        raise ConfigError(f"expected {rows} targets, got {target!r}")
-    if np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= n:
-        raise ConfigError(f"target {target} out of range for {n} items")
-    flat = np.arange(rows) * n + targets
-    p = gk.clip(yhat, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    flat = np.arange(rows) * n + gk.item_targets(target, rows, n)
+    p = gk.clip(yhat, gk.PROB_CLAMP, 1.0 - gk.PROB_CLAMP)
     p_target = gk.slice_rows(_flat(p), flat)
     log_miss = gk.log(1.0 - p)
     return gk.sum(gk.slice_rows(_flat(log_miss), flat) - gk.log(p_target)) - gk.sum(log_miss)
 
 
-def forward_batch(
+def encode_batch(
     prefixes: Sequence[Sequence[int]],
     neighbor_lists: Sequence[Sequence[Collection[int]]],
     params: ModelParams,
     config: ModelConfig,
-) -> tuple[Tensor, Tensor]:
-    """Score B session prefixes, each with its neighbor sessions, in one packed pass.
+) -> Tensor:
+    """Encode B session prefixes, each with its neighbor sessions, in one packed pass.
 
-    Returns (probabilities (B, |I|), blended session vectors (B, d)). Each
-    branch builds its B graphs end to end and runs its encoder and readout over
-    the whole block; rows of different examples never mix, so row b equals a
-    batch of one over example b. The variant field controls ablations: "intra_only" ignores neighbors
+    Returns the blended session vectors (B, d). Each branch builds its B
+    graphs end to end and runs its encoder and readout over the whole block;
+    rows of different examples never mix, so row b equals a batch of one over
+    example b. The variant field controls ablations: "intra_only" ignores neighbors
     entirely, "inter_only" drops the transition branch, "avg_pool" replaces
     the neighbor encoder with a mean over all neighbor-graph embeddings,
     "mean_gat" fixes uniform attention inside the GAT, and "mean_readout"
@@ -450,6 +448,20 @@ def forward_batch(
         s_h = s_inter
     else:
         s_h = fuse(s_intra, s_inter, params.fusion)
+    return s_h
+
+
+def forward_batch(
+    prefixes: Sequence[Sequence[int]],
+    neighbor_lists: Sequence[Sequence[Collection[int]]],
+    params: ModelParams,
+    config: ModelConfig,
+) -> tuple[Tensor, Tensor]:
+    """Score B session prefixes against every item: ``encode_batch``, then the softmax.
+
+    Returns (probabilities (B, |I|), blended session vectors (B, d)).
+    """
+    s_h = encode_batch(prefixes, neighbor_lists, params, config)
     return score_and_predict(s_h, params.embedding), s_h
 
 

@@ -28,7 +28,7 @@ from .corpus import SessionCorpus, TrainingExample, augment
 from .config import check_at_least, check_types
 from .errors import ConfigError, NumericsError, TrainingError
 from .evaluation import evaluate_model
-from .model import ModelConfig, ModelParams, build_params, forward_batch, loss
+from .model import ModelConfig, ModelParams, build_params, encode_batch
 from .neighbors import (
     Neighbors, RetrievalConfig, build_index, neighbor_clicks, precompute_neighbors,
 )
@@ -117,8 +117,8 @@ def _fit_batch(
     The tape dies on return, so it is freed before the optimizer step.
     """
     neighbor_lists = neighbor_clicks(corpus, found)
-    yhat, _ = forward_batch([ex.prefix for ex in examples], neighbor_lists, params, model_config)
-    objective = loss(yhat, [ex.label for ex in examples])
+    s_h = encode_batch([ex.prefix for ex in examples], neighbor_lists, params, model_config)
+    objective = gk.score_loss(s_h, params.embedding, [ex.label for ex in examples])
     grads = gk.backward(objective * (1.0 / len(examples)), wrt=tensors)
     return objective.item(), grads
 

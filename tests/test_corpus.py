@@ -534,6 +534,18 @@ def test_view_reads_like_the_saved_list(tmp_path):
     assert view[2:][1:][-1] == saved[2:][1:][-1]
 
 
+def test_iterating_a_view_equals_indexing_it(tmp_path, monkeypatch):
+    """Iteration reads the columns a block at a time; blocks of 4 cross every view below."""
+    monkeypatch.setattr(corpus_module, "ITER_BLOCK", 4)
+    view = loaded(split_by_time(events_corpus(1), test_window=100), tmp_path).sessions
+    n = len(view)
+    for part in (slice(None), slice(2, 40, 3), slice(None, None, -1), slice(30, 5, -7),
+                 slice(9, 3), slice(n, None), slice(-3, None), slice(None, None, 5)):
+        rows = view[part]
+        assert list(rows) == [rows[i] for i in range(len(rows))]
+    assert list(view[5:5]) == [] and list(view[::-1])[0] == view[n - 1]
+
+
 def test_loaded_partitions_are_views_of_fresh_copies(tmp_path):
     corpus = split_by_time(events_corpus(2), test_window=100)
     back = loaded(corpus, tmp_path)

@@ -385,6 +385,60 @@ def test_duplicate_leaf_receives_summed_gradient():
     assert g1[0] + g2[0] == g[0]
 
 
+def _out_of_place_backward(output, wrt):
+    """Reference replay: every repeated gradient is summed into a new array."""
+    grads = {id(output): np.ones_like(output.values)}
+    for node in reversed(gk.tape(output)):
+        g = grads.get(id(node))
+        for parent, vjp in zip(node.parents, node.vjps if g is not None else ()):
+            seen = grads.get(id(parent))
+            grads[id(parent)] = vjp(g) if seen is None else seen + vjp(g)
+    return [grads[id(t)] for t in wrt]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 2, 0)])
+def test_in_place_sums_match_out_of_place_sums_bit_for_bit(order):
+    """One tensor feeds add (which hands both parents the same g), slice_rows
+    and matmul, in every order; backward's in-place sums must not touch the
+    shared g and must equal the sums of fresh arrays."""
+    rng = np.random.default_rng(3)
+    x, k, m, w1, w2, w3 = (
+        Tensor(rng.normal(size=shape)) for shape in [(6, 3), (6, 3), (3, 4), (6, 3), (5, 3), (6, 4)]
+    )
+
+    def objective():
+        terms = [
+            gk.sum((x + k) * w1),
+            gk.sum(gk.slice_rows(x, [4, 1, 4, 0, 1]) * w2),  # rows 2, 3, 5 untouched
+            gk.sum((x @ m) * w3),
+        ]
+        first, second, third = (terms[i] for i in order)
+        return (first + second) + third
+
+    got = gk.backward(objective(), wrt=[x, k, m])
+    want = _out_of_place_backward(objective(), [x, k, m])
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got[1].tobytes() == w1.values.tobytes()  # add's shared g reached k untouched
+
+
+def test_embedding_gathered_and_scored_keeps_an_exact_gradient():
+    """The fused op's fresh (V, d) gradient takes the row gather's gradient in place."""
+    rng = np.random.default_rng(4)
+    emb, w = Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(4, 4)))
+    rows = [7, 2, 7, 0]
+
+    def objective(*_):
+        s_h = gk.tanh(gk.slice_rows(emb, rows) @ w)
+        return gk.score_loss(s_h, emb, [1, 7, 7, 3]) * 0.25
+
+    got = gk.backward(objective(), wrt=[emb, w])
+    want = _out_of_place_backward(objective(), [emb, w])
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert gk.grad_check(objective, [emb, w]) < 1e-6
+
+
 def test_grad_check_flags_corrupted_gradient():
     """Fault injection: a deliberately wrong VJP must be caught loudly."""
     def f(x):
@@ -624,6 +678,34 @@ def test_adam_validates_gradients():
         assert (store[name].values == values).all(), name
         assert store.step_count(name) == 1, name
     gk.adam_step(store, {"a": ok, "w": np.ones(2)}, lr=0.1)
+    assert store.step_count("a") == store.step_count("w") == 2
+
+
+@pytest.mark.parametrize(
+    "lr",
+    [
+        {"intra_shared": 0.1, "inter": float("nan")},
+        {"intra_shared": 0.1, "inter": float("inf")},
+        {"intra_shared": 0.1, "inter": -0.1},
+        {"intra_shared": 0.0, "inter": 0.1},
+        {"intra_shared": 0.1, "inter": "0.1"},
+        {"intra_shared": True, "inter": 0.1},
+        "0.1",
+        None,
+        float("nan"),
+    ],
+)
+def test_adam_rejects_bad_learning_rates_before_any_change(lr):
+    store = store_with([("a", (3,), "intra_shared"), ("w", (2,), "inter")])
+    grads = {"a": np.ones(3), "w": np.ones(2)}
+    gk.adam_step(store, grads, lr=0.1)
+    before = store.values()
+    with pytest.raises(ConfigError, match="learning rate"):
+        gk.adam_step(store, grads, lr)
+    for name, values in before.items():
+        assert (store[name].values == values).all(), name
+        assert store.step_count(name) == 1, name
+    gk.adam_step(store, grads, {"intra_shared": 1, "inter": np.float32(0.5)})
     assert store.step_count("a") == store.step_count("w") == 2
 
 

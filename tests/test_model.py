@@ -266,12 +266,69 @@ def test_scores_and_losses_match_reference():
 
 def test_loss_rejects_bad_targets_and_forms():
     yhat = gk.Tensor([0.5, 0.5])
-    with pytest.raises(ConfigError):
-        loss(yhat, target=2)
-    with pytest.raises(ConfigError):
-        loss(yhat, target=-1)
-    with pytest.raises(ConfigError):
-        loss(yhat, target=[0, 1])  # one row takes one target
+    s_h, embedding = gk.Tensor(np.ones((1, 3))), gk.Tensor(np.eye(2, 3))
+    for bad in [
+        2, -1,
+        [0, 1],  # one row takes one target
+        2.7, 1.0, "1", [[1]], 1e30, True, 2**70, [0.0], None,
+    ]:
+        with pytest.raises(ConfigError):
+            loss(yhat, target=bad)
+        with pytest.raises(ConfigError):
+            gk.score_loss(s_h, embedding, bad)
+    for good in [1, np.int32(1), [1], np.array([1], dtype=np.uint8)]:
+        assert loss(yhat, good).item() == loss(yhat, 1).item()
+
+
+def _chain_and_fused(s, e, targets, scale):
+    """Value and (s_h, embedding) gradients of the scaled loss, through the
+    softmax-and-loss chain and through the fused op, on fresh leaves each."""
+    chain_s, chain_e = gk.Tensor(s.copy()), gk.Tensor(e.copy())
+    chain = loss(score_and_predict(chain_s, chain_e), targets)
+    chain_grads = gk.backward(chain * scale, wrt=[chain_s, chain_e])
+    fused_s, fused_e = gk.Tensor(s.copy()), gk.Tensor(e.copy())
+    fused = gk.score_loss(fused_s, fused_e, targets)
+    fused_grads = gk.backward(fused * scale, wrt=[fused_s, fused_e])
+    return (chain.values, *chain_grads), (fused.values, *fused_grads)
+
+
+@pytest.mark.parametrize(
+    "rows, items, dim, spread, targets",
+    [
+        (1, 7, 4, 1.0, [3]),
+        (5, 11, 4, 1.0, [2, 0, 10, 4, 7]),
+        (6, 9, 3, 1.0, [4, 4, 1, 4, 1, 8]),  # repeated targets
+        (4, 8, 5, 12.0, [0, 3, 3, 7]),       # saturated rows: the clamp bites at p -> 0 and 1
+        (128, 500, 100, 0.3, list(range(0, 500, 4)) + [3, 3, 499]),  # BLAS-sized blocks
+    ],
+    ids=["one-row", "batch", "repeated-targets", "clamped", "wide"],
+)
+def test_fused_score_loss_equals_the_chain_bit_for_bit(rows, items, dim, spread, targets):
+    rng = np.random.default_rng(rows * 100 + items)
+    s, e = rng.normal(0.0, spread, (rows, dim)), rng.normal(0.0, spread, (items, dim))
+    if spread > 1.0:  # each target's row is the embedding's own direction, scaled up
+        s[:2] = 3.0 * e[targets[:2]]
+        p = score_and_predict(gk.Tensor(s), gk.Tensor(e)).values
+        assert (p < gk.PROB_CLAMP).any() and (p > 1.0 - gk.PROB_CLAMP).any()
+    chain, fused = _chain_and_fused(s, e, targets, 1.0 / rows)
+    for want, got in zip(chain, fused):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fused_score_loss_matches_central_differences():
+    rng = np.random.default_rng(5)
+    s_h, embedding = gk.Tensor(rng.normal(size=(3, 4))), gk.Tensor(rng.normal(size=(6, 4)))
+    worst = gk.grad_check(lambda s, e: gk.score_loss(s, e, [5, 0, 5]), [s_h, embedding])
+    assert worst < 1e-6
+
+
+def test_fused_score_loss_is_one_tape_node_and_rejects_bad_shapes():
+    s_h, embedding = gk.Tensor(np.ones((2, 3))), gk.Tensor(np.eye(5, 3))
+    objective = gk.score_loss(s_h, embedding, [1, 4])
+    assert [node.op for node in gk.tape(objective)] == ["leaf", "leaf", "score_loss"]
+    for a, b in [((2, 3), (5, 4)), ((3,), (5, 3)), ((2, 3), (5,))]:
+        with pytest.raises(ShapeError):
+            gk.score_loss(gk.Tensor(np.zeros(a)), gk.Tensor(np.zeros(b)), [1, 4])
 
 
 # ---------------------------------------------------------------------------

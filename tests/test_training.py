@@ -275,7 +275,7 @@ def test_non_finite_batch_names_epoch_batch_and_sessions(monkeypatch):
     def poisoned(prefixes, *args):
         raise NumericsError("exp produced non-finite values")
 
-    monkeypatch.setattr(training, "forward_batch", poisoned)
+    monkeypatch.setattr(training, "encode_batch", poisoned)
     corpus = direct_corpus([[0, 1], [1, 0], [0, 1, 0]])
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0, sessions \[\d+(, \d+)*\]: exp"):
         train(corpus, ModelConfig(vocab_size=2, dim=4, heads=2, gat_layers=1), TrainConfig(patience=0))
