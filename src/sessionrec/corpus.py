@@ -359,12 +359,24 @@ def ingest_events(events: Iterable[Event]) -> SessionCorpus:
     return _rebuild(starts, lengths, flat, list(index).__getitem__, len(ordered))
 
 
-def first_occurrences(keys) -> tuple[np.ndarray, np.ndarray]:
+def first_occurrences(*keys) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct key's first position, ascending, and every key's index among
-    those positions: the keys numbered in first-occurrence order."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
+    those positions: the keys numbered in first-occurrence order.
+
+    Several equal-length key arrays make one key per position, the tuple of
+    their entries, so no combined code can collide or overflow.
+    """
+    order = np.lexsort(keys)  # stable: each run of equal keys starts at its first position
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = np.asarray(key)[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    first = order[new]
+    by_first = np.argsort(first)
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.argsort(by_first)[np.cumsum(new) - 1]
+    return first[by_first], number
 
 
 def _rebuild(

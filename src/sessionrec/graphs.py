@@ -8,8 +8,8 @@ ascending by dst and then src.
 
 A mini-batch's graphs are built in one pass over its clicks laid end to end
 (``pack_intra``, ``pack_inter``), in one node index space: every per-node map
-runs once over all rows and every graph operation is a gather plus a segment
-sum. Nodes are numbered by (graph, item) in first-occurrence order, each
+runs once over all rows and every graph operation stays inside its graph's
+rows. Nodes are numbered by (graph, item) in first-occurrence order, each
 session before its neighbors. ``build_intra_graph`` and ``build_inter_graph``
 are batches of one, unpacked.
 """
@@ -113,8 +113,7 @@ def _lay_out(groups: Sequence[Sequence[Collection[int]]], edges: Callable) -> Pa
         raise GraphError("neighbor sessions must be non-empty")
     items = np.array(list(chain.from_iterable(seqs))).astype(np.intp, casting="same_kind")
     graph = np.repeat(np.repeat(np.arange(len(sizes)), sizes), lengths)  # each click's graph
-    distinct, rank = np.unique(items, return_inverse=True)  # ranks keep keys apart for any item
-    first, rows = first_occurrences(graph * len(distinct) + rank)
+    first, rows = first_occurrences(items, graph)
     inside = np.ones(len(rows) - 1, dtype=bool)
     inside[np.cumsum(lengths)[:-1] - 1] = False  # no pair across a sequence end
     src, dst, weight = edges(rows[:-1][inside], rows[1:][inside], len(first))

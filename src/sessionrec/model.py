@@ -9,10 +9,11 @@ scored against every item embedding with a softmax.
 
 A mini-batch runs as one packed pass (``forward_batch``): each branch lays its
 graphs end to end (:class:`~sessionrec.graphs.PackedGraphs`), every per-node
-map runs once over all node rows, and every graph operation is a gather plus a
-segment sum, so examples never mix. ``forward`` is a batch of one. All math
-runs on the gradkit tape, so one backward pass differentiates the whole
-composite; graph structure enters as constant index arrays and tensors.
+map runs once over all node rows, and every graph operation reads only its own
+graph's rows: a gather, a segment sum, or an ``edge_sum`` whose dense blocks
+hold zeros between graphs, so examples never mix. ``forward`` is a batch of
+one. All math runs on the gradkit tape, so one backward pass differentiates
+the whole composite; graph structure enters as constant index arrays and tensors.
 Training scores ``encode_batch``'s session vectors with ``gk.score_loss``,
 which records the softmax and the loss as one tape node.
 """
@@ -205,8 +206,8 @@ def ggnn_encode(
 
     ``rows`` holds one embedding per node row, (N, d). Each step projects
     every row through the outgoing and incoming edge weights at once, as
-    two halves, and ``edge_sum`` adds each edge's source halves, scaled by
-    the edge's a_out and a_in weights, into its destination, so row i
+    two halves, and ``edge_sum`` multiplies each graph's a_out and a_in
+    weights, as the dense blocks of its two heads, by those halves, so row i
     receives [a_out @ h W_out | a_in @ h W_in] of its own graph. The
     messages are blended into the node state with GRU-style update/reset
     gates, each one product of the joined row [a | h].
@@ -303,8 +304,9 @@ def gat_layer(
     With ``uniform=True`` attention is fixed at 1/|neighborhood| (structure
     only, no learned scores).
 
-    All heads share one projection GEMM; ``edge_sum`` adds each edge's source
-    projection, weighted by its normalized attention, into its destination.
+    All heads share one projection GEMM; ``edge_sum`` scatters the
+    normalized attention into dense (heads, rows, columns) blocks, one or
+    more graphs each, and multiplies them by the source projections.
     With ``targets`` (ascending node rows) only the edges into them run, only
     the rows those edges read are projected, and each target gets its row of
     the full layer: the same edges in the same order.

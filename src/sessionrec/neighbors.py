@@ -164,7 +164,7 @@ def neighbors(
     going to the more recent session, and the best ``k`` are returned.
     """
     _check_count("neighbor count", k)
-    if not isinstance(threshold, Real):
+    if not isinstance(threshold, Real) or isinstance(threshold, bool):
         raise RetrievalError(f"threshold must be a number, got {threshold!r}")
     if not 0.0 <= threshold <= 1.0:
         raise RetrievalError(f"threshold must be in [0, 1], got {threshold}")

@@ -234,6 +234,32 @@ def test_filter_can_empty_out():
         filter_corpus(c, min_support=5, min_len=2)
 
 
+def _first_occurrences_by_unique(key):
+    """first_occurrences of one flat key array, through np.unique."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 2**40), st.integers(0, 4)), max_size=60), st.data())
+def test_first_occurrences_match_the_unique_formulation(pairs, data):
+    items = np.array([item for item, _ in pairs], dtype=np.int64)
+    graph = np.array([g for _, g in pairs], dtype=np.int64)
+    if len(pairs):  # draw repeats from what is there
+        items = items[np.array(data.draw(st.lists(st.integers(0, len(pairs) - 1),
+                                                  min_size=len(pairs), max_size=len(pairs))))]
+    # one key, and a pair of keys coded as graph * (distinct items) + item rank
+    _, rank = np.unique(items, return_inverse=True)
+    for got, want in [
+        (corpus_module.first_occurrences(items), _first_occurrences_by_unique(items)),
+        (corpus_module.first_occurrences(items, graph),
+         _first_occurrences_by_unique(graph * max(len(set(items.tolist())), 1) + rank)),
+    ]:
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
 def test_filter_reindexes_densely():
     # z (index 0 before filtering) is dropped, so indices must shift down
     c = make_corpus([

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from sessionrec import gradkit as gk
 from sessionrec.errors import CheckpointError, ConfigError, NumericsError, ShapeError
 from sessionrec.gradkit import ParamSpec, ParamStore, Tensor
+from sessionrec.gradkit import tensor as tensor_module
 from sessionrec.gradkit.params import ADAM_BLOCK
 
 RNG = np.random.default_rng(12345)
@@ -244,22 +245,82 @@ def test_edge_sum_values_and_central_differences():
         fd_check(lambda z, a: gk.sum(gk.edge_sum(z, a, src, dst, 5) * probe), [z, alpha], tol=1e-7)
 
 
-def test_edge_sum_equals_gather_scale_and_segment_sum_bit_for_bit():
+def _edge_sum_reference(z, alpha, src, dst, n, probe):
+    """Values and the gradients of sum(edge_sum(...) * probe), by np.add.at."""
+    out = np.zeros((n,) + z.shape[1:])
+    np.add.at(out, dst, alpha * z[src])
+    grad_z = np.zeros_like(z)
+    np.add.at(grad_z, src, alpha * probe[dst])
+    return out, grad_z, (probe[dst] * z[src]).sum(axis=-1, keepdims=True)
+
+
+def _assert_edge_sum_matches_reference(src, dst, n, z_shape, seed):
+    rng = np.random.default_rng(seed)
+    z = Tensor(rng.normal(size=z_shape))
+    alpha = Tensor(rng.normal(size=(len(src),) + z_shape[1:-1] + (1,)))
+    probe = rng.normal(size=(n,) + z_shape[1:])
+    out = gk.edge_sum(z, alpha, src, dst, n)
+    grads = gk.backward(gk.sum(out * Tensor(probe)), wrt=[z, alpha])
+    for got, want in zip([out.values, *grads], _edge_sum_reference(
+            z.values, alpha.values, np.asarray(src), np.asarray(dst), n, probe)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _packed_edges(rng, sizes, per_node):
+    """Random edges, repeats included, inside each of several graphs laid end to end."""
+    src, dst, base = [], [], 0
+    for size in sizes:
+        count = per_node * size
+        src.append(base + rng.integers(0, size, count))
+        dst.append(base + rng.integers(0, size, count))
+        base += size
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    order = np.argsort(dst, kind="stable")
+    return src[order], dst[order], base
+
+
+@pytest.mark.parametrize("rows, heads, width, edges", [(6, 2, 3, 15), (300, 8, 100, 2000)])
+def test_edge_sum_matches_an_add_at_reference(rows, heads, width, edges):
+    # random edges with repeats: one block at the small size, row tiles at the large one
     rng = np.random.default_rng(32)
-    for rows, heads, width, edges in [(6, 2, 3, 15), (300, 8, 100, 2000)]:
-        src = rng.integers(0, rows, edges)
-        dst = np.sort(rng.integers(0, rows, edges))
-        z = Tensor(rng.normal(size=(rows, heads, width)))
-        w = Tensor(rng.normal(size=(edges, heads)))
-        probe = Tensor(rng.normal(size=(rows, heads, width)))
-        alpha = gk.reshape(w, (edges, heads, 1))
-        fused = gk.edge_sum(z, alpha, src, dst, rows)
-        unfused = gk.segment_sum(gk.slice_rows(z, src) * alpha, dst, rows)
-        assert (fused.values == unfused.values).all()
-        fused_grads = gk.backward(gk.sum(fused * probe), wrt=[z, w])
-        unfused_grads = gk.backward(gk.sum(unfused * probe), wrt=[z, w])
-        for a, b in zip(fused_grads, unfused_grads):
-            assert (a == b).all()
+    src = rng.integers(0, rows, edges)
+    dst = np.sort(rng.integers(0, rows, edges))
+    _assert_edge_sum_matches_reference(src, dst, rows, (rows, heads, width), seed=rows)
+
+
+@pytest.mark.parametrize(
+    "case", ["merged", "over-budget", "chain", "empty-rows", "unsorted", "targets"]
+)
+def test_edge_sum_blocks_match_the_reference(case, monkeypatch):
+    monkeypatch.setattr(tensor_module, "EDGE_BLOCK", 2048)
+    rng = np.random.default_rng(len(case))
+    heads, width = 4, 5
+    sizes = [4, 60, 5] if case == "over-budget" else [3, 7, 2, 9, 5, 4, 6, 8, 3, 5]
+    src, dst, n = _packed_edges(rng, sizes, 3)
+    m = n
+    if case == "chain":  # row i reads rows i and i + 1: no cut can fall inside the path
+        src, dst = np.arange(60)[:, None] + [0, 1], np.repeat(np.arange(60), 2)
+        src, n, m = src.reshape(-1), 61, 61
+    if case == "empty-rows":  # every second row receives no edge
+        src, dst = src[dst % 2 == 0], dst[dst % 2 == 0]
+    if case == "unsorted":
+        shuffle = rng.permutation(len(src))
+        src, dst = src[shuffle], dst[shuffle]
+    if case == "targets":  # results at each graph's first and last rows, read from all rows
+        ends = np.cumsum(sizes)
+        targets = np.sort(np.concatenate([ends - np.array(sizes), ends - 1]))
+        keep = np.isin(dst, targets)
+        src, dst, n = src[keep], np.searchsorted(targets, dst[keep]), len(targets)
+    order, blocks = tensor_module._edge_blocks(
+        src.astype(np.intp), dst.astype(np.intp), n, m, heads)
+    tiles = sum(type(rows) is not slice for rows, *_ in blocks)
+    assert (order is not None) == (case == "unsorted")
+    if case in ("over-budget", "chain"):  # a 60-node graph alone holds 4 * 60 * 60 entries
+        assert tiles > 1
+    else:  # neighbouring graphs share blocks
+        assert tiles == 0 and 1 < len(blocks) < len(sizes)
+    _assert_edge_sum_matches_reference(src, dst, n, (m, heads, width), seed=len(case))
 
 
 def test_edge_sum_rejects_mismatched_shapes():
@@ -420,6 +481,40 @@ def test_in_place_sums_match_out_of_place_sums_bit_for_bit(order):
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert got[1].tobytes() == w1.values.tobytes()  # add's shared g reached k untouched
+
+
+def _fresh_op_outputs(monkeypatch) -> list:
+    """Tensors made by every op in FRESH_VJP_OPS, each path of an op's VJP covered."""
+    a, b, pos = t((3, 4)), t((3, 4)), t((3, 4), offset=4.0)
+    z, alpha = t((12, 2, 3)), t((20, 2, 1))
+    src, dst = RNG.integers(0, 12, 20), np.sort(RNG.integers(0, 12, 20))
+    made = [
+        a * b, a * t((4,)), a / pos, t((4,)) / pos, -a,
+        a @ t((4, 2)), a @ t((4,)), t((2, 3, 4)) @ t((4, 5)), a @ gk.transpose(t((2, 4))),
+        gk.slice_rows(a, [2, 0, 2]), gk.slice_rows(a, [0, 1, 2]), gk.slice_rows(a, []),
+        gk.segment_sum(a, [1, 1, 0], 2), gk.segment_sum(a, [0, 1, 2], 3),
+        gk.sigmoid(a), gk.tanh(a), gk.leaky_relu(a), gk.exp(a), gk.log(pos),
+        gk.clip(a, -0.5, 0.5), gk.softmax(a), gk.sum(a), gk.sum(a, axis=1), gk.mean(a),
+        gk.mean(a, axis=0, keepdims=True), gk.score_loss(a, t((5, 4)), [0, 4, 4]),
+        gk.edge_sum(z, alpha, src, dst, 12), gk.edge_sum(z, alpha, src[::-1], dst[::-1], 12),
+    ]
+    monkeypatch.setattr(tensor_module, "EDGE_BLOCK", 16)  # merged blocks and row tiles
+    loops = np.arange(12)
+    made += [gk.edge_sum(z, alpha, src, dst, 12), gk.edge_sum(z, t((12, 2, 1)), loops, loops, 12)]
+    return made
+
+
+def test_fresh_vjp_ops_return_arrays_nothing_else_holds(monkeypatch):
+    """backward adds into the gradient of a FRESH_VJP_OPS op in place, so each
+    such VJP must return memory that g, the op's inputs and its output do not share."""
+    made = _fresh_op_outputs(monkeypatch)
+    assert {out.op for out in made} == tensor_module.FRESH_VJP_OPS
+    for out in made:
+        g = RNG.normal(size=out.shape)
+        held = [g, out.values, *(parent.values for parent in out.parents)]
+        for vjp in out.vjps:
+            grad = vjp(g)
+            assert not any(np.shares_memory(grad, other) for other in held), out.op
 
 
 def test_embedding_gathered_and_scored_keeps_an_exact_gradient():

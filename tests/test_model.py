@@ -1,5 +1,7 @@
 """Encoder math against an independent straight-line reimplementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,31 @@ def test_gat_layer_at_targets_returns_the_full_layers_rows():
             full_grads = gk.backward(gk.sum(full * gk.Tensor(spread)), wrt=[h, layer.w, layer.attn])
             for a, b in zip(grads, full_grads):
                 assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_gat_layer_on_one_large_connected_graph_stays_within_memory():
+    """A prefix whose 120 neighbour sessions of 26 clicks each join it: one
+    connected inter graph of 3,003 nodes. A dense attention block over it would
+    hold 8 x 3,003^2 doubles (577 MB) and an (E, heads, d) edge block 58 MB."""
+    rng = np.random.default_rng(43)
+    nbrs = [[i % 3, *range(3 + 25 * i, 28 + 25 * i)] for i in range(120)]
+    graph = pack_inter([[0, 1, 2]], [nbrs])
+    n, heads, d = len(graph.node_items), 8, 100
+    assert n == 3003
+    layer = GatLayer(
+        w=gk.Tensor(rng.normal(0.0, 0.1, (d, heads * d))),
+        attn=gk.Tensor(rng.normal(0.0, 0.1, (heads, 2 * d))),
+    )
+    rows = gk.Tensor(rng.normal(0.0, 1.0, (n, d)))
+    tracemalloc.start()
+    try:
+        out = gat_layer(graph, rows, layer, average=True)
+        grads = gk.backward(gk.sum(out), wrt=[rows, layer.w, layer.attn])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, d) and all(np.isfinite(g).all() for g in grads)
+    assert peak < 100 * 2**20
 
 
 def test_fuse_matches_reference_and_interpolates():

@@ -181,6 +181,16 @@ def test_neighbors_parameter_validation():
             neighbors(idx, [0], **bad)
 
 
+@pytest.mark.parametrize(
+    "threshold", [True, False, np.bool_(True)], ids=["True", "False", "numpy-bool"]
+)
+def test_neighbors_reject_a_bool_threshold(threshold):
+    # RetrievalConfig.validate rejects these too; True must not run as 1.0
+    idx = build_index(corpus_from_items([[0, 1]]))
+    with pytest.raises(RetrievalError, match="threshold"):
+        neighbors(idx, [0, 1], threshold=threshold)
+
+
 def test_neighbors_return_python_numbers():
     idx = build_index(corpus_from_items([[0, 1], [0, 2]]))
     got = neighbors(idx, [0, 1], threshold=0.0)
