@@ -10,8 +10,8 @@ np.set_printoptions(precision=3, suppress=True)
 # Within one session, clicks become directed edges between distinct items.
 # The classic worked example: 1 -> 3 -> 2 -> 3 -> 4 -> 1.
 g = build_intra_graph([1, 3, 2, 3, 4, 1])
-print("nodes (first-appearance order):", g.node_items)
-print("alias (click position -> node slot):", g.alias)
+print("nodes (first-appearance order):", g.node_items.tolist())
+print("positions (click position -> node row):", g.positions.tolist())
 # The graph is stored as the GGNN reads it: a list of edges src -> dst, each
 # sending src's state to dst with two weights: a_out, the share of dst's
 # outgoing clicks that go to src, and a_in, the share of dst's incoming
@@ -27,9 +27,10 @@ for s, d, (w_out, w_in) in zip(g.src, g.dst, g.weight):
 prefix = [1, 3, 2]
 neighbor_sessions = [[2, 5, 4], [4, 1]]
 ig = build_inter_graph(prefix, neighbor_sessions)
-print("\nmerged nodes:", ig.node_items)
-for slot, adjacent in enumerate(ig.adjacency):
-    print(f"  node {ig.node_items[slot]} touches {[ig.node_items[a] for a in adjacent]}")
-print("prefix occupies slots:", ig.session_slots)
+merged = ig.node_items.tolist()
+print("\nmerged nodes:", merged)
+for row, adjacent in enumerate(ig.adjacency):
+    print(f"  node {merged[row]} touches {[merged[a] for a in adjacent]}")
+print("positions (the prefix's clicks -> node row):", ig.positions.tolist())
 print("dense mask:")
 print(ig.mask())

@@ -48,7 +48,6 @@ from .evaluation import (
 )
 from .graphs import (
     InterGraph,
-    IntraGraph,
     PackedGraphs,
     build_inter_graph,
     build_intra_graph,

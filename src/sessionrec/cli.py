@@ -154,7 +154,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     corpus = ingest_events(events)
     corpus = filter_corpus(corpus, min_support=prep.min_support, min_len=prep.min_len)
     corpus = split_by_time(corpus, prep.test_window)
-    if prep.fraction:
+    if prep.fraction is not None:
         corpus = take_recent_fraction(corpus, prep.fraction)
     out = Path(args.output)
     save_corpus(corpus, out)
@@ -208,14 +208,14 @@ def cmd_graph(args: argparse.Namespace) -> int:
                 "nodes": [corpus.vocab.key(i) for i in intra.node_items],
                 "a_out": dense[0].tolist(),
                 "a_in": dense[1].tolist(),
-                "alias": intra.alias,
-                "last_slot": intra.last_slot,
+                "alias": intra.positions.tolist(),
+                "last_slot": int(intra.positions[intra.last[0]]),
             },
             "inter": {
                 "nodes": [corpus.vocab.key(i) for i in inter.node_items],
                 "adjacency": inter.adjacency,
-                "session_slots": inter.session_slots,
-                "last_slot": inter.last_slot,
+                "session_slots": inter.positions.tolist(),
+                "last_slot": int(inter.positions[inter.last[0]]),
             },
         }
     )

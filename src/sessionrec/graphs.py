@@ -1,17 +1,14 @@
-"""Session graphs.
+"""Session graphs, built a mini-batch at a time.
 
-Two views of click data feed the encoders: a directed multigraph over a
-session's transitions (an edge list carrying the normalized out/in weights,
-never the dense (n, n) matrices), and an undirected graph over a session plus
-its retrieved neighbors (an edge list with self loops). Edges run src -> dst,
-ascending by dst and then src.
-
-A mini-batch's graphs are built in one pass over its clicks laid end to end
-(``pack_intra``, ``pack_inter``), in one node index space: every per-node map
-runs once over all rows and every graph operation stays inside its graph's
-rows. Nodes are numbered by (graph, item) in first-occurrence order, each
-session before its neighbors. ``build_intra_graph`` and ``build_inter_graph``
-are batches of one, unpacked.
+A batch's graphs lie end to end in one node index space (:class:`PackedGraphs`)
+and are built in one pass over its clicks: every per-node map runs once over
+all rows and every graph operation stays inside its graph's rows. Nodes are
+numbered by (graph, item) in first-occurrence order, each session before its
+neighbors, and edges run src -> dst, ascending by dst and then src.
+``pack_intra`` gives each session's directed transition graph, its edges
+carrying the normalized out/in weights; ``pack_inter`` gives an
+:class:`InterGraph`, the undirected graph over each session and its retrieved
+neighbors, with self loops. A single graph is a batch of one.
 """
 
 from __future__ import annotations
@@ -24,55 +21,6 @@ import numpy as np
 
 from .corpus import first_occurrences
 from .errors import GraphError
-
-
-@dataclass
-class IntraGraph:
-    """One session as a directed graph over its distinct items.
-
-    a_out[i][j] is the multiplicity of the i -> j transition divided by the
-    total out-multiplicity of node i; a_in is defined the same way over
-    incoming edges. Edge e exists where a_out[dst[e], src[e]] or
-    a_in[dst[e], src[e]] is nonzero, so every transition appears in both
-    directions, and weight[e] holds that (a_out, a_in) pair. alias maps each
-    click position to its node slot.
-    """
-
-    node_items: list[int]
-    alias: list[int]
-    last_slot: int
-    src: np.ndarray     # (E,)
-    dst: np.ndarray     # (E,)
-    weight: np.ndarray  # (E, 2)
-
-
-@dataclass
-class InterGraph:
-    """A session and its neighbor sessions as one undirected item graph.
-
-    ``src``/``dst`` list every edge in both directions plus a self loop at
-    every slot, sorted by dst and then src; session_slots maps the session's
-    click positions to slots.
-    """
-
-    node_items: list[int]
-    src: np.ndarray
-    dst: np.ndarray
-    session_slots: list[int]
-    last_slot: int
-
-    @property
-    def adjacency(self) -> list[list[int]]:
-        """adjacency[i] lists the slots adjacent to slot i (sorted, always including i)."""
-        bounds = np.searchsorted(self.dst, np.arange(1, len(self.node_items)))
-        return [part.tolist() for part in np.split(self.src, bounds)]
-
-    def mask(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (self loops included)."""
-        n = len(self.node_items)
-        m = np.zeros((n, n))
-        m[self.dst, self.src] = 1.0
-        return m
 
 
 @dataclass
@@ -97,8 +45,28 @@ class PackedGraphs:
     last: np.ndarray            # (B,)
 
 
-def _lay_out(groups: Sequence[Sequence[Collection[int]]], edges: Callable) -> PackedGraphs:
-    """Graph b over the sequences of ``groups[b]``, its prefix first.
+class InterGraph(PackedGraphs):
+    """Undirected graphs, each over a prefix and its neighbor sessions.
+
+    Every edge is listed in both directions, and every node row has a self loop.
+    """
+
+    @property
+    def adjacency(self) -> list[list[int]]:
+        """adjacency[i] lists the rows adjacent to row i (sorted, always including i)."""
+        bounds = np.searchsorted(self.dst, np.arange(1, len(self.node_items)))
+        return [part.tolist() for part in np.split(self.src, bounds)]
+
+    def mask(self) -> np.ndarray:
+        """Dense 0/1 adjacency matrix over all rows (self loops included)."""
+        n = len(self.node_items)
+        m = np.zeros((n, n))
+        m[self.dst, self.src] = 1.0
+        return m
+
+
+def _lay_out(groups: Sequence[Sequence[Collection[int]]], edges: Callable, kind: type):
+    """Graph b over the sequences of ``groups[b]``, its prefix first, as a ``kind``.
 
     ``edges(a, b, n)`` gives the (src, dst, weight) edge list of n nodes from
     the node rows of each consecutive click pair a -> b inside one sequence.
@@ -118,7 +86,7 @@ def _lay_out(groups: Sequence[Sequence[Collection[int]]], edges: Callable) -> Pa
     inside[np.cumsum(lengths)[:-1] - 1] = False  # no pair across a sequence end
     src, dst, weight = edges(rows[:-1][inside], rows[1:][inside], len(first))
     at = np.repeat(np.bincount(heads, minlength=len(seqs)) > 0, lengths)  # the prefixes' clicks
-    return PackedGraphs(
+    return kind(
         node_items=items[first], node_graph=graph[first], src=src, dst=dst, weight=weight,
         positions=rows[at], position_graph=graph[at], last=np.cumsum(lengths[heads]) - 1,
     )
@@ -146,38 +114,35 @@ def _undirected_edges(a: np.ndarray, b: np.ndarray, n: int):
 def pack_intra(prefixes: Sequence[Sequence[int]]) -> PackedGraphs:
     """The transition graphs of B click sequences, with their (a_out, a_in) edge weights.
 
-    Consecutive clicks (a, b) contribute one unit of multiplicity to edge
-    a -> b (including self edges from repeated clicks). Each row of a_out / a_in
-    sums to 1 when the node has any outgoing / incoming edge, else 0.
+    Consecutive clicks (a, b) contribute one unit of multiplicity to the
+    transition a -> b (including self edges from repeated clicks). a_out[i, j]
+    is the i -> j multiplicity over i's outgoing total and a_in[i, j] the j -> i
+    multiplicity over i's incoming total, so each row sums to 1 or 0. Edge
+    src -> dst exists where a_out[dst, src] or a_in[dst, src] is nonzero and
+    carries that pair.
     """
-    return _lay_out([[prefix] for prefix in prefixes], _transition_edges)
+    return _lay_out([[prefix] for prefix in prefixes], _transition_edges, PackedGraphs)
 
 
 def pack_inter(
     prefixes: Sequence[Sequence[int]], neighbor_lists: Sequence[Sequence[Collection[int]]]
-) -> PackedGraphs:
+) -> InterGraph:
     """The undirected graphs of B prefixes, each over itself and its neighbor sessions.
 
     Every consecutive click pair in the prefix or in any neighbor session adds
     one undirected edge (deduplicated), and every node carries a self loop.
     """
-    return _lay_out(
-        [[prefix, *nbrs] for prefix, nbrs in zip(prefixes, neighbor_lists)], _undirected_edges
-    )
+    groups = [[prefix, *nbrs] for prefix, nbrs in zip(prefixes, neighbor_lists)]
+    return _lay_out(groups, _undirected_edges, InterGraph)
 
 
-def build_intra_graph(prefix: Sequence[int]) -> IntraGraph:
-    """The transition graph of a single click sequence: a batch of one, unpacked."""
-    g = pack_intra([prefix])
-    alias = g.positions.tolist()
-    return IntraGraph(g.node_items.tolist(), alias, alias[-1], g.src, g.dst, g.weight)
+def build_intra_graph(prefix: Sequence[int]) -> PackedGraphs:
+    """The transition graph of a single click sequence: a batch of one."""
+    return pack_intra([prefix])
 
 
 def build_inter_graph(
-    prefix: Sequence[int],
-    neighbor_sessions: Sequence[Collection[int]] = (),
+    prefix: Sequence[int], neighbor_sessions: Sequence[Collection[int]] = ()
 ) -> InterGraph:
-    """The graph over one prefix and its neighbor sessions: a batch of one, unpacked."""
-    g = pack_inter([prefix], [neighbor_sessions])
-    slots = g.positions.tolist()
-    return InterGraph(g.node_items.tolist(), g.src, g.dst, slots, slots[-1])
+    """The graph over one prefix and its neighbor sessions: a batch of one."""
+    return pack_inter([prefix], [neighbor_sessions])

@@ -20,6 +20,7 @@ which records the softmax and the loss as one tape node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Collection, Optional, Sequence, Union
 
@@ -51,6 +52,8 @@ class ModelConfig:
         check_at_least(self, 1, "vocab_size", "dim", "heads", "gat_layers", "ggnn_steps")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if not math.isfinite(self.leaky_slope):
+            raise ConfigError(f"leaky_slope must be finite, got {self.leaky_slope}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

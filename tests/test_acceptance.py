@@ -83,7 +83,7 @@ def test_session_graph_adjacency_matches_hand_derivation():
     click each from 1 and 2; every other node has a single edge per direction.
     """
     graph = build_intra_graph([1, 3, 2, 3, 4, 1])
-    assert graph.node_items == [1, 3, 2, 4]
+    assert graph.node_items.tolist() == [1, 3, 2, 4]
     half = Fraction(1, 2)
     expect_out = [
         [0, 1, 0, 0],

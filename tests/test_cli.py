@@ -297,6 +297,56 @@ def test_graph_command_with_neighbors(corpus_dir, capsys):
     assert len(doc["inter"]["nodes"]) > len(set(keys))
 
 
+# every field the graph command prints, worked out by hand for a, b, a, c: the
+# transitions a -> b, b -> a and a -> c give a two outgoing clicks and c none
+GOLDEN_ABAC = {
+    "intra": {
+        "nodes": ["a", "b", "c"],
+        "a_out": [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "a_in": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        "alias": [0, 1, 0, 2],
+        "last_slot": 2,
+    },
+    "inter": {
+        "nodes": ["a", "b", "c"],
+        "adjacency": [[0, 1, 2], [0, 1], [0, 2]],
+        "session_slots": [0, 1, 0, 2],
+        "last_slot": 2,
+    },
+}
+
+# c0i1, c0i2 on the chain corpus: the neighbours add the rest of chain 0's ring
+GOLDEN_WITH_NEIGHBORS = {
+    "intra": {
+        "nodes": ["c0i1", "c0i2"],
+        "a_out": [[0.0, 1.0], [0.0, 0.0]],
+        "a_in": [[0.0, 0.0], [1.0, 0.0]],
+        "alias": [0, 1],
+        "last_slot": 1,
+    },
+    "inter": {
+        "nodes": ["c0i1", "c0i2", "c0i0", "c0i5", "c0i3", "c0i4"],
+        "adjacency": [[0, 1, 2], [0, 1, 4], [0, 2, 3], [2, 3, 5], [1, 4, 5], [3, 4, 5]],
+        "session_slots": [0, 1],
+        "last_slot": 1,
+    },
+}
+
+
+def test_graph_command_prints_every_field_exactly(capsys):
+    assert main(["graph", "--session", "a,b,a,c"]) == 0
+    assert capsys.readouterr().out == json.dumps(GOLDEN_ABAC, indent=2, sort_keys=True) + "\n"
+
+
+def test_graph_command_with_neighbors_prints_every_field_exactly(corpus_dir, capsys):
+    assert main([
+        "graph", "--corpus", str(corpus_dir), "--session", "c0i1,c0i2",
+        "--with-neighbors", "--threshold", "0.1",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(GOLDEN_WITH_NEIGHBORS, indent=2, sort_keys=True) + "\n"
+
+
 def test_unknown_item_key_is_a_runtime_error(corpus_dir, capsys):
     code = main([
         "neighbors", "--corpus", str(corpus_dir), "--session", "no-such-item",
@@ -438,11 +488,12 @@ def test_corrupt_events_exit_two_with_one_error_line(events_csv, tmp_path, capsy
         ("preprocess", ["--session-col=-3"]),
         ("preprocess", ["--time-col=-2"]),
         ("preprocess", ["--item-col=-1"]),
+        ("preprocess", ["--fraction="]),
     ],
     ids=[
         "dim", "lr", "epochs", "stale-threads", "stale-share-readout", "stale-loss-form",
         "batch-size", "variant", "min-support", "two-char-delimiter", "empty-delimiter",
-        "negative-session-col", "negative-time-col", "negative-item-col",
+        "negative-session-col", "negative-time-col", "negative-item-col", "empty-fraction",
     ],
 )
 def test_bad_settings_exit_two_with_one_error_line(

@@ -29,9 +29,9 @@ def assert_edges_match(g, a_out, a_in):
 
 def test_single_click_graph():
     g = build_intra_graph([3])
-    assert g.node_items == [3]
-    assert g.alias == [0]
-    assert g.last_slot == 0
+    assert g.node_items.tolist() == [3]
+    assert g.positions.tolist() == [0]
+    assert g.positions[g.last[0]] == 0
     assert g.src.shape == g.dst.shape == (0,)
     assert g.weight.shape == (0, 2)
 
@@ -58,13 +58,13 @@ def test_hand_derived_adjacency():
         [0, 1, 0, 0],
     ]
     assert_edges_match(g, expect_out, expect_in)
-    assert g.alias == [0, 1, 2, 1, 3, 0]
-    assert g.last_slot == 0
+    assert g.positions.tolist() == [0, 1, 2, 1, 3, 0]
+    assert g.positions[g.last[0]] == 0
 
 
 def test_repeated_item_collapses_to_one_node():
     g = build_intra_graph([5, 5, 5])
-    assert g.node_items == [5]
+    assert g.node_items.tolist() == [5]
     # self transition: the only outgoing mass loops back
     assert (g.dst.tolist(), g.src.tolist()) == ([0], [0])
     assert g.weight.tolist() == [[1.0, 1.0]]
@@ -78,9 +78,9 @@ def test_repeated_item_collapses_to_one_node():
 def test_intra_matches_reference(prefix):
     g = build_intra_graph(prefix)
     node_items, alias, a_out, a_in = ref_intra_graph(prefix)
-    assert g.node_items == node_items
-    assert g.alias == alias
-    assert g.last_slot == alias[-1]
+    assert g.node_items.tolist() == node_items
+    assert g.positions.tolist() == alias
+    assert g.positions[g.last[0]] == alias[-1]
     assert_edges_match(g, a_out, a_in)
 
 
@@ -103,21 +103,21 @@ def test_empty_prefix_rejected():
 
 def test_inter_graph_small():
     g = build_inter_graph([0, 1], [[1, 2], [3, 2]])
-    assert g.node_items == [0, 1, 2, 3]
+    assert g.node_items.tolist() == [0, 1, 2, 3]
     # edges: 0-1 (prefix), 1-2 and 3-2 (neighbors), self loops everywhere
     assert g.adjacency == [[0, 1], [0, 1, 2], [1, 2, 3], [2, 3]]
-    assert g.session_slots == [0, 1]
-    assert g.last_slot == 1
+    assert g.positions.tolist() == [0, 1]
+    assert g.positions[g.last[0]] == 1
 
 
 def test_inter_prefix_items_come_first():
     g = build_inter_graph([9, 4], [[1, 9], [4, 7]])
-    assert g.node_items[:2] == [9, 4]
+    assert g.node_items[:2].tolist() == [9, 4]
 
 
 def test_inter_duplicate_edges_collapse():
     g = build_inter_graph([0, 1, 0, 1], [[1, 0]])
-    assert g.node_items == [0, 1]
+    assert g.node_items.tolist() == [0, 1]
     assert g.adjacency == [[0, 1], [0, 1]]
 
 
@@ -141,10 +141,10 @@ neighbor_lists = st.lists(
 def test_inter_matches_reference(prefix, neighbors):
     g = build_inter_graph(prefix, neighbors)
     node_items, adjacency, slots = ref_inter_graph(prefix, neighbors)
-    assert g.node_items == node_items
+    assert g.node_items.tolist() == node_items
     assert g.adjacency == adjacency
-    assert g.session_slots == slots
-    assert g.last_slot == slots[-1]
+    assert g.positions.tolist() == slots
+    assert g.positions[g.last[0]] == slots[-1]
 
 
 @given(prefixes, neighbor_lists)
@@ -152,8 +152,8 @@ def test_inter_matches_reference(prefix, neighbors):
 def test_both_graphs_give_the_prefix_items_the_same_first_slots(prefix, neighbors):
     intra = build_intra_graph(prefix)
     inter = build_inter_graph(prefix, neighbors)
-    assert inter.node_items[: len(intra.node_items)] == intra.node_items
-    assert inter.session_slots == intra.alias
+    assert inter.node_items[: len(intra.node_items)].tolist() == intra.node_items.tolist()
+    assert inter.positions.tolist() == intra.positions.tolist()
 
 
 def test_inter_edge_list_is_sorted_with_both_directions_and_self_loops():

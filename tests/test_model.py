@@ -62,9 +62,14 @@ def test_config_validation():
         dict(gat_layers=0),
         dict(ggnn_steps=0),
         dict(variant="bogus"),
+        dict(leaky_slope=float("nan")),
+        dict(leaky_slope=float("inf")),
+        dict(leaky_slope=-float("inf")),
     ]:
         with pytest.raises(ConfigError):
             small_config(**bad).validate()
+    for slope in [0.0, -0.5, 1.5, 3]:  # leaky_relu takes any finite slope
+        small_config(leaky_slope=slope).validate()
 
 
 def test_config_dict_roundtrip_ignores_unknown_keys():
@@ -501,8 +506,8 @@ def test_forward_batch_builds_no_per_example_graph(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a per-example graph object")
 
-    monkeypatch.setattr(graphs, "IntraGraph", refuse)
-    monkeypatch.setattr(graphs, "InterGraph", refuse)
+    monkeypatch.setattr(graphs, "build_intra_graph", refuse)
+    monkeypatch.setattr(graphs, "build_inter_graph", refuse)
     cfg = ModelConfig(vocab_size=8, dim=4, heads=2, gat_layers=2)
     prefixes, neighbor_lists = zip(*MIXED_BATCH)
     yhat, _ = forward_batch(list(prefixes), list(neighbor_lists), build_params(cfg, seed=6), cfg)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sessionrec.gradkit as gk
+import sessionrec.graphs as graphs
 import sessionrec.model as model
 from sessionrec.model import ModelConfig, build_params
 
@@ -50,3 +51,14 @@ def test_installed_tracer_times_a_step_and_restores_the_originals(tracer_module)
     assert {"model.forward", "model.loss", "gradkit.backward"} <= names
     for owner, attr, original in originals:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def test_inter_graph_hooks_time_the_mask_and_count_nodes_and_edges(tracer_module):
+    tracer = tracer_module.Tracer()
+    with tracer.installed(tracer_module.sessionrec_targets()):
+        graphs.build_inter_graph([0, 1], [[1, 2], [3, 2]]).mask()
+    assert "graphs.mask" in {span.name for span in tracer.spans}
+    observed = {name: value for _, name, value in tracer.observations}
+    assert observed["graphs.inter_nodes"] == 4
+    # 0-1, 1-2 and 3-2: self loops are not counted
+    assert observed["graphs.inter_edges"] == 3
