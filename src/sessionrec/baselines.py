@@ -29,7 +29,14 @@ def sknn_scores(
     if not neighbor_entries:
         return np.zeros(n_items)
     sids, sims = zip(*neighbor_entries)
-    items, counts = index.session_items(np.array(sids, dtype=np.int64))
+    return similarity_sums(np.array(sids, dtype=np.int64), np.array(sims), index, n_items)
+
+
+def similarity_sums(
+    sids: np.ndarray, sims: np.ndarray, index: InvertedIndex, n_items: int
+) -> np.ndarray:
+    """:func:`sknn_scores` of neighbours given as an id array and a similarity array."""
+    items, counts = index.session_items(sids)
     # in neighbor order: each item sums its similarities as a loop would
     return np.bincount(items, np.repeat(sims, counts), minlength=n_items)
 

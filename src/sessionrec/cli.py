@@ -41,7 +41,7 @@ from .evaluation import BASELINES, evaluate_baseline, evaluate_model
 from .files import read_json_object, write_atomic
 from .graphs import build_inter_graph, build_intra_graph
 from .model import ModelConfig, ModelParams, bind_params, forward
-from .neighbors import RetrievalConfig, build_index, neighbor_clicks, neighbors
+from .neighbors import RetrievalConfig, build_index, neighbor_clicks, neighbors, retrieve
 from .training import TrainConfig, train
 
 DATA_DIR_ENV = "SESSIONREC_DATA"
@@ -194,8 +194,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     neighbor_sessions = []
     if args.with_neighbors:
         index = build_index(corpus)
-        found = neighbors(index, prefix, **vars(cfg.train.retrieval))
-        neighbor_sessions = neighbor_clicks(corpus, [found])[0]
+        found = retrieve(index, [prefix], cfg.train.retrieval)
+        neighbor_sessions = neighbor_clicks(corpus, found)[0]
 
     intra = build_intra_graph(prefix)
     inter = build_inter_graph(prefix, neighbor_sessions)
@@ -310,8 +310,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
     prefix = _map_keys(corpus, _parse_session_arg(args.session))
     index = build_index(corpus)
-    found = neighbors(index, prefix, **vars(cfg.train.retrieval))
-    yhat, _ = forward(prefix, neighbor_clicks(corpus, [found])[0], params, model_config)
+    found = retrieve(index, [prefix], cfg.train.retrieval)
+    yhat, _ = forward(prefix, neighbor_clicks(corpus, found)[0], params, model_config)
     scores = yhat.values
     # stable ranking: probability descending, item index ascending on ties
     order = np.lexsort((np.arange(len(scores)), -scores))[: args.top].tolist()

@@ -179,8 +179,8 @@ def gather_rows(
     return values[np.arange(len(shift)) + shift], lengths
 
 
-def _offsets(lengths) -> np.ndarray:
-    """Where each session's clicks start, then the click count."""
+def row_offsets(lengths) -> np.ndarray:
+    """CSR offsets of rows with these lengths: where each row starts, then the total."""
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     return offsets
@@ -196,7 +196,7 @@ def _columns(sessions: Sequence[Session]) -> tuple[Clicks, int]:
         starts.append(s.start_time)
         lengths.append(len(s.items))
         flat += s.items
-    columns = Clicks(np.array(starts, np.int64), _offsets(lengths), np.array(flat, np.int64))
+    columns = Clicks(np.array(starts, np.int64), row_offsets(lengths), np.array(flat, np.int64))
     return columns, misnumbered
 
 
@@ -389,7 +389,7 @@ def _rebuild(
     first, items = first_occurrences(old)
     vocab = ItemVocab([key_of(k) for k in old[first].tolist()],
                       np.bincount(items, minlength=len(first)).tolist())
-    clicks = Clicks(np.asarray(start_time, np.int64), _offsets(lengths), items)
+    clicks = Clicks(np.asarray(start_time, np.int64), row_offsets(lengths), items)
     return SessionCorpus(clicks, vocab, train_count)
 
 
@@ -549,7 +549,7 @@ def load_corpus(directory: Union[str, Path]) -> SessionCorpus:
     start_time = np.frombuffer(blob, "<i8", n_sessions, _HEADER.size)
     lengths = np.frombuffer(blob, "<u4", n_sessions, _HEADER.size + 8 * n_sessions)
     items = np.frombuffer(blob, "<u4", n_clicks, _HEADER.size + 12 * n_sessions)
-    offsets = _offsets(lengths)
+    offsets = row_offsets(lengths)
     if offsets[-1] != n_clicks:
         raise CorpusError("corpus.bin session lengths do not add up to its click count")
 

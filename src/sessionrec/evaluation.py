@@ -14,20 +14,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import ItemKnn, pop_scores, sknn_scores
+from .baselines import ItemKnn, pop_scores, similarity_sums
 from .corpus import SessionCorpus, TrainingExample, augment
 from .errors import ConfigError
 from .model import ModelConfig, ModelParams, forward_batch
 from .neighbors import (
-    InvertedIndex, Neighbors, RetrievalConfig, build_index, neighbor_clicks, precompute_neighbors,
+    EVAL_CHUNK, InvertedIndex, NeighborTable, RetrievalConfig, build_index, neighbor_clicks,
+    precompute_neighbors,
 )
 
 BASELINES = ("pop", "sknn", "itemknn")
-# Cases per packed forward in evaluate_model, and per retrieval there and in the
-# sknn baseline. The tape holds a chunk's (N, heads, d) node blocks and (E, heads,
-# 1) edge weights, and neighbor lists are held a chunk at a time, so this bounds
-# evaluation memory.
-EVAL_CHUNK = 16
 
 
 @dataclass
@@ -49,8 +45,15 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _is_int(value: object) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def rank_of(scores: np.ndarray, target: int) -> int:
     """1-based rank of the target under the deterministic tie rule."""
+    if not _is_int(target) or not 0 <= target < len(scores):
+        raise ConfigError(f"target must be an item index in [0, {len(scores)}), got {target!r}")
     t = scores[target]
     better = int(np.count_nonzero(scores > t))
     tied_before = int(np.count_nonzero(scores[:target] == t))
@@ -63,6 +66,9 @@ def report_from_ranks(
     """Aggregate ranks (None = miss, e.g. no neighbors to score with)."""
     if not ranks:
         raise ConfigError("cannot build a report from zero cases")
+    for cutoff in cutoffs:
+        if not _is_int(cutoff) or cutoff < 1:
+            raise ConfigError(f"every cutoff must be an integer >= 1, got {cutoff!r}")
     recall: dict[int, float] = {}
     mrr: dict[int, float] = {}
     n = len(ranks)
@@ -91,14 +97,14 @@ def evaluate_model(
     cutoffs: Sequence[int] = (5, 10),
     index: Optional[InvertedIndex] = None,
     cases: Optional[Sequence[TrainingExample]] = None,
-    case_neighbors: Optional[Sequence[Neighbors]] = None,
+    case_neighbors: Optional[NeighborTable] = None,
 ) -> EvalReport:
     """Next-item metrics for a trained model over the corpus test partition.
 
     Neighbor retrieval searches the training partition only, with each case's
     session start time as "now". Cases are scored EVAL_CHUNK at a time, each
     chunk as one packed forward. Pass ``cases`` to evaluate a custom case list
-    (the trainer's validation split does), and ``case_neighbors``, one list
+    (the trainer's validation split does), and ``case_neighbors``, one row
     per case as ``precompute_neighbors`` returns them, to skip retrieval.
     """
     if index is None:
@@ -107,6 +113,10 @@ def evaluate_model(
         cases = test_examples(corpus)
     if not cases:
         raise ConfigError("no test cases to evaluate")
+    if case_neighbors is not None and len(case_neighbors) != len(cases):
+        raise ConfigError(
+            f"case_neighbors holds {len(case_neighbors)} rows for {len(cases)} cases"
+        )
 
     ranks: list[Optional[int]] = []
     for start in range(0, len(cases), EVAL_CHUNK):
@@ -114,7 +124,7 @@ def evaluate_model(
         if case_neighbors is None:
             found = precompute_neighbors(index, chunk, retrieval)
         else:
-            found = case_neighbors[start : start + EVAL_CHUNK]
+            found = case_neighbors.select(range(start, start + len(chunk)))
         neighbor_lists = neighbor_clicks(corpus, found)
         yhat, _ = forward_batch([ex.prefix for ex in chunk], neighbor_lists, params, config)
         ranks.extend(rank_of(scores, ex.label) for scores, ex in zip(yhat.values, chunk))
@@ -153,6 +163,12 @@ def evaluate_baseline(
         ranks = []
         for start in range(0, len(cases), EVAL_CHUNK):
             chunk = cases[start : start + EVAL_CHUNK]
-            for ex, nbrs in zip(chunk, precompute_neighbors(index, chunk, retrieval)):
-                ranks.append(rank_of(sknn_scores(nbrs, index, n_items), ex.label) if nbrs else None)
+            found = precompute_neighbors(index, chunk, retrieval)
+            bounds = found.offsets.tolist()
+            for ex, lo, hi in zip(chunk, bounds, bounds[1:]):
+                if lo == hi:
+                    ranks.append(None)
+                    continue
+                scores = similarity_sums(found.ids[lo:hi], found.sims[lo:hi], index, n_items)
+                ranks.append(rank_of(scores, ex.label))
     return report_from_ranks(ranks, cutoffs)

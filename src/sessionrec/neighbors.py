@@ -11,8 +11,14 @@ distinct items sit in one flat array cut by offsets (CSR form). Training
 sessions must be in chronological order (start times never decrease), so the
 sessions that start before a cutoff time form an id prefix found by bisection,
 and only the newest ``m`` eligible ids of each posting list can be candidates.
-A candidate's shared-item count is the number of query items whose posting
-list holds it (a binary search), so scoring never reads a candidate's items.
+
+Queries run ``EVAL_CHUNK`` at a time. A chunk's posting windows are keyed by
+(query, session id) and sorted once; a candidate's shared-item count is the
+run length of its key, so scoring never reads a candidate's items. That count
+is exact for the newest ``m`` of a query's union: such a candidate lies in the
+window of every query item whose posting list holds it, since a window that
+missed it would hold ``m`` newer ids. Results come back as a
+:class:`NeighborTable` of flat arrays, with no Python object per neighbour.
 """
 
 from __future__ import annotations
@@ -20,16 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Real
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .config import check_at_least, check_types, section_from_dict
-from .corpus import SessionCorpus, TrainingExample, gather_rows
+from .corpus import SessionCorpus, TrainingExample, gather_rows, row_offsets
 from .errors import ConfigError, RetrievalError
 
 Neighbors = list[tuple[int, float]]
 """(session id, similarity) pairs, similarity descending, newer first on ties."""
+
+# Queries per retrieval pass, and cases per packed forward in evaluation. The
+# tape holds a chunk's (N, heads, d) node blocks and (E, heads, 1) edge weights,
+# and a pass sorts a chunk's posting windows at once, so this bounds memory.
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -37,7 +48,7 @@ class RetrievalConfig:
     """Neighbor search knobs shared by training, evaluation and serving.
 
     ``neighbors(index, prefix, now=..., **vars(config))`` runs one search;
-    :func:`precompute_neighbors` runs one per prediction case.
+    :func:`precompute_neighbors` and :func:`retrieve` run a batch.
     """
 
     k: int = 120
@@ -52,6 +63,35 @@ class RetrievalConfig:
         check_at_least(self, 1, "k", "m")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+
+
+@dataclass(eq=False)
+class NeighborTable:
+    """Neighbours of a batch of queries in CSR form, one row per query.
+
+    Row r holds ``ids[offsets[r]:offsets[r + 1]]`` and the matching ``sims``,
+    similarity descending and newer first on ties.
+    """
+
+    ids: np.ndarray  # int64 session ids
+    sims: np.ndarray  # float64 similarities
+    offsets: np.ndarray  # int64, one more than the row count
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, row: int) -> Neighbors:
+        """One row as (session id, similarity) pairs of Python numbers."""
+        row = range(len(self))[row]
+        lo, hi = self.offsets[row], self.offsets[row + 1]
+        return list(zip(self.ids[lo:hi].tolist(), self.sims[lo:hi].tolist()))
+
+    def select(self, rows: Sequence[int]) -> "NeighborTable":
+        """A table of the given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        ids, lengths = gather_rows(self.offsets, self.ids, rows)
+        sims, _ = gather_rows(self.offsets, self.sims, rows)
+        return NeighborTable(ids, sims, row_offsets(lengths))
 
 
 @dataclass(eq=False)
@@ -113,6 +153,25 @@ def _check_count(name: str, value: object) -> None:
         raise RetrievalError(f"{name} must be >= 1, got {value}")
 
 
+def _windows(
+    index: InvertedIndex, items: Iterable[int], m: int, cutoff: int
+) -> list[np.ndarray]:
+    """The newest ``m`` ids below ``cutoff`` of each item's posting list."""
+    windows = []
+    for item in items:
+        ids = index.postings.get(item)
+        if ids is None:
+            continue
+        hi = int(ids.searchsorted(cutoff))
+        if hi:
+            windows.append(ids[max(0, hi - m) : hi])
+    return windows
+
+
+def _cutoff(index: InvertedIndex, now: Optional[int]) -> int:
+    return len(index) if now is None else int(index.start_time.searchsorted(now))
+
+
 def candidates(
     index: InvertedIndex,
     prefix: Sequence[int],
@@ -128,15 +187,7 @@ def candidates(
     if not prefix:
         raise RetrievalError("cannot retrieve candidates for an empty prefix")
     _check_count("candidate budget", m)
-    cutoff = len(index) if now is None else int(np.searchsorted(index.start_time, now))
-    windows = []
-    for item in dict.fromkeys(prefix):
-        ids = index.postings.get(item)
-        if ids is None:
-            continue
-        hi = int(ids.searchsorted(cutoff))
-        if hi:
-            windows.append(ids[max(0, hi - m) : hi])
+    windows = _windows(index, dict.fromkeys(prefix), m, _cutoff(index, now))
     if not windows:
         return np.zeros(0, dtype=np.int64)
     pool = windows[0]
@@ -145,6 +196,106 @@ def candidates(
         pool.sort()
         pool = pool[np.concatenate((pool[1:] != pool[:-1], [True]))][-m:]
     return pool[::-1]
+
+
+def _check_retrieval(config: RetrievalConfig) -> None:
+    _check_count("neighbor count", config.k)
+    threshold = config.threshold
+    if not isinstance(threshold, Real) or isinstance(threshold, bool):
+        raise RetrievalError(f"threshold must be a number, got {threshold!r}")
+    if not 0.0 <= threshold <= 1.0:
+        raise RetrievalError(f"threshold must be in [0, 1], got {threshold}")
+    if not isinstance(config.raw_length, bool):
+        raise RetrievalError(f"raw_length must be true or false, got {config.raw_length!r}")
+    _check_count("candidate budget", config.m)
+
+
+def _no_neighbors(n_queries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.zeros(0, np.int64), np.zeros(0, np.float64), np.zeros(n_queries, np.int64)
+
+
+def _retrieve_chunk(
+    index: InvertedIndex,
+    prefixes: Sequence[Sequence[int]],
+    nows: Sequence[Optional[int]],
+    config: RetrievalConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, sims, neighbours per query) for a few queries in one sorted pass."""
+    n, m = len(index), config.m
+    windows: list[np.ndarray] = []
+    owners: list[int] = []
+    lq = np.zeros(len(prefixes), dtype=np.int64)
+    for query, (prefix, now) in enumerate(zip(prefixes, nows)):
+        if not prefix:
+            raise RetrievalError("cannot retrieve candidates for an empty prefix")
+        items = dict.fromkeys(prefix)
+        lq[query] = len(prefix) if config.raw_length else len(items)
+        found = _windows(index, items, m, _cutoff(index, now))
+        windows.extend(found)
+        owners.extend([query] * len(found))
+    if not windows:
+        return _no_neighbors(len(prefixes))
+
+    owner = np.repeat(np.array(owners, dtype=np.int64), [len(w) for w in windows])
+    keys = np.concatenate(windows)
+    keys += owner * n
+    # a query's keys lie in [query * n, (query + 1) * n), so the sort leaves
+    # each one in its query's block and ``owner`` still holds
+    keys.sort(kind="stable")  # merges the windows' ascending runs
+    runs = np.ones(len(keys) + 1, dtype=bool)  # where runs of equal keys start, then the end
+    np.not_equal(keys[1:], keys[:-1], out=runs[1:-1])
+    runs = np.flatnonzero(runs)
+    first, shared = runs[:-1], runs[1:] - runs[:-1]  # shared: windows holding the key
+    owner = owner[first]
+    sid = keys[first] - owner * n
+
+    if config.raw_length:
+        ls = index.raw_len[sid]
+    else:
+        ls = index.offsets[sid + 1] - index.offsets[sid]
+    sim = shared / np.sqrt(lq[owner] * ls)
+    kept = sim >= config.threshold
+    if len(sid) > m:
+        # keys ascend by (query, id), so a query's newest m candidates are its last m
+        ends = np.cumsum(np.bincount(owner, minlength=len(prefixes)))
+        kept &= ends[owner] - np.arange(len(owner)) <= m
+    kept = np.flatnonzero(kept)  # indices gather faster than a mask selects
+    owner, sid, sim = owner[kept], sid[kept], sim[kept]
+    # per query: similarity descending, then the newer session first; best k
+    order = np.lexsort((-sid, -sim, owner))
+    per_query = np.bincount(owner, minlength=len(prefixes))
+    if len(order) > config.k:
+        starts = np.cumsum(per_query) - per_query
+        order = order[np.arange(len(order)) - starts[owner[order]] < config.k]
+        per_query = np.minimum(per_query, config.k)
+    return sid[order], sim[order], per_query
+
+
+def retrieve(
+    index: InvertedIndex,
+    prefixes: Sequence[Sequence[int]],
+    config: RetrievalConfig,
+    nows: Optional[Sequence[Optional[int]]] = None,
+) -> NeighborTable:
+    """Top-k most similar past sessions for each prefix, ``EVAL_CHUNK`` at a time.
+
+    ``nows[i]`` restricts prefix i to sessions that started strictly earlier
+    (None, or no ``nows``: no time restriction). Candidates are the ``m``
+    newest sessions sharing an item with the prefix, as :func:`candidates`
+    finds them; l(s) comes from the index's offsets (or ``raw_len``);
+    sessions below the similarity threshold are discarded; the survivors are
+    ranked by similarity with ties going to the more recent session, and the
+    best ``k`` are kept.
+    """
+    _check_retrieval(config)
+    if nows is None:
+        nows = [None] * len(prefixes)
+    chunks = [
+        _retrieve_chunk(index, prefixes[lo : lo + EVAL_CHUNK], nows[lo : lo + EVAL_CHUNK], config)
+        for lo in range(0, len(prefixes), EVAL_CHUNK)
+    ]
+    ids, sims, counts = (np.concatenate(part) for part in zip(_no_neighbors(0), *chunks))
+    return NeighborTable(ids, sims, row_offsets(counts))
 
 
 def neighbors(
@@ -156,57 +307,29 @@ def neighbors(
     now: Optional[int] = None,
     raw_length: bool = RetrievalConfig.raw_length,
 ) -> Neighbors:
-    """Top-k most similar past sessions for a prefix.
-
-    Candidates come from :func:`candidates`, and l(s) from the index's
-    offsets (or ``raw_len``); sessions below the similarity threshold are
-    discarded; the survivors are ranked by similarity with ties
-    going to the more recent session, and the best ``k`` are returned.
-    """
-    _check_count("neighbor count", k)
-    if not isinstance(threshold, Real) or isinstance(threshold, bool):
-        raise RetrievalError(f"threshold must be a number, got {threshold!r}")
-    if not 0.0 <= threshold <= 1.0:
-        raise RetrievalError(f"threshold must be in [0, 1], got {threshold}")
-    if not isinstance(raw_length, bool):
-        raise RetrievalError(f"raw_length must be true or false, got {raw_length!r}")
-    found = candidates(index, prefix, m=m, now=now)
-    if not len(found):
-        return []
-    query = dict.fromkeys(prefix)
-    # a candidate shares each distinct query item whose posting list holds it
-    shared = np.zeros(len(found), dtype=np.int64)
-    for item in query:
-        ids = index.postings.get(item)
-        if ids is not None:
-            shared += ids[np.minimum(ids.searchsorted(found), len(ids) - 1)] == found
-    lq = len(prefix) if raw_length else len(query)
-    ls = index.raw_len[found] if raw_length else index.offsets[found + 1] - index.offsets[found]
-    sim = shared / np.sqrt(lq * ls)
-    kept = np.flatnonzero(sim >= threshold)
-    # candidates are newest first, so ties on similarity break toward the newer id
-    best = kept[np.lexsort((kept, -sim[kept]))][:k]
-    return list(zip(found[best].tolist(), sim[best].tolist()))
+    """Top-k most similar past sessions for one prefix: :func:`retrieve` of one."""
+    return retrieve(index, [prefix], RetrievalConfig(k, threshold, m, raw_length), [now])[0]
 
 
 def precompute_neighbors(
     index: InvertedIndex,
     cases: Sequence[TrainingExample],
     retrieval: RetrievalConfig,
-) -> list[Neighbors]:
-    """Each case's neighbors, one list per case in case order.
+) -> NeighborTable:
+    """Each case's neighbors, one row per case in case order.
 
     The case's session start time is "now", so a case can only retrieve
     sessions that began strictly earlier: no peeking forward in time, and a
     session never retrieves itself.
     """
-    return [neighbors(index, ex.prefix, now=ex.start_time, **vars(retrieval)) for ex in cases]
+    return retrieve(
+        index, [ex.prefix for ex in cases], retrieval, [ex.start_time for ex in cases]
+    )
 
 
-def neighbor_clicks(corpus: SessionCorpus, found: Sequence[Neighbors]) -> list[list[list[int]]]:
-    """Each case's neighbour click sequences, cut from ``corpus.clicks`` in one gather."""
-    sids = np.array([sid for nbrs in found for sid, _ in nbrs], dtype=np.intp)
-    flat, lengths = gather_rows(corpus.clicks.offsets, corpus.clicks.items, sids)
+def neighbor_clicks(corpus: SessionCorpus, found: NeighborTable) -> list[list[list[int]]]:
+    """Each row's neighbour click sequences, cut from ``corpus.clicks`` in one gather."""
+    flat, lengths = gather_rows(corpus.clicks.offsets, corpus.clicks.items, found.ids)
     flat, ends = flat.tolist(), np.cumsum(lengths).tolist()
     seqs = iter([flat[lo:hi] for lo, hi in zip([0, *ends], ends)])
-    return [list(islice(seqs, len(nbrs))) for nbrs in found]
+    return [list(islice(seqs, n)) for n in np.diff(found.offsets).tolist()]

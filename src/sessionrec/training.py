@@ -30,7 +30,7 @@ from .errors import ConfigError, NumericsError, TrainingError
 from .evaluation import evaluate_model
 from .model import ModelConfig, ModelParams, build_params, encode_batch
 from .neighbors import (
-    Neighbors, RetrievalConfig, build_index, neighbor_clicks, precompute_neighbors,
+    NeighborTable, RetrievalConfig, build_index, neighbor_clicks, precompute_neighbors,
 )
 
 logger = logging.getLogger(__name__)
@@ -106,7 +106,7 @@ def _length_bucketed_batches(
 
 def _fit_batch(
     examples: list[TrainingExample],
-    found: list[Neighbors],
+    found: NeighborTable,
     corpus: SessionCorpus,
     params: ModelParams,
     model_config: ModelConfig,
@@ -190,7 +190,7 @@ def train(
             examples = [fit_examples[idx] for idx in batch]
             try:
                 batch_loss, grads = _fit_batch(
-                    examples, [fit_neighbors[idx] for idx in batch],
+                    examples, fit_neighbors.select(batch),
                     corpus, params, model_config, tensors,
                 )
             except NumericsError as exc:

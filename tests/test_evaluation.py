@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from reference_model import ref_neighbors, ref_rank, ref_sknn_scores
 from sessionrec.baselines import ItemKnn, pop_scores, sknn_scores
-from sessionrec.corpus import ItemVocab, Session, SessionCorpus
+from sessionrec.corpus import ItemVocab, Session, SessionCorpus, augment
 from sessionrec.errors import ConfigError, RetrievalError
 from sessionrec.evaluation import (
     EVAL_CHUNK,
@@ -23,7 +23,8 @@ from sessionrec.evaluation import (
     test_examples as expand_test_sessions,
 )
 from sessionrec.model import ModelConfig, build_params
-from sessionrec.neighbors import build_index, neighbors
+from sessionrec.neighbors import build_index, neighbors, precompute_neighbors
+from sessionrec.synthetic import chain_corpus
 
 
 def corpus_of(train_items, test_items=()):
@@ -69,6 +70,22 @@ def test_rank_matches_reference(raw, data):
     assert rank_of(scores, target) == ref_rank(scores, target)
 
 
+def test_rank_accepts_numpy_integer_targets():
+    scores = np.array([0.1, 0.5, 0.2])
+    assert rank_of(scores, np.int64(2)) == 2
+    assert rank_of(scores, np.intp(1)) == 1
+
+
+@pytest.mark.parametrize(
+    "target", [-1, 3, True, np.bool_(False), 1.0, "1", None],
+    ids=["negative", "past-the-end", "True", "numpy-bool", "float", "str", "None"],
+)
+def test_rank_rejects_targets_it_cannot_rank(target):
+    # -1 would rank the last item and True would index as a mask
+    with pytest.raises(ConfigError, match="target"):
+        rank_of(np.array([0.1, 0.5, 0.2]), target)
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -101,6 +118,24 @@ def test_report_counts_misses_as_cases():
 def test_report_requires_cases():
     with pytest.raises(ConfigError):
         report_from_ranks([])
+
+
+@pytest.mark.parametrize("cutoffs", [(0,), (5, -1), (2.5,), (True,), ("5",)])
+def test_report_rejects_cutoffs_below_one_or_not_integers(cutoffs):
+    with pytest.raises(ConfigError, match="cutoff"):
+        report_from_ranks([1, 2], cutoffs=cutoffs)
+
+
+def test_evaluation_drivers_reject_bad_cutoffs():
+    corpus = corpus_of([[0, 1, 2], [1, 2], [0, 2]], [[0, 1, 2]])
+    params, cfg = tiny_model(corpus)
+    with pytest.raises(ConfigError, match="cutoff"):
+        evaluate_model(params, cfg, corpus, cutoffs=(0,))
+    with pytest.raises(ConfigError, match="cutoff"):
+        evaluate_baseline("sknn", corpus, cutoffs=(0, 2.5))
+    with pytest.raises(ConfigError, match="cutoff"):
+        evaluate_baseline("pop", corpus, cutoffs=(np.int64(0),))
+    assert evaluate_baseline("pop", corpus, cutoffs=(np.int64(1),)).cases == 2
 
 
 def test_report_serialization_uses_string_keys():
@@ -272,3 +307,18 @@ def test_evaluate_model_accepts_custom_cases_and_index():
     assert report.cases == 1
     with pytest.raises(ConfigError):
         evaluate_model(params, cfg, corpus, cases=[])
+
+
+def test_evaluate_model_requires_one_neighbor_list_per_case():
+    corpus = chain_corpus(n_sessions=40, n_chains=2, chain_len=6, seed=9)
+    params, cfg = tiny_model(corpus)
+    index = build_index(corpus)
+    cases = [ex for s in corpus.train_sessions()[-4:] for ex in augment(s)][:16]
+    doubled = [*cases, *cases]
+    found = precompute_neighbors(index, doubled, RetrievalConfig())
+    with pytest.raises(ConfigError, match=r"32 .*16 cases"):
+        evaluate_model(params, cfg, corpus, index=index, cases=cases, case_neighbors=found)
+    report = evaluate_model(
+        params, cfg, corpus, index=index, cases=doubled, case_neighbors=found
+    )
+    assert report == evaluate_model(params, cfg, corpus, index=index, cases=doubled)

@@ -1,13 +1,18 @@
 """Inverted-index retrieval against a brute-force full scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessionrec import Event, build_index, candidates, ingest_events, neighbors
-from sessionrec.corpus import Session, SessionCorpus, ItemVocab
+from sessionrec.corpus import Session, SessionCorpus, ItemVocab, TrainingExample, augment
 from sessionrec.errors import RetrievalError
+from sessionrec.evaluation import EVAL_CHUNK
+from sessionrec.neighbors import RetrievalConfig, precompute_neighbors
+from sessionrec.synthetic import chain_corpus
 
 from reference_model import ref_neighbors
 
@@ -227,3 +232,88 @@ def test_neighbors_now_matches_brute_force(sessions, prefix, now_offset):
     want = ref_neighbors(as_triples(c), prefix, now=now)
     assert got == want
     assert all(c.sessions[sid].start_time < now for sid, _ in got)
+
+
+# ---------------------------------------------------------------------------
+# precompute_neighbors
+
+
+wide_item_seqs = st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=6)
+timed_prefixes = st.tuples(wide_item_seqs, st.integers(0, 450))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(few_item_seqs, min_size=1, max_size=40),
+    st.one_of(  # none or a few cases, or more than one retrieval chunk
+        st.lists(timed_prefixes, max_size=4),
+        st.lists(timed_prefixes, min_size=EVAL_CHUNK + 1, max_size=2 * EVAL_CHUNK + 3),
+    ),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.0, 0.3, 0.5, 0.7]),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+)
+def test_precomputed_rows_match_brute_force_and_single_queries(
+    sessions, queries, k, threshold, m, raw_length
+):
+    # Three items over up to 40 sessions: unions outgrow m, k truncates and
+    # similarities tie. Prefix items 3-7 are never indexed, prefixes repeat
+    # items, and "now" ranges from before the first session to after the last.
+    c = corpus_from_items(sessions)
+    idx = build_index(c)
+    retrieval = RetrievalConfig(k=k, threshold=threshold, m=m, raw_length=raw_length)
+    cases = [
+        TrainingExample(tuple(prefix), 0, session_id=-1, start_time=90 + now)
+        for prefix, now in queries
+    ]
+    table = precompute_neighbors(idx, cases, retrieval)
+    assert len(table) == len(cases)
+    assert table.ids.dtype == np.int64 and table.sims.dtype == np.float64
+    assert table.offsets[0] == 0 and table.offsets[-1] == len(table.ids) == len(table.sims)
+    for i, ex in enumerate(cases):
+        want = ref_neighbors(as_triples(c), ex.prefix, now=ex.start_time, **vars(retrieval))
+        assert table[i] == want
+        assert table[i] == neighbors(idx, ex.prefix, now=ex.start_time, **vars(retrieval))
+
+
+def test_precompute_neighbors_rejects_an_empty_prefix():
+    idx = build_index(corpus_from_items([[0, 1], [1, 2]]))
+    cases = [TrainingExample((0,), 1, 0, 200), TrainingExample((), 1, 0, 200)]
+    with pytest.raises(RetrievalError, match="empty prefix"):
+        precompute_neighbors(idx, cases, RetrievalConfig())
+
+
+def test_neighbor_table_rows_and_selection():
+    c = corpus_from_items([[0, 1], [0, 2], [1, 2], [0, 1, 2]])
+    idx = build_index(c)
+    cases = [TrainingExample(p, 0, -1, now) for p, now in (((0,), 200), ((5,), 200), ((1, 2), 125))]
+    table = precompute_neighbors(idx, cases, RetrievalConfig(threshold=0.0))
+    rows = [table[i] for i in range(len(table))]
+    assert rows[1] == [] and rows[2] == [(2, 1.0), (1, 0.5), (0, 0.5)]
+    assert table[-1] == rows[2]
+    with pytest.raises(IndexError):
+        table[3]
+    picked = table.select(np.array([2, 2, 1, 0]))
+    assert [picked[i] for i in range(len(picked))] == [rows[2], rows[2], rows[1], rows[0]]
+    assert len(table.select(np.zeros(0, dtype=np.int64))) == 0
+
+
+def test_precomputed_neighbors_hold_no_object_per_neighbor():
+    # every case of a chain corpus: two 8-byte numbers per neighbour, plus the
+    # offsets; a list of (int, float) tuples took about 89 bytes a neighbour here
+    corpus = chain_corpus(n_sessions=300, n_chains=3, chain_len=8, seed=5)
+    index = build_index(corpus)
+    cases = [ex for s in corpus.train_sessions() for ex in augment(s)]
+    first = precompute_neighbors(index, cases, RetrievalConfig())
+    retrieved = sum(len(first[i]) for i in range(len(first)))
+    assert retrieved > 10 * len(cases)  # the bound below is mostly per neighbour
+    tracemalloc.start()
+    try:
+        found = precompute_neighbors(index, cases, RetrievalConfig())
+        held = tracemalloc.get_traced_memory()[0]
+        del found  # what it frees is what the result held, whatever numpy caches
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * retrieved + 8 * len(cases) + 4096

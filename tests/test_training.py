@@ -220,15 +220,15 @@ def test_fit_and_validation_cases_are_retrieved_in_separate_lists(monkeypatch):
 
 
 def test_validation_neighbors_are_retrieved_once_not_every_epoch(monkeypatch):
-    retrieval = sys.modules["sessionrec.neighbors"]  # the package attribute is the function
-    original = retrieval.neighbors
     retrieved = []
 
-    def recording(index, prefix, **kwargs):
-        retrieved.append((kwargs["now"], tuple(prefix)))
-        return original(index, prefix, **kwargs)
+    def recording(index, cases, retrieval):
+        retrieved.extend((ex.start_time, tuple(ex.prefix)) for ex in cases)
+        return precompute_neighbors(index, cases, retrieval)
 
-    monkeypatch.setattr(retrieval, "neighbors", recording)
+    # every module that binds the batch retrieval: training, and evaluation
+    for name in ("sessionrec.training", "sessionrec.evaluation"):
+        monkeypatch.setattr(sys.modules[name], "precompute_neighbors", recording)
     corpus = chain_corpus(n_sessions=60, n_chains=2, chain_len=6, seed=9)
     cfg = fast_train_config(epochs=3, patience=3, val_fraction=0.2)
     result = train(corpus, small_model(corpus), cfg)
