@@ -60,15 +60,19 @@ def rank_of(scores: np.ndarray, target: int) -> int:
     return 1 + better + tied_before
 
 
+def _check_cutoffs(cutoffs: Sequence[int]) -> None:
+    for cutoff in cutoffs:
+        if not _is_int(cutoff) or cutoff < 1:
+            raise ConfigError(f"every cutoff must be an integer >= 1, got {cutoff!r}")
+
+
 def report_from_ranks(
     ranks: Sequence[Optional[int]], cutoffs: Sequence[int] = (5, 10)
 ) -> EvalReport:
     """Aggregate ranks (None = miss, e.g. no neighbors to score with)."""
     if not ranks:
         raise ConfigError("cannot build a report from zero cases")
-    for cutoff in cutoffs:
-        if not _is_int(cutoff) or cutoff < 1:
-            raise ConfigError(f"every cutoff must be an integer >= 1, got {cutoff!r}")
+    _check_cutoffs(cutoffs)
     recall: dict[int, float] = {}
     mrr: dict[int, float] = {}
     n = len(ranks)
@@ -107,6 +111,7 @@ def evaluate_model(
     (the trainer's validation split does), and ``case_neighbors``, one row
     per case as ``precompute_neighbors`` returns them, to skip retrieval.
     """
+    _check_cutoffs(cutoffs)
     if index is None:
         index = build_index(corpus)
     if cases is None:
@@ -146,6 +151,7 @@ def evaluate_baseline(
     """
     if name not in BASELINES:
         raise ConfigError(f"unknown baseline {name!r}, expected one of {BASELINES}")
+    _check_cutoffs(cutoffs)
     if cases is None:
         cases = test_examples(corpus)
     if not cases:

@@ -194,6 +194,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {av.shape} @ {bv.shape}")
     if av.ndim == 3 and bv.ndim == 3 and av.shape[0] != bv.shape[0]:
         raise ShapeError(f"matmul stack depths differ: {av.shape} @ {bv.shape}")
+    if batched and bv.size < av.size and not bv.flags.c_contiguous:
+        # a strided right operand smaller than the left one (a transposed view)
+        # costs the product more than one copy of it: the GAT's (8, 800, 100) @
+        # (8, 100, 2) logit fold took 0.81 ms on the view and 0.30 ms with the
+        # copy, on one thread. The copy holds the same values.
+        bv = np.ascontiguousarray(bv)
     out = np.matmul(av, bv)
 
     if batched:
@@ -307,17 +313,21 @@ def edge_sum(z: Tensor, alpha: Tensor, src, dst, n: int) -> Tensor:
     """Row i of the result adds alpha[e] * z[src[e]] over the edges e with dst[e] == i.
 
     ``z`` is (N, ..., d) and ``alpha`` (E, ..., 1): one weight per edge and
-    middle index (a head, say). Edges may come in any order, and a repeated
-    edge adds its weights. The edges are cut into dense blocks
-    (:func:`_edge_blocks`); each block's weights are scattered into a
-    (heads, rows, columns) array and multiplied by its z rows, so no
-    (E, ..., d) edge block is formed. The z gradient is block.T @ g and the
-    alpha gradient is g @ z.T read at the edges, block by block.
+    middle index (a head, say). A 2-D ``z`` (N, d) under an ``alpha`` of
+    three or more axes is shared: every middle index weighs the same rows,
+    and the result is (n, ..., d).
+    Edges may come in any order, and a repeated edge adds its weights. The
+    edges are cut into dense blocks (:func:`_edge_blocks`); each block's
+    weights are scattered into a (heads, rows, columns) array and multiplied
+    by its z rows, so no (E, ..., d) edge block is formed. The z gradient is
+    block.T @ g and the alpha gradient is g @ z.T read at the edges, block by
+    block.
     """
     s, t = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
     zv, av = z.values, alpha.values
-    alpha_shape = s.shape + zv.shape[1:-1] + (1,)  # one weight per edge and middle index
-    if s.ndim != 1 or t.shape != s.shape or zv.ndim < 2 or av.shape != alpha_shape:
+    shared = zv.ndim == 2 and av.ndim > 2
+    middle = av.shape[1:-1] if shared else zv.shape[1:-1]
+    if s.ndim != 1 or t.shape != s.shape or zv.ndim < 2 or av.shape != s.shape + middle + (1,):
         raise ShapeError(f"edge_sum: z {zv.shape}, alpha {av.shape}, src {s.shape}, dst {t.shape}")
     m, d = len(zv), zv.shape[-1]
     # read as unsigned, a negative index is huge, so one max checks both ends
@@ -325,24 +335,30 @@ def edge_sum(z: Tensor, alpha: Tensor, src, dst, n: int) -> Tensor:
         raise ShapeError(f"edge_sum source out of range for {m} rows")
     if t.size and np.maximum.reduce(t.view(np.uintp)) >= n:
         raise ShapeError(f"edge_sum destination out of range for {n} rows")
-    heads = math.prod(zv.shape[1:-1])
-    zk = zv.reshape(m, heads, d)
-    order, blocks = _edge_blocks(s, t, n, m, heads)
+    heads = math.prod(middle)
+    zk = zv if shared else zv.reshape(m, heads, d)
+    order, blocks = _edge_blocks(s, t, n, m, heads, d)
     w = av.reshape(len(s), heads)
     if order is not None:
         w = w[order]
 
     def vjp_z(g: Array) -> Array:
-        gh, out = g.reshape(n, heads, d), np.zeros((m, heads, d))
+        gh, out = g.reshape(n, heads, d), np.zeros(zk.shape)
         for rows, cols, edges, cells in blocks:
             block = _dense_block(w[edges], cells, rows, cols)
-            _put(out, cols, block.transpose(0, 2, 1), gh[rows].transpose(1, 0, 2))
+            if shared:  # every head's rows add into the same z rows: one product
+                out[cols] += block.reshape(-1, block.shape[2]).T @ _stacked(gh[rows])
+            else:
+                _put(out, cols, block.transpose(0, 2, 1), gh[rows].transpose(1, 0, 2))
         return out.reshape(zv.shape)
 
     def vjp_alpha(g: Array) -> Array:
         gh, out = g.reshape(n, heads, d), np.empty((len(s), heads))
         for rows, cols, edges, cells in blocks:
-            scores = np.matmul(gh[rows].transpose(1, 0, 2), zk[cols].transpose(1, 2, 0))
+            if shared:
+                scores = _stacked(gh[rows]) @ zk[cols].T
+            else:
+                scores = np.matmul(gh[rows].transpose(1, 0, 2), zk[cols].transpose(1, 2, 0))
             out[edges] = scores.reshape(-1)[cells].T
         if order is not None:
             out[order] = out.copy()
@@ -350,8 +366,18 @@ def edge_sum(z: Tensor, alpha: Tensor, src, dst, n: int) -> Tensor:
 
     out = np.zeros((n, heads, d))
     for rows, cols, edges, cells in blocks:
-        _put(out, rows, _dense_block(w[edges], cells, rows, cols), zk[cols].transpose(1, 0, 2))
-    return Tensor(out.reshape((n,) + zv.shape[1:]), (z, alpha), (vjp_z, vjp_alpha), op="edge_sum")
+        block = _dense_block(w[edges], cells, rows, cols)
+        if shared:
+            product = block.reshape(-1, block.shape[2]) @ zk[cols]
+            out[rows] += product.reshape(heads, -1, d).transpose(1, 0, 2)
+        else:
+            _put(out, rows, block, zk[cols].transpose(1, 0, 2))
+    return Tensor(out.reshape((n,) + middle + (d,)), (z, alpha), (vjp_z, vjp_alpha), op="edge_sum")
+
+
+def _stacked(g: Array) -> Array:
+    """A (rows, heads, d) gradient as one (heads * rows, d) matrix, head-major."""
+    return g.transpose(1, 0, 2).reshape(-1, g.shape[2])
 
 
 def _put(target: Array, index, a: Array, b: Array) -> None:
@@ -375,7 +401,11 @@ def _block(rows, cols, edges: slice, cells: Array, heads: int) -> tuple:
     return rows, cols, edges, cells + _count(rows) * _count(cols) * np.arange(heads)[:, None]
 
 
-# The largest dense edge block, in entries (heads x rows x columns): 512 KB.
+# The largest dense edge block, in entries (heads x rows x columns) of a block
+# whose z rows are at most EDGE_WIDTH wide: 512 KB. A wider block is charged
+# its multiply-adds, entries x width, against the same EDGE_BLOCK x EDGE_WIDTH,
+# so the zeros a merge adds cost no more at width 800 than at 100; a narrower
+# block is bound by scattering its entries, not by multiplying them.
 # Neighbouring graphs share a block up to this size, and a graph over it is cut
 # into row tiles. Merged blocks hold zeros between their graphs, and tiles cost
 # more calls than one block. Measured on one thread of a 2-vCPU host, seed-1
@@ -386,9 +416,10 @@ def _block(rows, cols, edges: slice, cells: Array, heads: int) -> tuple:
 #   51 / 61 / 39 / 32 ms, and over 71 graphs of 40-89 nodes: 40 / 15 / 17 / 13 ms.
 # Graphs of up to 90 nodes, most of serve's, are one block at 2^16.
 EDGE_BLOCK = 1 << 16
+EDGE_WIDTH = 100
 
 
-def _edge_blocks(src: Array, dst: Array, n: int, m: int, heads: int):
+def _edge_blocks(src: Array, dst: Array, n: int, m: int, heads: int, width: int = 1):
     """The dense blocks of an edge list over ``n`` result rows and ``m`` z rows.
 
     Returns (order, blocks). ``order`` sorts the edges by destination, or is
@@ -398,12 +429,14 @@ def _edge_blocks(src: Array, dst: Array, n: int, m: int, heads: int):
     (heads, rows, cols) block, one row per head. Edges are cut where every edge before the cut reads
     lower z rows than every edge after it; graphs laid end to end separate
     there. Neighbouring pieces share a block while it holds at most
-    EDGE_BLOCK entries, and a piece over it becomes row tiles whose columns
+    ``budget`` entries (EDGE_BLOCK, scaled down for z rows wider than
+    EDGE_WIDTH), and a piece over it becomes row tiles whose columns
     are the tile's distinct sources. Result rows of different blocks never
     overlap; z rows overlap only between tiles, whose gradients add.
     """
+    budget = EDGE_BLOCK * EDGE_WIDTH // max(width, EDGE_WIDTH)
     e = len(src)
-    if heads * n * m <= EDGE_BLOCK:  # the whole call is one block, in any edge order
+    if heads * n * m <= budget:  # the whole call is one block, in any edge order
         return None, [_block(slice(0, n), slice(0, m), slice(0, e), dst * m + src, heads)]
     if e == 0:
         return None, []
@@ -422,30 +455,30 @@ def _edge_blocks(src: Array, dst: Array, n: int, m: int, heads: int):
     blocks, i = [], 0
     while i < len(first):
         j = i
-        while j + 1 < len(first) and size(i, j + 1) <= EDGE_BLOCK:
+        while j + 1 < len(first) and size(i, j + 1) <= budget:
             j += 1
-        if size(i, j) <= EDGE_BLOCK:
+        if size(i, j) <= budget:
             edges = slice(first[i], end[j])
             cells = (dst[edges] - r0[i]) * (c1[j] - c0[i]) + (src[edges] - c0[i])
             blocks.append(_block(slice(r0[i], r1[j]), slice(c0[i], c1[j]), edges, cells, heads))
         else:
-            blocks += _row_tiles(src, dst, first[i], end[i], heads)
+            blocks += _row_tiles(src, dst, first[i], end[i], heads, budget)
         i = j + 1
     return order, blocks
 
 
-def _row_tiles(src: Array, dst: Array, a: int, b: int, heads: int) -> list:
+def _row_tiles(src: Array, dst: Array, a: int, b: int, heads: int, budget: int) -> list:
     """Blocks over the dst-sorted edges a..b, each the same number of whole rows,
     with the tile's distinct sources as its columns.
 
     A tile of r rows reads at most C sources, C being the piece's width, and
     about r * degree of them, degree being its mean edges a row; r is the
-    most rows for which either count keeps the tile within EDGE_BLOCK, so
-    the tiles of a sparse piece stay linear in its edges.
+    most rows for which either count keeps the tile within ``budget`` entries,
+    so the tiles of a sparse piece stay linear in its edges.
     """
     starts = np.flatnonzero(np.diff(dst[a:b], prepend=-1))  # each row's first edge
     width = int(src[a:b].max() - src[a:b].min()) + 1
-    budget = EDGE_BLOCK // heads
+    budget //= heads
     per_tile = max(budget // width, math.isqrt(budget * len(starts) // (b - a)), 1)
     cuts = starts[::per_tile].tolist() + [b - a]
     tiles = []

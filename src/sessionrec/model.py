@@ -266,13 +266,40 @@ def _edge_logits(
     """leaky_relu(a_self . z[dst] + a_peer . z[src]) per edge and head, (E, H, 1).
 
     ``z`` is (N, H, d_out) and ``attn`` (H, 2 d_out). One batched product
-    scores every node against both halves of its head's vector; the self
-    score of node i lands in row 2i and the peer score in row 2i + 1.
+    scores every node against both halves of its head's vector.
     """
     n, heads, d_out = z.shape
     halves = gk.reshape(attn, (heads, 2, d_out)) @ gk.transpose(z, (1, 2, 0))  # (H, 2, N)
-    scores = gk.reshape(gk.transpose(halves, (2, 1, 0)), (2 * n, heads, 1))
-    e = gk.slice_rows(scores, 2 * dst) + gk.slice_rows(scores, 2 * src + 1)
+    return _scored_edges(gk.transpose(halves, (2, 1, 0)), src, dst, slope)
+
+
+def _folded_logits(
+    h: Tensor, w: Tensor, attn: Tensor, src: np.ndarray, dst: np.ndarray, slope: float
+) -> Tensor:
+    """:func:`_edge_logits` of z_h = h W_h without forming z: a . (h W_h) = h . (W_h a).
+
+    ``h`` is (N, d_in) and ``w`` the (H, d_in, d_out) view of a layer's
+    weight. One (H, d_in, 2) fold of the weight and both halves of every
+    head's attention vector scores every row with one (N, d_in) @ (d_in, 2H)
+    product.
+    """
+    n, d_in = h.shape
+    heads, _, d_out = w.shape
+    halves = gk.transpose(gk.reshape(attn, (heads, 2, d_out)), (0, 2, 1))       # (H, d_out, 2)
+    fold = gk.reshape(gk.transpose(w @ halves, (1, 2, 0)), (d_in, 2 * heads))  # (d_in, 2H)
+    return _scored_edges(gk.reshape(h @ fold, (n, 2, heads)), src, dst, slope)
+
+
+def _scored_edges(scores: Tensor, src: np.ndarray, dst: np.ndarray, slope: float) -> Tensor:
+    """leaky_relu(self score of dst + peer score of src) per edge and head, (E, H, 1).
+
+    ``scores`` is (N, 2, H): each node's self and peer score under every
+    head. The self score of node i lands in row 2i and the peer score in row
+    2i + 1.
+    """
+    n, _, heads = scores.shape
+    flat = gk.reshape(scores, (2 * n, heads, 1))
+    e = gk.slice_rows(flat, 2 * dst) + gk.slice_rows(flat, 2 * src + 1)
     return gk.leaky_relu(e, slope)
 
 
@@ -287,6 +314,36 @@ def _edge_softmax_parts(e: Tensor, dst: np.ndarray, n: int) -> tuple[Tensor, Ten
     peaks = np.maximum.reduceat(e.values, first.nonzero()[0], axis=0)
     weights = gk.exp(e - gk.Tensor(peaks[np.cumsum(first) - 1]))
     return weights, gk.segment_sum(weights, dst, n)
+
+
+# The output layer's aggregate-then-project order skips projecting every row it
+# reads through the (d_in, H d_out) weight, but reads that weight a second time
+# (the logit fold) and records about ten more tape nodes. REORDER_ROWS is that
+# fixed cost in rows of the projection it skips. Measured on one thread of a
+# 2-vCPU host, the output layer of 600 seed-1 bench serve requests (d=100, 8
+# heads, d_in=800, mostly 1-3 targets), each order timed per request, min of 3:
+# - aggregating first loses 0.21, 0.10 and 0.01 ms a request for R in [0, 10),
+#   [10, 15) and [15, 20) read rows, and saves 0.12, 0.29-0.36, 0.86 and
+#   1.61 ms for R in [20, 25), [25, 40), [40, 80) and 80+;
+# - over all 600: 910 ms projecting first, 648 ms aggregating first, 606 ms by
+#   this rule and 603 ms taking the faster order of each request; the rule's
+#   total reads 604-607 ms for any REORDER_ROWS from 10 to 18.
+REORDER_ROWS = 16
+
+
+def _aggregate_first(rows: int, targets: int, edges: int, heads: int, d_in: int, d_out: int) -> bool:
+    """Whether the head-averaging layer costs fewer multiply-adds aggregating first.
+
+    Projecting first multiplies ``rows`` input rows by the (d_in, H d_out)
+    weight and aggregates at width d_out; aggregating first multiplies the
+    ``targets`` aggregates by it, plus REORDER_ROWS rows of fixed cost, and
+    aggregates at width d_in. Shapes alone decide: the two orders compute
+    the same values up to rounding.
+    """
+    weight = d_in * heads * d_out
+    project_first = rows * weight + edges * heads * d_out
+    aggregate_first = (targets + REORDER_ROWS) * weight + edges * heads * d_in
+    return aggregate_first < project_first
 
 
 def gat_layer(
@@ -311,8 +368,16 @@ def gat_layer(
     normalized attention into dense (heads, rows, columns) blocks, one or
     more graphs each, and multiplies them by the source projections.
     With ``targets`` (ascending node rows) only the edges into them run, only
-    the rows those edges read are projected, and each target gets its row of
+    the rows those edges read are used, and each target gets its row of
     the full layer: the same edges in the same order.
+
+    The output layer is linear in its input up to the sigmoid, so when it
+    reads many more rows than it writes (:func:`_aggregate_first`) it runs
+    in the other order: the logits are h . (W_h a_h), one (H, d_in, 2) fold
+    of the weight and the attention vectors; ``edge_sum`` aggregates the
+    input rows that every head shares; and one batched product projects the
+    (H, targets, d_in) aggregates through the (H, d_in, d_out) view of the
+    stored weight, which needs no copy.
     """
     src, dst, out, n = graph.src, graph.dst, graph.dst, h.shape[0]  # out: each edge's result row
     if targets is not None:
@@ -321,15 +386,24 @@ def gat_layer(
         h = gk.slice_rows(h, read)
         src, dst = np.searchsorted(read, src[kept]), np.searchsorted(read, dst[kept])
         out, n = np.searchsorted(targets, graph.dst[kept]), len(targets)
-    heads, d_out = layer.attn.shape[0], layer.attn.shape[1] // 2
-    z = gk.reshape(h @ layer.w, (h.shape[0], heads, d_out))              # (rows, H, d_out)
+    (rows, d_in), heads, d_out = h.shape, layer.attn.shape[0], layer.attn.shape[1] // 2
+    reorder = average and _aggregate_first(rows, n, len(out), heads, d_in, d_out)
+    if reorder:
+        w = gk.transpose(gk.reshape(layer.w, (d_in, heads, d_out)), (1, 0, 2))  # (H, d_in, d_out)
+        x = h                                                            # (rows, d_in), shared
+    else:
+        x = gk.reshape(h @ layer.w, (rows, heads, d_out))                # (rows, H, d_out)
     if uniform:
         degree = np.bincount(out, minlength=n)[out, None, None]
         alpha = gk.Tensor(np.ones((len(out), heads, 1)) / degree)
     else:
-        weights, totals = _edge_softmax_parts(_edge_logits(z, layer.attn, src, dst, slope), out, n)
+        e = (_folded_logits(h, w, layer.attn, src, dst, slope) if reorder
+             else _edge_logits(x, layer.attn, src, dst, slope))
+        weights, totals = _edge_softmax_parts(e, out, n)
         alpha = weights / gk.slice_rows(totals, out)                     # (E, H, 1)
-    aggregates = gk.edge_sum(z, alpha, src, out, n)                      # (n, H, d_out)
+    aggregates = gk.edge_sum(x, alpha, src, out, n)                      # (n, H, d_in or d_out)
+    if reorder:  # (H, n, d_in) @ (H, d_in, d_out), averaged over the heads
+        return gk.sigmoid(gk.mean(gk.transpose(aggregates, (1, 0, 2)) @ w, axis=0))
     if average:
         return gk.sigmoid(gk.mean(aggregates, axis=1))                   # (n, d_out)
     return gk.reshape(gk.sigmoid(aggregates), (n, heads * d_out))

@@ -290,11 +290,23 @@ def retrieve(
     _check_retrieval(config)
     if nows is None:
         nows = [None] * len(prefixes)
-    chunks = [
-        _retrieve_chunk(index, prefixes[lo : lo + EVAL_CHUNK], nows[lo : lo + EVAL_CHUNK], config)
-        for lo in range(0, len(prefixes), EVAL_CHUNK)
-    ]
-    ids, sims, counts = (np.concatenate(part) for part in zip(_no_neighbors(0), *chunks))
+    # each chunk goes straight into arrays that ndarray.resize (a realloc) grows
+    # by an eighth at a time, so the peak stays near the table instead of
+    # holding every chunk and their concatenation at once
+    ids, sims, counts = _no_neighbors(len(prefixes))
+    filled = 0
+    for lo in range(0, len(prefixes), EVAL_CHUNK):
+        hi = lo + EVAL_CHUNK
+        found, similarity, counts[lo:hi] = _retrieve_chunk(index, prefixes[lo:hi], nows[lo:hi], config)
+        end = filled + len(found)
+        if end > len(ids):
+            size = max(end, len(ids) + len(ids) // 8)
+            ids.resize(size, refcheck=False)
+            sims.resize(size, refcheck=False)
+        ids[filled:end], sims[filled:end] = found, similarity
+        filled = end
+    ids.resize(filled, refcheck=False)
+    sims.resize(filled, refcheck=False)
     return NeighborTable(ids, sims, row_offsets(counts))
 
 

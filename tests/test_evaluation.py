@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_model import ref_neighbors, ref_rank, ref_sknn_scores
+from sessionrec import evaluation
 from sessionrec.baselines import ItemKnn, pop_scores, sknn_scores
 from sessionrec.corpus import ItemVocab, Session, SessionCorpus, augment
 from sessionrec.errors import ConfigError, RetrievalError
@@ -136,6 +137,19 @@ def test_evaluation_drivers_reject_bad_cutoffs():
     with pytest.raises(ConfigError, match="cutoff"):
         evaluate_baseline("pop", corpus, cutoffs=(np.int64(0),))
     assert evaluate_baseline("pop", corpus, cutoffs=(np.int64(1),)).cases == 2
+
+
+def test_evaluation_drivers_check_cutoffs_before_any_retrieval(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("retrieval ran before the cutoffs were checked")
+
+    monkeypatch.setattr(evaluation, "precompute_neighbors", refuse)
+    corpus = corpus_of([[0, 1, 2], [1, 2], [0, 2]], [[0, 1, 2]])
+    params, cfg = tiny_model(corpus)
+    with pytest.raises(ConfigError, match="cutoff"):
+        evaluate_model(params, cfg, corpus, cutoffs=(0,))
+    with pytest.raises(ConfigError, match="cutoff"):
+        evaluate_baseline("sknn", corpus, cutoffs=(5, 2.5))
 
 
 def test_report_serialization_uses_string_keys():

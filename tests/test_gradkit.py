@@ -164,6 +164,11 @@ def test_grad_batched_matmul():
     fd_check(lambda a, b: gk.sum((a @ b) * weights), [a, b], tol=1e-7)
     fd_check(lambda m, b: gk.sum((m @ b) * weights), [m, b], tol=1e-7)
     fd_check(lambda a, n: gk.sum((a @ n) * weights), [a, n], tol=1e-7)
+    # a right operand smaller than the left and strided (a transposed view) is copied once
+    c = Tensor(rng.normal(size=(3, 2, 5)))
+    viewed = lambda a, c: a @ gk.transpose(c, (0, 2, 1))
+    assert np.array_equal(viewed(a, c).values, np.matmul(a.values, c.values.transpose(0, 2, 1).copy()))
+    fd_check(lambda a, c: gk.sum(viewed(a, c) * weights), [a, c], tol=1e-7)
 
 
 def test_grad_transpose_with_axes():
@@ -323,6 +328,62 @@ def test_edge_sum_blocks_match_the_reference(case, monkeypatch):
     _assert_edge_sum_matches_reference(src, dst, n, (m, heads, width), seed=len(case))
 
 
+@pytest.mark.parametrize("budget", [None, 2048, 64], ids=["one-block", "merged", "tiled"])
+def test_shared_edge_sum_matches_its_per_head_broadcast(budget, monkeypatch):
+    """A 2-D z that every head shares gives the per-head form's values over z
+    repeated per head; its z gradient is that form's summed over the heads."""
+    rng = np.random.default_rng(33)
+    heads, width = 4, 5
+    src, dst, n = _packed_edges(rng, [3, 7, 2, 9, 5, 4, 6, 8, 3, 5], 3)
+    if budget is not None:
+        monkeypatch.setattr(tensor_module, "EDGE_BLOCK", budget)
+        _, blocks = tensor_module._edge_blocks(src, dst, n, n, heads, width)
+        tiles = sum(type(rows) is not slice for rows, *_ in blocks)
+        assert (tiles > 0) == (budget == 64) and 1 < len(blocks)
+    z = Tensor(rng.normal(size=(n, width)))
+    alpha = Tensor(rng.normal(size=(len(src), heads, 1)))
+    wide = Tensor(np.repeat(z.values[:, None], heads, axis=1))
+    probe = Tensor(rng.normal(size=(n, heads, width)))
+    shared, per_head = gk.edge_sum(z, alpha, src, dst, n), gk.edge_sum(wide, alpha, src, dst, n)
+    assert shared.shape == per_head.shape == (n, heads, width)
+    assert np.allclose(shared.values, per_head.values, rtol=0, atol=1e-12)
+    g_z, g_alpha = gk.backward(gk.sum(shared * probe), wrt=[z, alpha])
+    g_wide, g_alpha_wide = gk.backward(gk.sum(per_head * probe), wrt=[wide, alpha])
+    assert np.allclose(g_z, g_wide.sum(axis=1), rtol=0, atol=1e-12)
+    assert np.allclose(g_alpha, g_alpha_wide, rtol=0, atol=1e-12)
+
+
+def test_shared_edge_sum_central_differences_over_merged_blocks_and_tiles(monkeypatch):
+    monkeypatch.setattr(tensor_module, "EDGE_BLOCK", 40)  # the 2-node graphs merge, 5 nodes tile
+    rng = np.random.default_rng(34)
+    src, dst, n = _packed_edges(rng, [2, 2, 5, 2], 2)
+    _, blocks = tensor_module._edge_blocks(src, dst, n, n, 2, 3)
+    assert blocks[0][0] == slice(0, 4) and type(blocks[1][0]) is not slice
+    z, alpha = Tensor(rng.normal(size=(n, 3))), Tensor(rng.normal(size=(len(src), 2, 1)))
+    probe = Tensor(rng.normal(size=(n, 2, 3)))
+    fd_check(lambda z, a: gk.sum(gk.edge_sum(z, a, src, dst, n) * probe), [z, alpha], tol=1e-7)
+
+
+def test_edge_blocks_charge_wide_z_rows_their_multiply_adds(monkeypatch):
+    """Up to EDGE_WIDTH a block is budgeted by entries, so the blocks do not
+    change with the width; an 800-wide block gets an eighth of the entries."""
+    monkeypatch.setattr(tensor_module, "EDGE_BLOCK", 2048)
+    rng = np.random.default_rng(35)
+    heads, sizes = 4, [3, 7, 2, 9, 5, 4, 6, 8, 3, 5]
+    src, dst, n = _packed_edges(rng, sizes, 3)
+
+    def layout(width):
+        _, blocks = tensor_module._edge_blocks(src, dst, n, n, heads, width)
+        return [(rows, cols, edges, cells.tolist()) for rows, cols, edges, cells in blocks]
+
+    assert layout(1) == layout(5) == layout(tensor_module.EDGE_WIDTH)
+    wide = layout(8 * tensor_module.EDGE_WIDTH)
+    assert len(wide) > len(layout(1))
+    for rows, cols, *_ in wide:  # the 9-node graph alone is over it: row tiles
+        if type(rows) is slice:
+            assert heads * (rows.stop - rows.start) * (cols.stop - cols.start) <= 2048 // 8
+
+
 def test_edge_sum_rejects_mismatched_shapes():
     z, alpha = Tensor(np.ones((3, 2, 4))), Tensor(np.ones((2, 2, 1)))
     gk.edge_sum(z, alpha, [0, 2], [1, 1], 3)
@@ -334,6 +395,7 @@ def test_edge_sum_rejects_mismatched_shapes():
         (Tensor(np.ones(3)), Tensor(np.ones((2, 1))), [0, 2], [1, 1]),  # z needs a row axis
         (z, alpha, [0, 3], [1, 1]),                       # source out of range
         (z, alpha, [0, 2], [1, 3]),                       # destination out of range
+        (Tensor(np.ones((3, 4))), Tensor(np.ones((2, 2, 4))), [0, 2], [1, 1]),  # shared z too
     ]:
         with pytest.raises(ShapeError):
             gk.edge_sum(z_, alpha_, src, dst, 3)
@@ -497,10 +559,13 @@ def _fresh_op_outputs(monkeypatch) -> list:
         gk.clip(a, -0.5, 0.5), gk.softmax(a), gk.sum(a), gk.sum(a, axis=1), gk.mean(a),
         gk.mean(a, axis=0, keepdims=True), gk.score_loss(a, t((5, 4)), [0, 4, 4]),
         gk.edge_sum(z, alpha, src, dst, 12), gk.edge_sum(z, alpha, src[::-1], dst[::-1], 12),
+        gk.edge_sum(t((12, 3)), alpha, src, dst, 12),
+        t((2, 6, 4)) @ gk.transpose(t((2, 2, 4)), (0, 2, 1)),
     ]
     monkeypatch.setattr(tensor_module, "EDGE_BLOCK", 16)  # merged blocks and row tiles
     loops = np.arange(12)
     made += [gk.edge_sum(z, alpha, src, dst, 12), gk.edge_sum(z, t((12, 2, 1)), loops, loops, 12)]
+    made += [gk.edge_sum(t((12, 3)), alpha, src, dst, 12)]
     return made
 
 

@@ -22,7 +22,7 @@ from reference_model import (
     ref_scores,
 )
 from sessionrec import gradkit as gk
-from sessionrec import graphs
+from sessionrec import graphs, model
 from sessionrec.errors import ConfigError, ShapeError
 from sessionrec.graphs import pack_inter, pack_intra
 from sessionrec.model import (
@@ -241,6 +241,74 @@ def test_gat_layer_at_targets_returns_the_full_layers_rows():
             full_grads = gk.backward(gk.sum(full * gk.Tensor(spread)), wrt=[h, layer.w, layer.attn])
             for a, b in zip(grads, full_grads):
                 assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+def _star_batch():
+    """A packed batch whose prefixes read many more rows than they hold.
+
+    The first prefix's items sit in 30 neighbour sessions, each with items of
+    its own; the second prefix has no neighbours.
+    """
+    nbrs = [[i % 2, 10 + 2 * i, 11 + 2 * i] for i in range(30)]
+    return pack_inter([[0, 1], [5, 6, 5]], [nbrs, []])
+
+
+@pytest.mark.parametrize("uniform", [False, True], ids=["attention", "uniform"])
+@pytest.mark.parametrize("reads", ["many-rows", "few-rows"])
+@pytest.mark.parametrize("aggregate_first", [False, True], ids=["project-first", "aggregate-first"])
+def test_output_gat_layer_orders_match_the_full_layer(aggregate_first, reads, uniform, monkeypatch):
+    """Either order of the head-averaging layer at targets gives the full
+    layer's rows and gradients, and the reference's rows."""
+    rng = np.random.default_rng(44)
+    packed = _star_batch()
+    n, heads, d, d_in = len(packed.node_items), 3, 4, 10
+    adjacency = packed.adjacency
+    per_head = [(rng.normal(0.0, 0.5, (d, d_in)), rng.normal(0.0, 0.5, 2 * d)) for _ in range(heads)]
+    layer = stacked_layer(per_head)
+    h = gk.Tensor(rng.normal(0.0, 1.0, (n, d_in)))
+    full = gat_layer(packed, h, layer, average=True, uniform=uniform)
+    ref = ref_gat_layer(adjacency, h.values, per_head, average=True, uniform=uniform)
+    if reads == "many-rows":  # the positions: 4 rows that read 34
+        targets = np.unique(packed.positions)
+    else:  # every row but a few, which read every row
+        targets = np.setdiff1d(np.arange(n), [3, 8, 20])
+    monkeypatch.setattr(model, "_aggregate_first", lambda *shape: aggregate_first)
+    mine = gat_layer(packed, h, layer, average=True, uniform=uniform, targets=targets)
+    assert np.allclose(mine.values, full.values[targets], rtol=0, atol=1e-12)
+    assert np.allclose(mine.values, ref[targets], rtol=0, atol=1e-12)
+    probe = rng.normal(0.0, 1.0, mine.shape)
+    spread = np.zeros(full.shape)
+    spread[targets] = probe
+    grads = gk.backward(gk.sum(mine * gk.Tensor(probe)), wrt=[h, layer.w, layer.attn])
+    full_grads = gk.backward(gk.sum(full * gk.Tensor(spread)), wrt=[h, layer.w, layer.attn])
+    for a, b in zip(grads, full_grads):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_output_gat_layer_reading_many_rows_projects_only_its_targets(monkeypatch):
+    """Where the targets read many more rows than they are, no (rows, H d)
+    projection is recorded: the layer aggregates its input, then projects."""
+    rng = np.random.default_rng(45)
+    packed = _star_batch()
+    targets = np.unique(packed.positions)
+    n, heads, d, d_in = len(packed.node_items), 4, 8, 20
+    layer = GatLayer(
+        w=gk.Tensor(rng.normal(0.0, 0.3, (d_in, heads * d))),
+        attn=gk.Tensor(rng.normal(0.0, 0.3, (heads, 2 * d))),
+    )
+    h = gk.Tensor(rng.normal(0.0, 1.0, (n, d_in)))
+    kept = np.isin(packed.dst, targets)
+    rows = len(np.unique(packed.src[kept]))
+    assert rows > 8 * len(targets)
+    projected = {(rows, heads * d), (rows, heads, d), (heads, rows, d)}
+
+    def shapes():
+        out = gat_layer(packed, h, layer, average=True, targets=targets)
+        return {node.shape for node in gk.tape(out)}
+
+    assert not projected & shapes()
+    monkeypatch.setattr(model, "_aggregate_first", lambda *shape: False)
+    assert projected & shapes()  # the fixture tells the two orders apart
 
 
 def test_gat_layer_on_one_large_connected_graph_stays_within_memory():

@@ -11,7 +11,7 @@ from sessionrec import Event, build_index, candidates, ingest_events, neighbors
 from sessionrec.corpus import Session, SessionCorpus, ItemVocab, TrainingExample, augment
 from sessionrec.errors import RetrievalError
 from sessionrec.evaluation import EVAL_CHUNK
-from sessionrec.neighbors import RetrievalConfig, precompute_neighbors
+from sessionrec.neighbors import RetrievalConfig, precompute_neighbors, retrieve
 from sessionrec.synthetic import chain_corpus
 
 from reference_model import ref_neighbors
@@ -317,3 +317,26 @@ def test_precomputed_neighbors_hold_no_object_per_neighbor():
     finally:
         tracemalloc.stop()
     assert held <= 16 * retrieved + 8 * len(cases) + 4096
+
+
+def test_retrieval_peak_memory_stays_near_the_table():
+    # each chunk's rows go straight into the table; holding every chunk until
+    # one concatenation at the end peaked at about twice the table
+    rng = np.random.default_rng(12)
+    n_items = 60
+    sessions = [
+        Session(sid, rng.choice(n_items, size=5, replace=False).tolist(), 100 + sid)
+        for sid in range(3000)
+    ]
+    corpus = SessionCorpus(sessions, ItemVocab([f"i{j}" for j in range(n_items)], [1] * n_items), 3000)
+    index = build_index(corpus)
+    prefixes = [s.items[:2] for s in sessions[:1500]]
+    config = RetrievalConfig(k=100, threshold=0.0, m=150)
+    tracemalloc.start()
+    try:
+        table = retrieve(index, prefixes, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.ids) > 90 * len(prefixes)  # the table, not each chunk's temporaries, dominates
+    assert peak < 1.3 * (table.ids.nbytes + table.sims.nbytes + table.offsets.nbytes)
