@@ -8,7 +8,7 @@ import numpy as np
 
 from .corpus import SessionCorpus
 from .errors import RetrievalError
-from .neighbors import InvertedIndex, Neighbors, build_index
+from .neighbors import InvertedIndex, NeighborTable, Neighbors, build_index
 
 
 def pop_scores(corpus: SessionCorpus) -> np.ndarray:
@@ -23,22 +23,32 @@ def sknn_scores(
 ) -> np.ndarray:
     """Score items by the summed similarity of the neighbor sessions containing them.
 
-    An empty neighbor list yields all zeros; callers treat that as "no
-    recommendation" rather than ranking on ties.
+    :func:`sknn_sums` of one row, scattered into zeros. An empty neighbor list
+    yields all zeros; callers treat that as "no recommendation" rather than
+    ranking on ties.
     """
-    if not neighbor_entries:
-        return np.zeros(n_items)
-    sids, sims = zip(*neighbor_entries)
-    return similarity_sums(np.array(sids, dtype=np.int64), np.array(sims), index, n_items)
+    sids, sims = zip(*neighbor_entries) if neighbor_entries else ((), ())
+    row = NeighborTable(np.array(sids, np.int64), np.array(sims, float), np.array([0, len(sids)]))
+    items, sums = sknn_sums(row, index, n_items)
+    scores = np.zeros(n_items)
+    scores[items] = sums
+    return scores
 
 
-def similarity_sums(
-    sids: np.ndarray, sims: np.ndarray, index: InvertedIndex, n_items: int
-) -> np.ndarray:
-    """:func:`sknn_scores` of neighbours given as an id array and a similarity array."""
-    items, counts = index.session_items(sids)
-    # in neighbor order: each item sums its similarities as a loop would
-    return np.bincount(items, np.repeat(sims, counts), minlength=n_items)
+def sknn_sums(
+    found: NeighborTable, index: InvertedIndex, n_items: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Session-kNN scores of every row of a neighbour table, touched items only.
+
+    Returns the keys ``row * n_items + item`` of the (row, item) pairs some
+    neighbour of the row holds, ascending, and each pair's summed similarity;
+    every other item of a row scores 0. Each sum adds its similarities in
+    neighbour order, as a loop over the row's neighbours would.
+    """
+    items, counts = index.session_items(found.ids)
+    rows = np.repeat(np.arange(len(found)), np.diff(found.offsets))
+    keys, slots = np.unique(np.repeat(rows, counts) * n_items + items, return_inverse=True)
+    return keys, np.bincount(slots, np.repeat(found.sims, counts))
 
 
 class ItemKnn:

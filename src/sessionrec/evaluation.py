@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import ItemKnn, pop_scores, similarity_sums
+from .baselines import ItemKnn, pop_scores, sknn_sums
 from .corpus import SessionCorpus, TrainingExample, augment
 from .errors import ConfigError
 from .model import ModelConfig, ModelParams, forward_batch
@@ -50,10 +50,14 @@ def _is_int(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_target(target: object, n_items: int) -> None:
+    if not _is_int(target) or not 0 <= target < n_items:
+        raise ConfigError(f"target must be an item index in [0, {n_items}), got {target!r}")
+
+
 def rank_of(scores: np.ndarray, target: int) -> int:
     """1-based rank of the target under the deterministic tie rule."""
-    if not _is_int(target) or not 0 <= target < len(scores):
-        raise ConfigError(f"target must be an item index in [0, {len(scores)}), got {target!r}")
+    _check_target(target, len(scores))
     t = scores[target]
     better = int(np.count_nonzero(scores > t))
     tied_before = int(np.count_nonzero(scores[:target] == t))
@@ -164,17 +168,45 @@ def evaluate_baseline(
         knn = ItemKnn(corpus)
         ranks = [rank_of(knn.scores(ex.prefix), ex.label) for ex in cases]
     else:
-        index = build_index(corpus)
-        n_items = len(corpus.vocab)
-        ranks = []
-        for start in range(0, len(cases), EVAL_CHUNK):
-            chunk = cases[start : start + EVAL_CHUNK]
-            found = precompute_neighbors(index, chunk, retrieval)
-            bounds = found.offsets.tolist()
-            for ex, lo, hi in zip(chunk, bounds, bounds[1:]):
-                if lo == hi:
-                    ranks.append(None)
-                    continue
-                scores = similarity_sums(found.ids[lo:hi], found.sims[lo:hi], index, n_items)
-                ranks.append(rank_of(scores, ex.label))
+        ranks = sknn_ranks(build_index(corpus), cases, retrieval, len(corpus.vocab))
     return report_from_ranks(ranks, cutoffs)
+
+
+def sknn_ranks(
+    index: InvertedIndex,
+    cases: Sequence[TrainingExample],
+    retrieval: RetrievalConfig,
+    n_items: int,
+) -> list[Optional[int]]:
+    """Each case's :func:`rank_of` under session-kNN scores, None with no neighbors.
+
+    Each ``EVAL_CHUNK`` of cases is one retrieval, one :func:`sknn_sums` and one
+    ranking pass over the items its neighbors hold; every other item scores 0,
+    so it ties a zero-scored target, and ranks ahead of it only from below.
+    """
+    labels = [ex.label for ex in cases]
+    for label in labels:  # the pass indexes with them, and an empty row reads none
+        _check_target(label, n_items)
+    labels = np.array(labels, dtype=np.int64)
+    ranks: list[Optional[int]] = []
+    for start in range(0, len(cases), EVAL_CHUNK):
+        chunk = cases[start : start + EVAL_CHUNK]
+        found = precompute_neighbors(index, chunk, retrieval)
+        keys, sums = sknn_sums(found, index, n_items)
+        if not len(keys):
+            ranks.extend([None] * len(chunk))
+            continue
+        firsts = np.arange(len(chunk)) * n_items  # each case's smallest key
+        targets = firsts + labels[start : start + EVAL_CHUNK]
+        at = keys.searchsorted(targets)  # touched keys below the target, from the start
+        hit = np.minimum(at, len(keys) - 1)
+        t = np.where(keys[hit] == targets, sums[hit], 0.0)
+        owner = keys // n_items
+        better = np.bincount(owner[sums > t[owner]], minlength=len(chunk))
+        tied = (sums == t[owner]) & (keys < targets[owner])
+        tied_before = np.bincount(owner[tied], minlength=len(chunk))
+        untouched_below = targets - firsts - (at - keys.searchsorted(firsts))
+        rank = 1 + better + tied_before + np.where(t == 0, untouched_below, 0)
+        empty = (found.offsets[1:] == found.offsets[:-1]).tolist()
+        ranks.extend(None if none else r for none, r in zip(empty, rank.tolist()))
+    return ranks

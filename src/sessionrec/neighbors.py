@@ -110,6 +110,13 @@ class InvertedIndex:
     def session_items(self, sids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The distinct items of the given sessions, concatenated in their order,
         and the number contributed by each session."""
+        sids = np.asarray(sids)
+        if sids.dtype.kind not in "iu":
+            raise RetrievalError(f"session ids must be integers, got {sids.dtype}")
+        sids = sids.astype(np.int64, copy=False)
+        # read as unsigned, a negative id is huge, so one max checks both ends
+        if sids.size and np.maximum.reduce(sids.view(np.uint64)) >= len(self):
+            raise RetrievalError(f"session ids must lie in [0, {len(self)})")
         return gather_rows(self.offsets, self.items, sids)
 
 

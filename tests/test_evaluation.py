@@ -5,13 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_model import ref_neighbors, ref_rank, ref_sknn_scores
 from sessionrec import evaluation
 from sessionrec.baselines import ItemKnn, pop_scores, sknn_scores
-from sessionrec.corpus import ItemVocab, Session, SessionCorpus, augment
+from sessionrec.corpus import ItemVocab, Session, SessionCorpus, TrainingExample, augment
 from sessionrec.errors import ConfigError, RetrievalError
 from sessionrec.evaluation import (
     EVAL_CHUNK,
@@ -269,6 +269,56 @@ def test_evaluate_baseline_sknn_matches_reference_route():
     assert len(expected_ranks) > EVAL_CHUNK
 
 
+timed_cases = st.tuples(item_lists, st.integers(0, 7), st.integers(0, 130))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=4), min_size=1, max_size=12),
+    st.one_of(  # a few cases, or more than one chunk
+        st.lists(timed_cases, min_size=1, max_size=4),
+        st.lists(timed_cases, min_size=EVAL_CHUNK + 1, max_size=2 * EVAL_CHUNK + 3),
+    ),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.3, 0.6]),
+    st.integers(1, 6),
+)
+@example(  # touched items tie (1 and 2, both 1/sqrt(2)); label 4 is held by no neighbour
+    [[0, 1], [0, 2], [1, 2]], [((0,), 2, 130), ((0,), 1, 130), ((0,), 4, 130), ((6,), 0, 130)],
+    4, 0.0, 6,
+)
+def test_sknn_chunk_ranks_match_per_case_scores_and_the_reference(
+    train_items, raw_cases, k, threshold, m
+):
+    # Five indexed items make touched items tie. Labels run to 7, so many are
+    # held by no neighbour and rank by the zero-score rule; prefix items 5-7
+    # are never indexed and "now" runs from before the first training session
+    # to after the last, so some cases find no neighbour.
+    corpus = corpus_of(train_items, [[7]])
+    index = build_index(corpus)
+    n_items = len(corpus.vocab)
+    retrieval = RetrievalConfig(k=k, threshold=threshold, m=m)
+    cases = [TrainingExample(tuple(p), label, -1, 90 + now) for p, label, now in raw_cases]
+    ranks = evaluation.sknn_ranks(index, cases, retrieval, n_items)
+    assert len(ranks) == len(cases)
+
+    table = precompute_neighbors(index, cases, retrieval)
+    triples = [(s.id, s.items, s.start_time) for s in corpus.train_sessions()]
+    session_items = {s.id: s.items for s in corpus.train_sessions()}
+    for i, ex in enumerate(cases):
+        scores = sknn_scores(table[i], index, n_items)
+        lo, hi = table.offsets[i], table.offsets[i + 1]
+        items, counts = index.session_items(table.ids[lo:hi])
+        summed = np.bincount(items, np.repeat(table.sims[lo:hi], counts), minlength=n_items)
+        assert np.array_equal(scores, summed)
+        if lo == hi:
+            assert ranks[i] is None
+            continue
+        want = ref_neighbors(triples, list(ex.prefix), now=ex.start_time, **vars(retrieval))
+        ref_scores = ref_sknn_scores(want, session_items, n_items)
+        assert ranks[i] == rank_of(scores, ex.label) == ref_rank(ref_scores, ex.label)
+
+
 def test_evaluate_baseline_sknn_no_neighbors_is_a_miss():
     # threshold 1.0 requires identical item sets; no training session matches
     corpus = corpus_of([[0, 1], [2, 3]], [[0, 2]])
@@ -278,6 +328,33 @@ def test_evaluate_baseline_sknn_no_neighbors_is_a_miss():
     assert report.cases == 1
     assert report.recall[5] == 0.0
     assert report.mrr[5] == 0.0
+
+
+@pytest.mark.parametrize(
+    "label", [4, -1, True, 1.0], ids=["past-the-end", "negative", "True", "float"]
+)
+def test_evaluate_baseline_sknn_rejects_labels_it_cannot_rank(monkeypatch, label):
+    # the second case finds no neighbour, so no score array ever meets its label
+    corpus = corpus_of([[0, 1], [2, 3]], [[0, 1]])
+    cases = [TrainingExample((0,), 1, 2, 200), TrainingExample((0, 2), label, 2, 200)]
+    retrieval = RetrievalConfig(threshold=0.7)
+    with pytest.raises(ConfigError, match=r"target must be an item index in \[0, 4\)"):
+        evaluate_baseline("sknn", corpus, retrieval=retrieval, cases=cases)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("retrieval ran before the labels were checked")
+
+    monkeypatch.setattr(evaluation, "precompute_neighbors", refuse)
+    with pytest.raises(ConfigError, match="target"):
+        evaluate_baseline("sknn", corpus, retrieval=retrieval, cases=cases)
+
+
+@pytest.mark.parametrize("sid", [7, 3, -1])
+def test_sknn_scores_reject_session_ids_outside_the_index(sid):
+    index = build_index(corpus_of([[0, 1], [1, 2], [2, 3]], [[0, 1]]))
+    assert len(index) == 3
+    with pytest.raises(RetrievalError, match=r"session ids must lie in \[0, 3\)"):
+        sknn_scores([(0, 1.0), (sid, 0.5)], index, 4)
 
 
 def test_evaluate_baseline_validates():

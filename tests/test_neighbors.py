@@ -126,6 +126,18 @@ def test_build_index_rejects_unordered_start_times():
         build_index(c)
 
 
+def test_session_items_rejects_ids_outside_the_index():
+    idx = build_index(corpus_from_items([[0, 1], [1, 2], [2]]))
+    items, counts = idx.session_items(np.array([2, 0], dtype=np.int64))
+    assert items.tolist() == [2, 0, 1] and counts.tolist() == [1, 2]
+    assert len(idx.session_items(np.zeros(0, dtype=np.int64))[0]) == 0
+    for sids in ([0, 3], [-1], [1, 2**62]):
+        with pytest.raises(RetrievalError, match=r"session ids must lie in \[0, 3\)"):
+            idx.session_items(np.array(sids, dtype=np.int64))
+    with pytest.raises(RetrievalError, match="integers"):
+        idx.session_items(np.array([1.5]))
+
+
 # ---------------------------------------------------------------------------
 # neighbors
 

@@ -1,5 +1,6 @@
-"""The pytest configuration reports a failing property test like any other failure."""
+"""Repository tooling: the pytest configuration and the README stay in step with the code."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,14 @@ def test_a_failing_hypothesis_test_does_not_end_the_run(tmp_path):
     assert "FAILED test_probe.py::test_fails" in done.stdout
     assert "PASSED test_probe.py::test_runs_after_the_failure" in done.stdout
     assert "INTERNALERROR" not in output
+
+
+def test_every_module_has_a_row_in_the_readme_package_table():
+    package = ROOT / "src" / "sessionrec"
+    modules = {p.stem for p in package.glob("*.py") if p.stem != "__init__"}
+    modules |= {p.parent.name for p in package.glob("*/__init__.py")}
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `sessionrec\.(\w+)` \|", table, flags=re.MULTILINE))
+    assert modules - rows == set(), "modules without a row in README's package table"
+    assert rows - modules == set(), "README rows naming no module"
