@@ -89,6 +89,9 @@ class NeighborTable:
     def select(self, rows: Sequence[int]) -> "NeighborTable":
         """A table of the given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
+        # read as unsigned, a negative row is huge, so one max checks both ends
+        if rows.size and np.maximum.reduce(rows.view(np.uint64)) >= len(self):
+            raise RetrievalError(f"rows must lie in [0, {len(self)})")
         ids, lengths = gather_rows(self.offsets, self.ids, rows)
         sims, _ = gather_rows(self.offsets, self.sims, rows)
         return NeighborTable(ids, sims, row_offsets(lengths))
@@ -261,15 +264,17 @@ def _retrieve_chunk(
     else:
         ls = index.offsets[sid + 1] - index.offsets[sid]
     sim = shared / np.sqrt(lq[owner] * ls)
-    kept = sim >= config.threshold
+    # most candidates fail the threshold, so the recency test reads only the rest
+    kept = np.flatnonzero(sim >= config.threshold)  # indices gather faster than a mask selects
     if len(sid) > m:
         # keys ascend by (query, id), so a query's newest m candidates are its last m
         ends = np.cumsum(np.bincount(owner, minlength=len(prefixes)))
-        kept &= ends[owner] - np.arange(len(owner)) <= m
-    kept = np.flatnonzero(kept)  # indices gather faster than a mask selects
+        kept = kept[ends[owner[kept]] - kept <= m]
+    kept = kept[::-1]  # each query's survivors newest first
     owner, sid, sim = owner[kept], sid[kept], sim[kept]
-    # per query: similarity descending, then the newer session first; best k
-    order = np.lexsort((-sid, -sim, owner))
+    # per query: similarity descending, and the stable sort keeps the newer
+    # session first among equals; best k
+    order = np.lexsort((-sim, owner))
     per_query = np.bincount(owner, minlength=len(prefixes))
     if len(order) > config.k:
         starts = np.cumsum(per_query) - per_query
@@ -297,6 +302,8 @@ def retrieve(
     _check_retrieval(config)
     if nows is None:
         nows = [None] * len(prefixes)
+    elif len(nows) != len(prefixes):
+        raise RetrievalError(f"{len(nows)} times given for {len(prefixes)} prefixes")
     # each chunk goes straight into arrays that ndarray.resize (a realloc) grows
     # by an eighth at a time, so the peak stays near the table instead of
     # holding every chunk and their concatenation at once

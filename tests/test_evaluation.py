@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -237,7 +238,8 @@ def test_evaluate_baseline_pop_end_to_end():
 
 def test_evaluate_baseline_sknn_matches_reference_route():
     rng = np.random.default_rng(1)
-    # 24 test cases, more than one retrieval chunk; cases 4, 10, 16 and 19 find no neighbors
+    # 24 test cases, five scoring passes of 5; cases 4, 10, 16 and 19 find no neighbors
+    chunk = 5
     chunked = corpus_of(
         [rng.choice(8, size=3, replace=False).tolist() for _ in range(12)],
         [rng.choice(8, size=4, replace=False).tolist() for _ in range(8)],
@@ -250,7 +252,8 @@ def test_evaluate_baseline_sknn_matches_reference_route():
         ),
         (chunked, RetrievalConfig(k=3, threshold=0.5, m=10), 4),
     ]:
-        report = evaluate_baseline("sknn", corpus, retrieval=retrieval, cutoffs=(5,))
+        with patch.object(evaluation, "SKNN_CHUNK", chunk):
+            report = evaluate_baseline("sknn", corpus, retrieval=retrieval, cutoffs=(5,))
 
         triples = [(s.id, s.items, s.start_time) for s in corpus.train_sessions()]
         session_items = {s.id: s.items for s in corpus.train_sessions()}
@@ -266,7 +269,7 @@ def test_evaluate_baseline_sknn_matches_reference_route():
             expected_ranks.append(ref_rank(scores, case.label))
         assert expected_ranks.count(None) == misses
         assert report == report_from_ranks(expected_ranks, cutoffs=(5,))
-    assert len(expected_ranks) > EVAL_CHUNK
+    assert len(expected_ranks) > chunk
 
 
 timed_cases = st.tuples(item_lists, st.integers(0, 7), st.integers(0, 130))
@@ -299,7 +302,8 @@ def test_sknn_chunk_ranks_match_per_case_scores_and_the_reference(
     n_items = len(corpus.vocab)
     retrieval = RetrievalConfig(k=k, threshold=threshold, m=m)
     cases = [TrainingExample(tuple(p), label, -1, 90 + now) for p, label, now in raw_cases]
-    ranks = evaluation.sknn_ranks(index, cases, retrieval, n_items)
+    with patch.object(evaluation, "SKNN_CHUNK", 5):  # a pass boundary inside every long list
+        ranks = evaluation.sknn_ranks(index, cases, retrieval, n_items)
     assert len(ranks) == len(cases)
 
     table = precompute_neighbors(index, cases, retrieval)

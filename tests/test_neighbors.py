@@ -169,6 +169,20 @@ def test_neighbors_k_truncates_after_ranking():
     assert got == [(2, 1.0)]
 
 
+def test_threshold_survivors_outside_the_newest_m_are_dropped_and_ties_go_newest_first():
+    # Query [0, 1] with m=3: the union is sessions 0, 2, 3 and 4, so session 0
+    # is cut by recency although its similarity (1.0) passes the threshold.
+    # Sessions 2 and 4 tie at 1.0 and come back newest first, in every row.
+    c = corpus_from_items([[0, 1], [0], [0, 1], [0], [0, 1]])
+    idx = build_index(c)
+    tied = [(4, 1.0), (2, 1.0)]
+    for threshold, want in ((0.5, tied + [(3, 1 / 2**0.5)]), (0.8, tied)):
+        config = RetrievalConfig(k=10, threshold=threshold, m=3)
+        table = retrieve(idx, [[0, 1], [1, 0], [0, 1, 1]], config)
+        assert [table[i] for i in range(len(table))] == [want] * 3
+        assert want == ref_neighbors(as_triples(c), [0, 1], **vars(config))
+
+
 def test_shared_count_reads_whole_posting_lists():
     # item 0 is in sessions 0-3, item 1 only in session 1. With m=2 and "now"
     # before session 3, item 0's window is sessions 1 and 2; session 1 enters
@@ -309,6 +323,20 @@ def test_neighbor_table_rows_and_selection():
     picked = table.select(np.array([2, 2, 1, 0]))
     assert [picked[i] for i in range(len(picked))] == [rows[2], rows[2], rows[1], rows[0]]
     assert len(table.select(np.zeros(0, dtype=np.int64))) == 0
+    for bad in ([-1], [3], [0, 5]):
+        with pytest.raises(RetrievalError, match=r"rows must lie in \[0, 3\)"):
+            table.select(bad)
+
+
+def test_retrieve_rejects_nows_of_another_length():
+    # zipped, a short nows used to leave the later prefixes with empty rows
+    idx = build_index(corpus_from_items([[0, 1], [1, 2]]))
+    prefixes = [[0], [1], [2]]
+    table = retrieve(idx, prefixes, RetrievalConfig(threshold=0.0))
+    assert all(table[i] for i in range(3))
+    for nows in ([None], [None] * 4, []):
+        with pytest.raises(RetrievalError, match="3 prefixes"):
+            retrieve(idx, prefixes, RetrievalConfig(threshold=0.0), nows)
 
 
 def test_precomputed_neighbors_hold_no_object_per_neighbor():

@@ -1,5 +1,6 @@
 """Repository tooling: the pytest configuration and the README stay in step with the code."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -46,3 +47,24 @@ def test_every_module_has_a_row_in_the_readme_package_table():
     rows = set(re.findall(r"^\| `sessionrec\.(\w+)` \|", table, flags=re.MULTILINE))
     assert modules - rows == set(), "modules without a row in README's package table"
     assert rows - modules == set(), "README rows naming no module"
+
+
+def test_readme_names_only_real_constants():
+    """Every backticked ALL_CAPS name in README, the package table included, is
+    assigned at module level in ``src/sessionrec``; a dotted name, in that module."""
+    package = ROOT / "src" / "sessionrec"
+    defined: dict[str, set[str]] = {}  # constant -> modules assigning it, as dotted paths
+    for path in package.rglob("*.py"):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined.setdefault(target.id, set()).add(module)
+    readme = (ROOT / "README.md").read_text()
+    named = re.findall(r"`(?:sessionrec\.)?((?:\w+\.)*)([A-Z][A-Z0-9_]+)`", readme)
+    assert named, "the pattern finds no constant"
+    for module, name in named:
+        assert name in defined, f"README names {name}, which no module defines"
+        assert not module or module[:-1] in defined[name], f"README names {module}{name}"
