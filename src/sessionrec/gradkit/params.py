@@ -106,11 +106,11 @@ def init_params(specs: Sequence[ParamSpec], seed: int) -> ParamStore:
 # Adam sweeps each parameter in blocks of ADAM_BLOCK values and runs every
 # step of the update on one block before it starts the next, so the block's
 # slices of p, g, m, v and the two scratch buffers (6 x 256 KB) stay in a
-# 2 MB per-core L2 cache through all 14 passes. One step over the 2.3M values
-# of the paper-default store (V=13,611, d=100, H=8) on a 2-vCPU Xeon host
-# took 47-52 ms (median of 15) with one whole-array sweep per pass; in blocks
-# of 2K values 50-55 ms, 8K 32-35 ms, 16K-32K 25-34 ms, 64K 27-41 ms and
-# 128K 36-40 ms.
+# 2 MB per-core L2 cache through all 12 passes and the NaN/Inf screen. One
+# step over the 2.3M values of the paper-default store (V=13,611, d=100, H=8)
+# on a 2-vCPU Xeon host took 26.1-26.4 ms (min of 31) with one whole-array
+# sweep per pass; in blocks of 2K values 23.8-23.9 ms, 8K 17.5-18.2 ms,
+# 16K 15.9-16.3 ms, 32K 16.4-16.6 ms, 64K 17.3 ms and 128K 18.9-19.9 ms.
 ADAM_BLOCK = 1 << 15
 
 
@@ -131,9 +131,11 @@ def adam_step(
     positive number for its group) is checked before any parameter changes,
     so a rejected step leaves the store as it was. Each parameter is updated
     in blocks of ``ADAM_BLOCK`` values through two block-sized scratch
-    buffers, with each expression evaluated in its textbook order, so the
-    update is bit-identical to the allocating formula and makes no
-    parameter-sized temporaries.
+    buffers, so the update makes no parameter-sized temporaries. The update
+    is Kingma & Ba's efficient form, ``p -= lr_t * m / (sqrt(v) + eps_t)``
+    with ``lr_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
+    ``eps_t = eps * sqrt(1 - beta2**t)``: the textbook update up to rounding,
+    bit-identical to those expressions evaluated as written.
     """
     for name in grads:
         if name not in store:
@@ -168,7 +170,10 @@ def adam_step(
         p_all = store[name].values.reshape(-1)
         m_all = store._m[name].reshape(-1)
         v_all = store._v[name].reshape(-1)
-        m_scale, v_scale = 1.0 - beta1**t, 1.0 - beta2**t
+        # both bias corrections folded into two scalars, so no value is divided by them
+        root_v_scale = math.sqrt(1.0 - beta2**t)
+        lr_t = step_lr * root_v_scale / (1.0 - beta1**t)
+        eps_t = eps * root_v_scale
         for lo in range(0, g_all.size, ADAM_BLOCK):
             block = slice(lo, lo + ADAM_BLOCK)
             p, g, m, v = p_all[block], g_all[block], m_all[block], v_all[block]
@@ -178,11 +183,9 @@ def adam_step(
             v *= beta2
             np.multiply(1.0 - beta2, g, out=a)
             v += np.multiply(a, g, out=a)                 # v += (1 - beta2) * g * g
-            np.divide(m, m_scale, out=a)                  # m_hat
-            np.multiply(step_lr, a, out=a)                # step_lr * m_hat
-            np.divide(v, v_scale, out=b)                  # v_hat
-            np.sqrt(b, out=b)
-            b += eps
-            p -= np.divide(a, b, out=a)                   # step_lr * m_hat / (sqrt(v_hat) + eps)
+            np.multiply(lr_t, m, out=a)                   # lr_t * m
+            np.sqrt(v, out=b)
+            b += eps_t
+            p -= np.divide(a, b, out=a)                   # lr_t * m / (sqrt(v) + eps_t)
             if not math.isfinite(np.add.reduce(p)):
                 raise NumericsError(f"parameter {name} went non-finite after update")

@@ -598,8 +598,8 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return Tensor(out, (a,), (lambda g: g * mask,), op="clip")
 
 
-def _softmax_values(v: Array, axis: int) -> Array:
-    out = v - v.max(axis=axis, keepdims=True)
+def _softmax_values(v: Array, axis: int, out: Optional[Array] = None) -> Array:
+    out = np.subtract(v, v.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out
@@ -650,21 +650,29 @@ def score_loss(s_h: Tensor, embedding: Tensor, targets) -> Tensor:
         raise ShapeError(f"score_loss takes (B, d) and (V, d), got {sv.shape} and {ev.shape}")
     rows, n = sv.shape[0], ev.shape[0]
     flat = np.arange(rows) * n + item_targets(targets, rows, n)
-    probs = _softmax_values(np.matmul(sv, ev.T), -1)
-    kept = (probs >= PROB_CLAMP) & (probs <= 1.0 - PROB_CLAMP)  # where the clamp passes gradient
-    miss = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    p_target = miss.reshape(-1)[flat]
-    np.subtract(1.0, miss, out=miss)                                     # 1 - p
+    logits = np.matmul(sv, ev.T)
+    probs = _softmax_values(logits, -1, out=logits)
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    if np.minimum.reduce(probs, axis=None) >= lo and np.maximum.reduce(probs, axis=None) <= hi:
+        kept = None  # nothing clamped: the clamp is the identity and its mask all ones
+        p_target = probs.reshape(-1)[flat]
+        miss = np.subtract(1.0, probs)                                   # 1 - p
+    else:
+        kept = (probs >= lo) & (probs <= hi)  # where the clamp passes gradient
+        miss = np.clip(probs, lo, hi)
+        p_target = miss.reshape(-1)[flat]
+        np.subtract(1.0, miss, out=miss)                                 # 1 - p
     log_miss = np.log(miss)
     out = (log_miss.reshape(-1)[flat] - np.log(p_target)).sum() - log_miss.sum()
     stash: list = []  # (g, logit gradient) from s_h's VJP, taken by the embedding's
 
     def logit_grad(g: Array) -> Array:
         # the chain's order: g / (1 - p) off target and -g / p_t on it, the
-        # clamp's mask, then the softmax VJP p * (grad - sum(grad * p))
+        # clamp's mask if any p was clamped, then the softmax VJP p * (grad - sum(grad * p))
         grad = g / miss
         grad.reshape(-1)[flat] = (-g) / p_target
-        grad *= kept
+        if kept is not None:
+            grad *= kept
         dot = (grad * probs).sum(axis=-1, keepdims=True)
         grad -= dot
         grad *= probs

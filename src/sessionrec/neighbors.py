@@ -88,7 +88,10 @@ class NeighborTable:
 
     def select(self, rows: Sequence[int]) -> "NeighborTable":
         """A table of the given rows, in the given order."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise RetrievalError(f"rows must be integers, got {rows.dtype}")
+        rows = rows.astype(np.int64, copy=False)
         # read as unsigned, a negative row is huge, so one max checks both ends
         if rows.size and np.maximum.reduce(rows.view(np.uint64)) >= len(self):
             raise RetrievalError(f"rows must lie in [0, {len(self)})")

@@ -135,7 +135,8 @@ def train(
     given, writes ``epoch_<n>.ckpt`` checkpoints and appends one line per epoch
     to ``log.jsonl`` (epoch, mean loss, group learning rates, validation
     Recall@10 when measured, seconds spent fitting and fitted examples per
-    second, wall time).
+    second, seconds in the optimizer, in validation and, with ``out_dir``,
+    in writing the checkpoint, wall time).
     """
     model_config.validate()
     config.validate()
@@ -186,6 +187,7 @@ def train(
 
         fit_started = time.perf_counter()
         loss_sum = 0.0
+        optimizer_s = 0.0
         for batch_no, batch in enumerate(batches):
             examples = [fit_examples[idx] for idx in batch]
             try:
@@ -200,7 +202,9 @@ def train(
                     f"sessions {sessions}: {exc}"
                 ) from exc
             loss_sum += batch_loss
+            step_started = time.perf_counter()
             gk.adam_step(store, dict(zip(names, grads)), lrs)
+            optimizer_s += time.perf_counter() - step_started
         fit_s = time.perf_counter() - fit_started
 
         mean_loss = loss_sum / len(fit_examples)
@@ -212,14 +216,17 @@ def train(
             "val_recall10": None,
             "fit_s": fit_s,
             "examples_per_s": len(fit_examples) / fit_s,
+            "optimizer_s": optimizer_s,
         }
 
+        val_started = time.perf_counter()
         if val_examples:
             val_report = evaluate_model(
                 params, model_config, corpus, config.retrieval, cutoffs=(10,),
                 index=index, cases=val_examples, case_neighbors=val_neighbors,
             )
             entry["val_recall10"] = val_report.recall[10]
+        entry["validation_s"] = time.perf_counter() - val_started
 
         entry["wall_time"] = time.perf_counter() - started
         history.append(entry)
@@ -230,6 +237,7 @@ def train(
 
         if out_path is not None:
             ckpt = out_path / f"epoch_{epoch}.ckpt"
+            ckpt_started = time.perf_counter()
             gk.save_params(
                 ckpt,
                 store,
@@ -240,6 +248,7 @@ def train(
                     "seed": config.seed,
                 },
             )
+            entry["checkpoint_s"] = time.perf_counter() - ckpt_started
             checkpoints.append(ckpt)
             with open(out_path / LOG_FILENAME, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")

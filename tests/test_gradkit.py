@@ -1,6 +1,7 @@
 """The autodiff tape: op semantics, gradient fidelity, optimizer, persistence."""
 
 import io
+import math
 import struct
 from pathlib import Path
 
@@ -769,7 +770,8 @@ def test_adam_two_steps_match_hand_rollout():
 
 
 def test_adam_matches_the_allocating_formula_bit_for_bit():
-    """The scratch-buffer update equals the textbook expressions evaluated as written."""
+    """The scratch-buffer update equals the efficient-form expressions
+    (Kingma & Ba, section 2) evaluated as written."""
     rng = np.random.default_rng(31)
     shapes = [
         ("emb", (7, 3), "intra_shared"),
@@ -792,12 +794,30 @@ def test_adam_matches_the_allocating_formula_bit_for_bit():
             step = store.step_count(name)
             m[name] = beta1 * m[name] + (1.0 - beta1) * g
             v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
-            m_hat = m[name] / (1.0 - beta1**step)
-            v_hat = v[name] / (1.0 - beta2**step)
-            params[name] = params[name] - lr[store.group(name)] * m_hat / (np.sqrt(v_hat) + eps)
+            lr_t = lr[store.group(name)] * math.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
+            eps_t = eps * math.sqrt(1.0 - beta2**step)
+            params[name] = params[name] - lr_t * m[name] / (np.sqrt(v[name]) + eps_t)
         for name, p in params.items():
             assert (store[name].values == p).all(), (t, name)
     assert store.step_count("vec") == 4
+
+
+def test_adam_stays_within_rounding_of_the_textbook_formula():
+    """500 random steps of the efficient form against the bias-corrected
+    textbook update, m_hat / (sqrt(v_hat) + eps), carried side by side."""
+    rng = np.random.default_rng(5)
+    store = store_with([("w", (64,), "inter")], seed=2)
+    p = store["w"].values.copy()
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 501):
+        # magnitudes from 1e-10, where eps outweighs sqrt(v_hat), to 1e2
+        g = rng.normal(0.0, 1.0, p.shape) * 10.0 ** rng.uniform(-10, 2, p.shape)
+        gk.adam_step(store, {"w": g}, 0.01)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        p = p - 0.01 * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+        assert np.abs(store["w"].values - p).max() <= 1e-14, t
 
 
 def test_adam_per_group_learning_rates():

@@ -328,6 +328,18 @@ def test_neighbor_table_rows_and_selection():
             table.select(bad)
 
 
+def test_neighbor_table_select_rejects_non_integer_rows():
+    # a cast to int64 used to read 1.7 and True as row 1
+    idx = build_index(corpus_from_items([[0, 1], [1, 2]]))
+    cases = [TrainingExample(p, 0, -1, 200) for p in ((0,), (2,))]
+    table = precompute_neighbors(idx, cases, RetrievalConfig(threshold=0.0))
+    for bad in ([1.7], [True], np.array([1.0]), ["1"]):
+        with pytest.raises(RetrievalError, match="rows must be integers"):
+            table.select(bad)
+    assert len(table.select([])) == 0
+    assert table.select(np.array([1], dtype=np.uint8))[0] == table[1]
+
+
 def test_retrieve_rejects_nows_of_another_length():
     # zipped, a short nows used to leave the later prefixes with empty rows
     idx = build_index(corpus_from_items([[0, 1], [1, 2]]))

@@ -1,10 +1,16 @@
 """Repository tooling: the pytest configuration and the README stay in step with the code."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from sessionrec.model import ModelConfig
+from sessionrec.neighbors import RetrievalConfig
+from sessionrec.synthetic import chain_corpus
+from sessionrec.training import LOG_FILENAME, TrainConfig, train
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,3 +74,17 @@ def test_readme_names_only_real_constants():
     for module, name in named:
         assert name in defined, f"README names {name}, which no module defines"
         assert not module or module[:-1] in defined[name], f"README names {module}{name}"
+
+
+def test_readme_log_row_names_the_keys_of_an_epoch_line(tmp_path):
+    """README's ``run/log.jsonl`` row names, outside its parentheses, exactly
+    the keys ``train`` writes on each line of the log."""
+    readme = (ROOT / "README.md").read_text()
+    row = next(line for line in readme.splitlines() if line.startswith(f"| `run/{LOG_FILENAME}` |"))
+    documented = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row.split("|")[3])))
+    corpus = chain_corpus(n_sessions=12, n_chains=2, chain_len=4, seed=3)
+    config = TrainConfig(epochs=1, seed=1, patience=0, retrieval=RetrievalConfig(threshold=0.1))
+    train(corpus, ModelConfig(vocab_size=len(corpus.vocab), dim=4, heads=2, gat_layers=1),
+          config, out_dir=tmp_path)
+    line = (tmp_path / LOG_FILENAME).read_text().splitlines()[0]
+    assert documented == set(json.loads(line))

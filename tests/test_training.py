@@ -1,6 +1,7 @@
 """Trainer behavior: schedules, determinism, logging, and stopping rules."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -169,6 +170,22 @@ def test_training_writes_checkpoints_and_log(tmp_path):
     assert meta["retrieval"]["threshold"] == 0.1
     for name in store.names():
         assert (store[name].values == result.params.store[name].values).all()
+
+
+def test_training_log_shows_where_an_epoch_goes(tmp_path):
+    corpus = small_chain()
+    model_cfg = small_model(corpus)
+    timed = ("optimizer_s", "validation_s", "checkpoint_s")
+    cfg = fast_train_config(epochs=1, patience=1, val_fraction=0.25)
+    logged = train(corpus, model_cfg, cfg, out_dir=tmp_path).history
+    assert logged == [json.loads(line) for line in (tmp_path / LOG_FILENAME).read_text().splitlines()]
+    for entry in logged:
+        for key in timed:
+            assert math.isfinite(entry[key]) and entry[key] >= 0, (key, entry)
+        assert entry["optimizer_s"] <= entry["fit_s"]
+    unsaved = train(corpus, model_cfg, cfg).history[0]
+    assert "checkpoint_s" not in unsaved
+    assert math.isfinite(unsaved["optimizer_s"]) and unsaved["validation_s"] >= 0
 
 
 def test_final_loss_property_reads_last_epoch():
