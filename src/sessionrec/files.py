@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -12,11 +13,12 @@ from typing import Sequence, Union
 def write_atomic(path: Union[str, Path], parts: Sequence) -> None:
     """Replace ``path`` with ``parts``, bytes-like buffers written in order, through
     a temporary file in the same directory and one rename, so a write that fails
-    partway leaves the previous file intact."""
+    partway leaves the previous file intact. Each call makes its own temporary
+    file, so concurrent writes of one path each land whole."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with tmp.open("wb") as fh:
+        with tmp.open("xb") as fh:
             fh.writelines(parts)
         os.replace(tmp, path)
     finally:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Real
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -106,12 +108,49 @@ def init_params(specs: Sequence[ParamSpec], seed: int) -> ParamStore:
 # Adam sweeps each parameter in blocks of ADAM_BLOCK values and runs every
 # step of the update on one block before it starts the next, so the block's
 # slices of p, g, m, v and the two scratch buffers (6 x 256 KB) stay in a
-# 2 MB per-core L2 cache through all 12 passes and the NaN/Inf screen. One
-# step over the 2.3M values of the paper-default store (V=13,611, d=100, H=8)
-# on a 2-vCPU Xeon host took 26.1-26.4 ms (min of 31) with one whole-array
-# sweep per pass; in blocks of 2K values 23.8-23.9 ms, 8K 17.5-18.2 ms,
-# 16K 15.9-16.3 ms, 32K 16.4-16.6 ms, 64K 17.3 ms and 128K 18.9-19.9 ms.
+# 2 MB per-core L2 cache through all 12 passes and the NaN/Inf screen. A step
+# of ADAM_SPLIT_MIN values or more is split between the caller and the helper
+# thread. One step over the 2.3M values of the paper-default store
+# (V=13,611, d=100, H=8) on a 2-vCPU Xeon host, min of 31 in six rounds, took
+# 16.8-22.4 ms on one thread in blocks of 32K; split, in blocks of 8K
+# 19.2-26.2 ms, 16K 13.6-16.9 ms, 32K 10.9-14.2 ms, 64K 10.7-14.1 ms and 128K
+# 13.1-14.8 ms. Below about eight blocks a split step read no faster, and on
+# test-sized stores of 15-30K values in 18 tensors it read 2.3x slower: the
+# hand-off and the GIL cost more than the second thread saves.
 ADAM_BLOCK = 1 << 15
+ADAM_SPLIT_MIN = 8 * ADAM_BLOCK
+
+_helpers: dict[int, ThreadPoolExecutor] = {}  # by process id: a forked child inherits no thread
+
+
+def helper() -> ThreadPoolExecutor:
+    """The one helper thread, created on first use. ``adam_step`` runs half of
+    its blocks there, and training writes its checkpoints there."""
+    pid = os.getpid()
+    if pid not in _helpers:
+        _helpers[pid] = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gradkit-helper")
+    return _helpers[pid]
+
+
+def _adam_blocks(blocks: list, beta1: float, beta2: float) -> Optional[str]:
+    """Update each (name, lr_t, eps_t, p, g, m, v) block in order through two
+    scratch buffers of its own; the name of the first block that goes
+    non-finite, where the run stops, or None."""
+    scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for name, lr_t, eps_t, p, g, m, v in blocks:
+        a, b = scratch_a[: g.size], scratch_b[: g.size]
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=a)       # m += (1 - beta1) * g
+        v *= beta2
+        np.multiply(1.0 - beta2, g, out=a)
+        v += np.multiply(a, g, out=a)                 # v += (1 - beta2) * g * g
+        np.multiply(lr_t, m, out=a)                   # lr_t * m
+        np.sqrt(v, out=b)
+        b += eps_t
+        p -= np.divide(a, b, out=a)                   # lr_t * m / (sqrt(v) + eps_t)
+        if not math.isfinite(np.add.reduce(p)):
+            return name
+    return None
 
 
 def adam_step(
@@ -131,11 +170,18 @@ def adam_step(
     positive number for its group) is checked before any parameter changes,
     so a rejected step leaves the store as it was. Each parameter is updated
     in blocks of ``ADAM_BLOCK`` values through two block-sized scratch
-    buffers, so the update makes no parameter-sized temporaries. The update
-    is Kingma & Ba's efficient form, ``p -= lr_t * m / (sqrt(v) + eps_t)``
-    with ``lr_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
+    buffers, so the update makes no parameter-sized temporaries. A step of
+    ``ADAM_SPLIT_MIN`` values or more cuts its blocks, in canonical order, in
+    two at their value midpoint: the caller updates the first half and the
+    helper thread the second, and the caller waits for the helper before it
+    returns or raises. Each block is updated as a serial run would update
+    it, so the split changes no bit. The update is Kingma & Ba's efficient
+    form, ``p -= lr_t * m / (sqrt(v) + eps_t)`` with
+    ``lr_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
     ``eps_t = eps * sqrt(1 - beta2**t)``: the textbook update up to rounding,
-    bit-identical to those expressions evaluated as written.
+    bit-identical to those expressions evaluated as written. A block that
+    goes non-finite raises ``NumericsError`` naming the first such parameter
+    in canonical order.
     """
     for name in grads:
         if name not in store:
@@ -162,7 +208,7 @@ def adam_step(
             raise ConfigError(f"learning rate for {name} must be positive and finite, got {step_lr!r}")
         updates.append((name, g.reshape(-1), step_lr))
 
-    scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    blocks = []
     for name, g_all, step_lr in updates:
         t = store._steps[name] + 1
         store._steps[name] = t
@@ -176,16 +222,17 @@ def adam_step(
         eps_t = eps * root_v_scale
         for lo in range(0, g_all.size, ADAM_BLOCK):
             block = slice(lo, lo + ADAM_BLOCK)
-            p, g, m, v = p_all[block], g_all[block], m_all[block], v_all[block]
-            a, b = scratch_a[: g.size], scratch_b[: g.size]
-            m *= beta1
-            m += np.multiply(1.0 - beta1, g, out=a)       # m += (1 - beta1) * g
-            v *= beta2
-            np.multiply(1.0 - beta2, g, out=a)
-            v += np.multiply(a, g, out=a)                 # v += (1 - beta2) * g * g
-            np.multiply(lr_t, m, out=a)                   # lr_t * m
-            np.sqrt(v, out=b)
-            b += eps_t
-            p -= np.divide(a, b, out=a)                   # lr_t * m / (sqrt(v) + eps_t)
-            if not math.isfinite(np.add.reduce(p)):
-                raise NumericsError(f"parameter {name} went non-finite after update")
+            blocks.append((name, lr_t, eps_t, p_all[block], g_all[block], m_all[block], v_all[block]))
+
+    cut = len(blocks)
+    ends = np.cumsum([b[4].size for b in blocks])
+    if cut and ends[-1] >= ADAM_SPLIT_MIN:
+        cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1  # up to the block holding the midpoint
+    second = helper().submit(_adam_blocks, blocks[cut:], beta1, beta2) if cut < len(blocks) else None
+    try:
+        bad = _adam_blocks(blocks[:cut], beta1, beta2)
+    finally:
+        bad_second = second.result() if second is not None else None
+    bad = bad or bad_second
+    if bad is not None:
+        raise NumericsError(f"parameter {bad} went non-finite after update")

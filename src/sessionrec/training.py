@@ -6,7 +6,9 @@ fusion, readouts on the intra side) decays every three. Examples are shuffled
 with a seeded generator and batched by prefix length. Each batch runs as one
 packed forward and one backward of its summed loss scaled by 1/B, so
 gradients are averaged over the batch, and a checkpoint plus one JSON log line
-is written per epoch.
+is written per epoch. The checkpoint is written on the helper thread while the
+next epoch's first batch runs forward and backward, which only read the
+parameters; the write is joined before that batch's optimizer step.
 Early stopping watches Recall@10 on the most recent slice of the training
 sessions.
 """
@@ -123,6 +125,13 @@ def _fit_batch(
     return objective.item(), grads
 
 
+def _save_timed(path: Path, store: gk.ParamStore, meta: dict) -> float:
+    """Write one checkpoint; the seconds the write took."""
+    started = time.perf_counter()
+    gk.save_params(path, store, meta)
+    return time.perf_counter() - started
+
+
 def train(
     corpus: SessionCorpus,
     model_config: ModelConfig,
@@ -136,7 +145,10 @@ def train(
     to ``log.jsonl`` (epoch, mean loss, group learning rates, validation
     Recall@10 when measured, seconds spent fitting and fitted examples per
     second, seconds in the optimizer, in validation and, with ``out_dir``,
-    in writing the checkpoint, wall time).
+    in writing the checkpoint, wall time, and the fit cases' mean neighbour
+    count and share with no neighbours). Epoch n's line is appended once its
+    checkpoint is on disk, and no write is left in flight when this returns
+    or raises; a failed write raises its own error, ahead of any later one.
     """
     model_config.validate()
     config.validate()
@@ -163,6 +175,11 @@ def train(
     # retrieved once each: the lists do not change between epochs
     fit_neighbors = precompute_neighbors(index, fit_examples, config.retrieval)
     val_neighbors = precompute_neighbors(index, val_examples, config.retrieval)
+    counts = np.diff(fit_neighbors.offsets)
+    coverage = {
+        "neighbors_mean": float(np.mean(counts)),
+        "no_neighbors_share": float(np.mean(counts == 0)),
+    }
 
     params = build_params(model_config, config.seed)
     store = params.store
@@ -177,90 +194,100 @@ def train(
 
     history: list[dict] = []
     checkpoints: list[Path] = []
-    best_val = -np.inf
-    stale = 0
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        lrs = group_learning_rates(config, epoch)
-        order = rng.permutation(len(fit_examples))
-        batches = _length_bucketed_batches(fit_examples, order, config.batch_size, rng)
+    pending = None  # the checkpoint write in flight: (future, its epoch's entry, path)
 
-        fit_started = time.perf_counter()
-        loss_sum = 0.0
-        optimizer_s = 0.0
-        for batch_no, batch in enumerate(batches):
-            examples = [fit_examples[idx] for idx in batch]
-            try:
-                batch_loss, grads = _fit_batch(
-                    examples, fit_neighbors.select(batch),
-                    corpus, params, model_config, tensors,
-                )
-            except NumericsError as exc:
-                sessions = sorted({ex.session_id for ex in examples})
-                raise TrainingError(
-                    f"non-finite value at epoch {epoch}, batch {batch_no}, "
-                    f"sessions {sessions}: {exc}"
-                ) from exc
-            loss_sum += batch_loss
-            step_started = time.perf_counter()
-            gk.adam_step(store, dict(zip(names, grads)), lrs)
-            optimizer_s += time.perf_counter() - step_started
-        fit_s = time.perf_counter() - fit_started
-
-        mean_loss = loss_sum / len(fit_examples)
-        entry = {
-            "epoch": epoch,
-            "loss": mean_loss,
-            "lr_intra_shared": lrs["intra_shared"],
-            "lr_inter": lrs["inter"],
-            "val_recall10": None,
-            "fit_s": fit_s,
-            "examples_per_s": len(fit_examples) / fit_s,
-            "optimizer_s": optimizer_s,
-        }
-
-        val_started = time.perf_counter()
-        if val_examples:
-            val_report = evaluate_model(
-                params, model_config, corpus, config.retrieval, cutoffs=(10,),
-                index=index, cases=val_examples, case_neighbors=val_neighbors,
-            )
-            entry["val_recall10"] = val_report.recall[10]
-        entry["validation_s"] = time.perf_counter() - val_started
-
-        entry["wall_time"] = time.perf_counter() - started
-        history.append(entry)
-        logger.info(
-            "epoch %d loss %.6f lr %.2g/%.2g val_recall10 %s",
-            epoch, mean_loss, lrs["intra_shared"], lrs["inter"], entry["val_recall10"],
-        )
-
-        if out_path is not None:
-            ckpt = out_path / f"epoch_{epoch}.ckpt"
-            ckpt_started = time.perf_counter()
-            gk.save_params(
-                ckpt,
-                store,
-                meta={
-                    "model": model_config.to_dict(),
-                    "retrieval": asdict(config.retrieval),
-                    "epoch": epoch,
-                    "seed": config.seed,
-                },
-            )
-            entry["checkpoint_s"] = time.perf_counter() - ckpt_started
+    def settle() -> None:
+        """Wait for the write in flight, then log its epoch."""
+        nonlocal pending
+        if pending is not None:
+            write, entry, ckpt = pending
+            pending = None
+            entry["checkpoint_s"] = write.result()
             checkpoints.append(ckpt)
             with open(out_path / LOG_FILENAME, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-        if val_examples:
-            if entry["val_recall10"] > best_val:
-                best_val = entry["val_recall10"]
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    logger.info("early stop at epoch %d (stagnant validation)", epoch)
-                    break
+    best_val = -np.inf
+    stale = 0
+    try:
+        for epoch in range(config.epochs):
+            started = time.perf_counter()
+            lrs = group_learning_rates(config, epoch)
+            order = rng.permutation(len(fit_examples))
+            batches = _length_bucketed_batches(fit_examples, order, config.batch_size, rng)
+
+            fit_started = time.perf_counter()
+            loss_sum = 0.0
+            optimizer_s = 0.0
+            for batch_no, batch in enumerate(batches):
+                examples = [fit_examples[idx] for idx in batch]
+                try:
+                    batch_loss, grads = _fit_batch(
+                        examples, fit_neighbors.select(batch),
+                        corpus, params, model_config, tensors,
+                    )
+                except NumericsError as exc:
+                    sessions = sorted({ex.session_id for ex in examples})
+                    raise TrainingError(
+                        f"non-finite value at epoch {epoch}, batch {batch_no}, "
+                        f"sessions {sessions}: {exc}"
+                    ) from exc
+                loss_sum += batch_loss
+                settle()  # the write reads the parameters this step changes
+                step_started = time.perf_counter()
+                gk.adam_step(store, dict(zip(names, grads)), lrs)
+                optimizer_s += time.perf_counter() - step_started
+            fit_s = time.perf_counter() - fit_started
+
+            mean_loss = loss_sum / len(fit_examples)
+            entry = {
+                "epoch": epoch,
+                "loss": mean_loss,
+                "lr_intra_shared": lrs["intra_shared"],
+                "lr_inter": lrs["inter"],
+                "val_recall10": None,
+                "fit_s": fit_s,
+                "examples_per_s": len(fit_examples) / fit_s,
+                "optimizer_s": optimizer_s,
+                **coverage,
+            }
+
+            val_started = time.perf_counter()
+            if val_examples:
+                val_report = evaluate_model(
+                    params, model_config, corpus, config.retrieval, cutoffs=(10,),
+                    index=index, cases=val_examples, case_neighbors=val_neighbors,
+                )
+                entry["val_recall10"] = val_report.recall[10]
+            entry["validation_s"] = time.perf_counter() - val_started
+
+            entry["wall_time"] = time.perf_counter() - started
+            history.append(entry)
+            logger.info(
+                "epoch %d loss %.6f lr %.2g/%.2g val_recall10 %s",
+                epoch, mean_loss, lrs["intra_shared"], lrs["inter"], entry["val_recall10"],
+            )
+
+            if out_path is not None:
+                ckpt = out_path / f"epoch_{epoch}.ckpt"
+                meta = {
+                    "model": model_config.to_dict(),
+                    "retrieval": asdict(config.retrieval),
+                    "epoch": epoch,
+                    "seed": config.seed,
+                }
+                pending = (gk.helper().submit(_save_timed, ckpt, store, meta), entry, ckpt)
+
+            if val_examples:
+                if entry["val_recall10"] > best_val:
+                    best_val = entry["val_recall10"]
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= config.patience:
+                        logger.info("early stop at epoch %d (stagnant validation)", epoch)
+                        break
+    finally:
+        settle()
 
     return TrainResult(params, model_config, history, checkpoints)

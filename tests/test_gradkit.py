@@ -3,6 +3,8 @@
 import io
 import math
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -889,6 +891,102 @@ def test_adam_rejects_bad_learning_rates_before_any_change(lr):
     assert store.step_count("a") == store.step_count("w") == 2
 
 
+# sizes that put the value midpoint of the blocks inside the last parameter
+SPLIT_SHAPES = [
+    ("one", (1,), "inter"),
+    ("under", (ADAM_BLOCK - 1,), "intra_shared"),
+    ("over", (ADAM_BLOCK + 1,), "inter"),
+    ("triple", (3, ADAM_BLOCK), "intra_shared"),
+]
+
+
+def recording_blocks(monkeypatch, split_min=0):
+    """Split steps of ``split_min`` values and up (every step by default), and
+    record per thread the names of the blocks each ``_adam_blocks`` run gets."""
+    from sessionrec.gradkit import params as params_module
+
+    monkeypatch.setattr(params_module, "ADAM_SPLIT_MIN", split_min)
+    runs = []
+    original = params_module._adam_blocks
+
+    def recording(blocks, beta1, beta2):
+        runs.append((threading.get_ident(), [b[0] for b in blocks]))
+        return original(blocks, beta1, beta2)
+
+    monkeypatch.setattr(params_module, "_adam_blocks", recording)
+    return runs
+
+
+def test_split_adam_step_equals_a_serial_block_by_block_run(monkeypatch):
+    rng = np.random.default_rng(17)
+    runs = recording_blocks(monkeypatch)
+    store = store_with(SPLIT_SHAPES, seed=4)
+    params = {name: store[name].values.reshape(-1).copy() for name, _, _ in SPLIT_SHAPES}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    steps = dict.fromkeys(params, 0)
+    lr = {"intra_shared": 0.02, "inter": 0.005}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for t in range(5):
+        grads = {name: rng.normal(0.0, 1.0, store[name].shape) for name in params}
+        if t == 2:
+            del grads["over"]  # a parameter without a gradient this step
+        gk.adam_step(store, grads, lr)
+        for name, g in grads.items():
+            steps[name] += 1
+            step = steps[name]
+            lr_t = lr[store.group(name)] * math.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
+            eps_t = eps * math.sqrt(1.0 - beta2**step)
+            g = g.reshape(-1)
+            for lo in range(0, g.size, ADAM_BLOCK):
+                block = slice(lo, lo + ADAM_BLOCK)
+                m[name][block] = beta1 * m[name][block] + (1.0 - beta1) * g[block]
+                v[name][block] = beta2 * v[name][block] + (1.0 - beta2) * g[block] * g[block]
+                params[name][block] -= lr_t * m[name][block] / (np.sqrt(v[name][block]) + eps_t)
+        for name, p in params.items():
+            assert (store[name].values.reshape(-1) == p).all(), (t, name)
+            assert (store._m[name].reshape(-1) == m[name]).all(), (t, name)
+            assert (store._v[name].reshape(-1) == v[name]).all(), (t, name)
+            assert store.step_count(name) == steps[name], (t, name)
+    # every step ran in two halves, one on this thread and one on the helper,
+    # and the cut fell inside "triple"
+    assert len(runs) == 10
+    for pair in zip(runs[::2], runs[1::2]):
+        (_, caller), (helper_id, helper) = sorted(pair, key=lambda run: run[0] != threading.get_ident())
+        assert helper_id != threading.get_ident()
+        assert caller[-1] == helper[0] == "triple", (caller, helper)
+
+
+@pytest.mark.parametrize(
+    "poisoned, named",
+    [
+        (["triple"], "triple"),  # a block of the helper's half only
+        (["under", "triple"], "under"),  # both halves: the caller's is earlier
+        (["over", "one"], "one"),  # both in the caller's half
+    ],
+)
+def test_split_adam_step_names_the_earliest_non_finite_parameter(poisoned, named, monkeypatch):
+    runs = recording_blocks(monkeypatch)
+    store = store_with(SPLIT_SHAPES, seed=4)
+    for name in poisoned:
+        store[name].values.reshape(-1)[-1] = np.inf
+    grads = {name: np.ones(store[name].shape) for name in store.names()}
+    with pytest.raises(NumericsError, match=rf"parameter {named} went non-finite"):
+        gk.adam_step(store, grads, lr=0.01)
+    assert len(runs) == 2
+
+
+def test_only_steps_of_at_least_the_split_minimum_are_split(monkeypatch):
+    from sessionrec.gradkit.params import ADAM_SPLIT_MIN
+
+    runs = recording_blocks(monkeypatch, ADAM_SPLIT_MIN)
+    small = store_with([("w", (ADAM_SPLIT_MIN - 2,), "inter"), ("b", (1,), "inter")])
+    large = store_with([("w", (ADAM_SPLIT_MIN - 1,), "inter"), ("b", (1,), "inter")])
+    for store in (small, large):
+        gk.adam_step(store, {name: np.ones(store[name].shape) for name in store.names()}, lr=0.01)
+    assert len(runs) == 3  # the small step in one run, the large one in two
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -965,4 +1063,66 @@ def test_failed_checkpoint_write_leaves_previous_file(tmp_path, monkeypatch):
         gk.save_params(path, store_with([("w", (64,), "inter")], seed=1), {"epoch": 1})
     monkeypatch.undo()
     assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_concurrent_writes_of_one_path_each_land_whole(tmp_path):
+    """Two threads replace one path and are both mid-write at once: each
+    write has its own temporary file, so neither takes the other's."""
+    from sessionrec.files import write_atomic
+
+    path = tmp_path / "x.ckpt"
+    met = threading.Barrier(2, timeout=10)
+
+    def parts(tag):
+        yield tag * 4
+        met.wait()  # both temporary files are open and half written
+        yield tag * 4
+
+    errors = []
+
+    def write(tag):
+        try:
+            write_atomic(path, parts(tag))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(tag,)) for tag in (b"a", b"b")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert errors == []
+    assert path.read_bytes() in (b"a" * 8, b"b" * 8)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_many_threads_rewriting_one_path_leave_one_whole_file(tmp_path):
+    from sessionrec.files import write_atomic
+
+    path = tmp_path / "x.ckpt"
+    payloads = [bytes([65 + n]) * 4096 for n in range(4)]
+    errors = []
+
+    def rewrite(payload):
+        try:
+            for _ in range(25):
+                write_atomic(path, [payload[:2048], payload[2048:]])
+        except OSError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=rewrite, args=(p,)) for p in payloads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert path.read_bytes() in payloads
     assert list(tmp_path.iterdir()) == [path]

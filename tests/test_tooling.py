@@ -5,8 +5,13 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
+
+import sessionrec.training as training
+from sessionrec import gradkit as gk
 from sessionrec.model import ModelConfig
 from sessionrec.neighbors import RetrievalConfig
 from sessionrec.synthetic import chain_corpus
@@ -88,3 +93,65 @@ def test_readme_log_row_names_the_keys_of_an_epoch_line(tmp_path):
           config, out_dir=tmp_path)
     line = (tmp_path / LOG_FILENAME).read_text().splitlines()[0]
     assert documented == set(json.loads(line))
+
+
+THREADS_PROBE = """
+import threading
+before = threading.active_count()
+import sessionrec as sr
+from sessionrec.synthetic import chain_corpus
+corpus = chain_corpus(n_sessions=16, n_chains=2, chain_len=4, seed=3)
+config = sr.ModelConfig(vocab_size=len(corpus.vocab), dim=4, heads=2, gat_layers=1)
+cases = [ex for s in corpus.sessions[-4:] for ex in sr.augment(s)]
+sr.evaluate_model(sr.build_params(config, 0), config, corpus, cases=cases)
+sr.evaluate_baseline("sknn", corpus, cases=cases)
+print(before, threading.active_count())
+"""
+
+
+def test_serving_and_session_knn_start_no_thread():
+    """The helper thread is training's alone: importing the package, a model
+    evaluation and the session-kNN baseline leave the thread count as it was."""
+    done = subprocess.run([sys.executable, "-c", THREADS_PROBE], capture_output=True,
+                          text=True, timeout=300, cwd=ROOT)
+    assert done.returncode == 0, done.stderr[-3000:]
+    before, after = map(int, done.stdout.split())
+    assert after == before
+
+
+def test_train_leaves_no_checkpoint_write_in_flight(tmp_path, monkeypatch):
+    """Whether ``train`` returns or raises, every checkpoint write it started
+    has finished."""
+    save = gk.save_params
+    in_flight = []
+
+    def slow_save(path, store, meta):
+        in_flight.append(meta["epoch"])
+        time.sleep(0.1)
+        save(path, store, meta)
+        in_flight.remove(meta["epoch"])
+
+    monkeypatch.setattr(gk, "save_params", slow_save)
+    corpus = chain_corpus(n_sessions=12, n_chains=2, chain_len=4, seed=3)
+    model = ModelConfig(vocab_size=len(corpus.vocab), dim=4, heads=2, gat_layers=1)
+    train(corpus, model, TrainConfig(epochs=2, seed=1, patience=0), out_dir=tmp_path / "ok")
+    assert in_flight == []
+
+    epochs = []
+
+    def recording_epochs(config, epoch):
+        epochs.append(epoch)
+        return rates(config, epoch)
+
+    def poisoned_after_one_epoch(prefixes, *args):
+        if epochs[-1] == 1:  # epoch 0's checkpoint is being written
+            raise training.NumericsError("exp produced non-finite values")
+        return encode_batch(prefixes, *args)
+
+    rates, encode_batch = training.group_learning_rates, training.encode_batch
+    monkeypatch.setattr(training, "group_learning_rates", recording_epochs)
+    monkeypatch.setattr(training, "encode_batch", poisoned_after_one_epoch)
+    with pytest.raises(training.TrainingError, match="epoch 1, batch 0"):
+        train(corpus, model, TrainConfig(epochs=3, seed=1, patience=0), out_dir=tmp_path / "bad")
+    assert in_flight == []
+    assert len((tmp_path / "bad" / LOG_FILENAME).read_text().splitlines()) == 1

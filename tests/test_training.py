@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,67 @@ def test_training_log_shows_where_an_epoch_goes(tmp_path):
     unsaved = train(corpus, model_cfg, cfg).history[0]
     assert "checkpoint_s" not in unsaved
     assert math.isfinite(unsaved["optimizer_s"]) and unsaved["validation_s"] >= 0
+
+
+def test_training_log_reports_neighbour_coverage_of_the_fit_cases(tmp_path):
+    # one case per session, prefix (first item,): sessions 0-2 share items, so
+    # they find 0, 1 and 2 earlier sessions; session 3's items appear nowhere else
+    corpus = direct_corpus([[0, 1], [0, 1], [0, 1], [2, 3]])
+    cfg = TrainConfig(epochs=2, seed=0, patience=0)
+    history = train(corpus, ModelConfig(vocab_size=4, dim=4, heads=2, gat_layers=1), cfg,
+                    out_dir=tmp_path).history
+    logged = [json.loads(line) for line in (tmp_path / LOG_FILENAME).read_text().splitlines()]
+    assert logged == history and len(logged) == 2
+    for entry in logged:
+        assert entry["neighbors_mean"] == 0.75
+        assert entry["no_neighbors_share"] == 0.5
+
+
+def test_checkpoint_written_during_the_next_batch_holds_its_epochs_parameters(tmp_path, monkeypatch):
+    """A slow write overlaps the next epoch's first batch, and still holds the
+    parameters its epoch ended with: the optimizer step waits for it."""
+    corpus = small_chain()
+    model_cfg = small_model(corpus)
+    one_epoch = train(corpus, model_cfg, fast_train_config(epochs=1))
+    save = gk.save_params
+
+    def slow_save(path, store, meta):
+        time.sleep(0.2)
+        save(path, store, meta)
+
+    monkeypatch.setattr(gk, "save_params", slow_save)
+    result = train(corpus, model_cfg, fast_train_config(epochs=3), out_dir=tmp_path)
+    assert result.checkpoints == [tmp_path / f"epoch_{n}.ckpt" for n in range(3)]
+    store, _ = gk.load_params(tmp_path / "epoch_0.ckpt")
+    for name in store.names():
+        assert (store[name].values == one_epoch.params.store[name].values).all(), name
+    logged = [json.loads(line) for line in (tmp_path / LOG_FILENAME).read_text().splitlines()]
+    assert logged == result.history
+    assert all(entry["checkpoint_s"] >= 0.2 for entry in logged)
+
+
+def test_failed_checkpoint_write_stops_training_after_the_previous_epoch(tmp_path, monkeypatch):
+    corpus = small_chain()
+    save = gk.save_params
+    calls = []
+
+    def failing_at_epoch_1(path, store, meta):
+        calls.append(meta["epoch"])
+        if meta["epoch"] == 1:
+            raise OSError("disk full")
+        time.sleep(0.05)
+        save(path, store, meta)
+        calls.append("done")
+
+    monkeypatch.setattr(gk, "save_params", failing_at_epoch_1)
+    with pytest.raises(OSError, match="disk full"):
+        train(corpus, small_model(corpus), fast_train_config(epochs=4), out_dir=tmp_path)
+    assert calls == [0, "done", 1]  # nothing written after the failure, nothing left running
+    _, meta = gk.load_params(tmp_path / "epoch_0.ckpt")
+    assert meta["epoch"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_0.ckpt", LOG_FILENAME]
+    lines = (tmp_path / LOG_FILENAME).read_text().splitlines()
+    assert [json.loads(line)["epoch"] for line in lines] == [0]
 
 
 def test_final_loss_property_reads_last_epoch():
