@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -13,6 +11,7 @@ import numpy as np
 
 from ..errors import ConfigError, NumericsError, ShapeError
 from .tensor import Array, Tensor
+from .threads import in_halves
 
 GROUPS = ("intra_shared", "inter")
 
@@ -120,18 +119,6 @@ def init_params(specs: Sequence[ParamSpec], seed: int) -> ParamStore:
 ADAM_BLOCK = 1 << 15
 ADAM_SPLIT_MIN = 8 * ADAM_BLOCK
 
-_helpers: dict[int, ThreadPoolExecutor] = {}  # by process id: a forked child inherits no thread
-
-
-def helper() -> ThreadPoolExecutor:
-    """The one helper thread, created on first use. ``adam_step`` runs half of
-    its blocks there, and training writes its checkpoints there."""
-    pid = os.getpid()
-    if pid not in _helpers:
-        _helpers[pid] = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gradkit-helper")
-    return _helpers[pid]
-
-
 def _adam_blocks(blocks: list, beta1: float, beta2: float) -> Optional[str]:
     """Update each (name, lr_t, eps_t, p, g, m, v) block in order through two
     scratch buffers of its own; the name of the first block that goes
@@ -173,10 +160,10 @@ def adam_step(
     buffers, so the update makes no parameter-sized temporaries. A step of
     ``ADAM_SPLIT_MIN`` values or more cuts its blocks, in canonical order, in
     two at their value midpoint: the caller updates the first half and the
-    helper thread the second, and the caller waits for the helper before it
-    returns or raises. Each block is updated as a serial run would update
-    it, so the split changes no bit. The update is Kingma & Ba's efficient
-    form, ``p -= lr_t * m / (sqrt(v) + eps_t)`` with
+    helper thread the second (``threads.in_halves``), and the caller waits
+    for the helper before it returns or raises. Each block is updated as a
+    serial run would update it, so the split changes no bit. The update is
+    Kingma & Ba's efficient form, ``p -= lr_t * m / (sqrt(v) + eps_t)`` with
     ``lr_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
     ``eps_t = eps * sqrt(1 - beta2**t)``: the textbook update up to rounding,
     bit-identical to those expressions evaluated as written. A block that
@@ -228,11 +215,10 @@ def adam_step(
     ends = np.cumsum([b[4].size for b in blocks])
     if cut and ends[-1] >= ADAM_SPLIT_MIN:
         cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1  # up to the block holding the midpoint
-    second = helper().submit(_adam_blocks, blocks[cut:], beta1, beta2) if cut < len(blocks) else None
-    try:
-        bad = _adam_blocks(blocks[:cut], beta1, beta2)
-    finally:
-        bad_second = second.result() if second is not None else None
-    bad = bad or bad_second
+    if cut < len(blocks):
+        halves = in_halves(_adam_blocks, (blocks[:cut], beta1, beta2), (blocks[cut:], beta1, beta2))
+        bad = halves[0] or halves[1]
+    else:
+        bad = _adam_blocks(blocks, beta1, beta2)
     if bad is not None:
         raise NumericsError(f"parameter {bad} went non-finite after update")

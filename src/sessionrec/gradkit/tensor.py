@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import ConfigError, NumericsError, ShapeError
+from .threads import Deferred, in_halves
 
 Array = np.ndarray
 TensorLike = Union["Tensor", Array, float, int]
@@ -637,58 +638,114 @@ def item_targets(target, rows: int, n: int) -> Array:
     return found.reshape(-1).astype(np.intp)
 
 
+# score_loss cuts the row passes of a (B, V) block of SCORE_SPLIT_MIN values or
+# more in two, one half on the caller and one on the helper thread: the
+# softmax, clamp screen, 1 - p and log forward, and the logit gradient
+# backward. backward then forms the embedding's (V, d) gradient product on the
+# helper while it goes on. No GEMM is cut: on OpenBLAS a column split of one
+# can change its bits. Forward plus backward (wrt both parents, d=100) on a
+# 2-vCPU Xeon host with one BLAS thread, median of 41-61 alternating runs,
+# serial -> split: 8 x 5,000 1.49 -> 1.61 ms; 8 x 8,192 2.27 -> 2.06 ms;
+# 26 x 5,000 3.03 -> 3.06 ms; 16 x 8,192 3.65 -> 2.90 ms; 19 x 13,611 (the
+# train bench's batches) 7.41 -> 5.21 ms; 128 x 13,611 51.1 -> 33.9 ms and
+# 128 x 40,000 151.9 -> 94.6 ms (of 9). Below about 100K values the hand-off
+# costs what the second thread saves.
+SCORE_SPLIT_MIN = 1 << 17
+
+
+class _Later:
+    """A VJP whose product ``backward`` starts on the helper thread and joins
+    only where the parent's gradient is next needed. ``start(g)`` returns the
+    ``Deferred`` product, a fresh array; called, the VJP returns it joined."""
+
+    __slots__ = ("start",)
+
+    def __init__(self, start: Callable[[Array], Deferred]):
+        self.start = start
+
+    def __call__(self, g: Array) -> Array:
+        return self.start(g).result()
+
+
 def score_loss(s_h: Tensor, embedding: Tensor, targets) -> Tensor:
     """The summed two-sided loss of softmax(s_h @ embedding.T), one target per row.
 
-    ``s_h`` is (B, d), ``embedding`` (V, d) and ``targets`` as
+    ``s_h`` is (B, d) with B >= 1, ``embedding`` (V, d) and ``targets`` as
     :func:`item_targets` takes them. Value and gradients are those of
     ``model.loss(model.score_and_predict(...))``, bit for bit, as one tape
     node: the VJP forms the (B, V) logit gradient once for both parents.
+    From ``SCORE_SPLIT_MIN`` values up, the row passes run in two row halves
+    on two threads and the embedding's gradient product on the helper; every
+    pass is per row, so no bit changes. The parents are (embedding, s_h), so
+    that ``backward`` starts the embedding's product before s_h's.
     """
     sv, ev = s_h.values, embedding.values
-    if sv.ndim != 2 or ev.ndim != 2 or sv.shape[1] != ev.shape[1]:
-        raise ShapeError(f"score_loss takes (B, d) and (V, d), got {sv.shape} and {ev.shape}")
+    if sv.ndim != 2 or ev.ndim != 2 or sv.shape[1] != ev.shape[1] or not sv.shape[0]:
+        raise ShapeError(f"score_loss takes (B, d) and (V, d) with B >= 1, got {sv.shape} and {ev.shape}")
     rows, n = sv.shape[0], ev.shape[0]
     flat = np.arange(rows) * n + item_targets(targets, rows, n)
-    logits = np.matmul(sv, ev.T)
-    probs = _softmax_values(logits, -1, out=logits)
+    probs = np.matmul(sv, ev.T)  # the softmax runs in place in the logits
+    miss, log_miss = np.empty_like(probs), np.empty_like(probs)  # 1 - p and its log
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    if np.minimum.reduce(probs, axis=None) >= lo and np.maximum.reduce(probs, axis=None) <= hi:
+    split = probs.size >= SCORE_SPLIT_MIN
+    cut = (rows + 1) // 2
+
+    def by_rows(fn: Callable, *args) -> tuple:
+        """``fn(*args, part)`` over every row: in two halves when split, else at once."""
+        if split and cut < rows:
+            return in_halves(fn, (*args, slice(0, cut)), (*args, slice(cut, rows)))
+        return (fn(*args, slice(0, rows)),)
+
+    def forward_rows(part: slice) -> bool:
+        """Softmax these rows; if none of them is clamped, their 1 - p and its log."""
+        p = _softmax_values(probs[part], -1, out=probs[part])
+        if not (np.minimum.reduce(p, axis=None) >= lo and np.maximum.reduce(p, axis=None) <= hi):
+            return False
+        np.log(np.subtract(1.0, p, out=miss[part]), out=log_miss[part])
+        return True
+
+    if all(by_rows(forward_rows)):
         kept = None  # nothing clamped: the clamp is the identity and its mask all ones
         p_target = probs.reshape(-1)[flat]
-        miss = np.subtract(1.0, probs)                                   # 1 - p
-    else:
+    else:  # the whole block, on the caller
         kept = (probs >= lo) & (probs <= hi)  # where the clamp passes gradient
-        miss = np.clip(probs, lo, hi)
+        np.clip(probs, lo, hi, out=miss)
         p_target = miss.reshape(-1)[flat]
-        np.subtract(1.0, miss, out=miss)                                 # 1 - p
-    log_miss = np.log(miss)
+        np.log(np.subtract(1.0, miss, out=miss), out=log_miss)
     out = (log_miss.reshape(-1)[flat] - np.log(p_target)).sum() - log_miss.sum()
-    stash: list = []  # (g, logit gradient) from s_h's VJP, taken by the embedding's
 
-    def logit_grad(g: Array) -> Array:
+    def grad_rows(g: Array, grad: Array, part: slice) -> None:
         # the chain's order: g / (1 - p) off target and -g / p_t on it, the
         # clamp's mask if any p was clamped, then the softmax VJP p * (grad - sum(grad * p))
-        grad = g / miss
-        grad.reshape(-1)[flat] = (-g) / p_target
+        block = np.divide(g, miss[part], out=grad[part])
+        grad.reshape(-1)[flat[part]] = (-g) / p_target[part]
         if kept is not None:
-            grad *= kept
-        dot = (grad * probs).sum(axis=-1, keepdims=True)
-        grad -= dot
-        grad *= probs
+            block *= kept[part]
+        dot = (block * probs[part]).sum(axis=-1, keepdims=True)
+        block -= dot
+        block *= probs[part]
+
+    stash: list = []  # (g, logit gradient): formed by the first VJP to run, taken by the second
+
+    def logit_grad(g: Array) -> Array:
+        if stash and stash[0] is g:
+            grad = stash[1]
+            stash.clear()
+            return grad
+        grad = np.empty_like(probs)
+        by_rows(grad_rows, g, grad)
+        stash[:] = (g, grad)
         return grad
 
-    def vjp_s(g: Array) -> Array:
-        grad = logit_grad(g)
-        stash[:] = (g, grad)
-        return np.matmul(grad, ev)
-
     def vjp_e(g: Array) -> Array:
-        grad = stash[1] if stash and stash[0] is g else logit_grad(g)
-        stash.clear()
-        return np.matmul(grad.T, sv)
+        return np.matmul(logit_grad(g).T, sv)
 
-    return Tensor(out, (s_h, embedding), (vjp_s, vjp_e), op="score_loss")
+    def vjp_s(g: Array) -> Array:
+        return np.matmul(logit_grad(g), ev)
+
+    if split:
+        vjp_e = _Later(lambda g: Deferred(np.matmul, logit_grad(g).T, sv))
+    return Tensor(out, (embedding, s_h), (vjp_e, vjp_s), op="score_loss")
 
 
 def sum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:  # noqa: A001
@@ -766,7 +823,9 @@ def backward(
     (``FRESH_VJP_OPS``) returned, or one ``backward`` allocated for an earlier
     sum. A ``slice_rows`` gradient is then added into the gathered rows only.
     Any other array may be ``g`` itself or a view of it, so it is summed out
-    of place.
+    of place. A gradient a large ``score_loss`` hands the helper thread (its
+    embedding's product) is joined only where that gradient is next needed,
+    and nothing started there is left running when this returns or raises.
     """
     if output.values.size != 1:
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
@@ -779,31 +838,48 @@ def backward(
             live.add(id(node))
     grads: dict[int, Array] = {id(output): np.ones_like(output.values)}
     owned: set[int] = set()  # keys of the gradients in grads that backward may write into
+    later: dict[int, Deferred] = {}  # gradients a _Later VJP is forming on the helper thread
     found: dict[int, Array] = {}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        owned.discard(id(node))
-        if not node.parents or id(node) in kept:
-            node.grad = g
-            found[id(node)] = g
-        if g is None:
-            continue
-        fresh = node.op in FRESH_VJP_OPS
-        for parent, vjp in zip(node.parents, node.vjps):
-            key = id(parent)
-            if key not in live:
+
+    def join(key: int) -> None:
+        grads[key] = later.pop(key).result()
+        owned.add(key)
+
+    try:
+        for node in reversed(order):
+            if later and id(node) in later:
+                join(id(node))
+            g = grads.pop(id(node), None)
+            owned.discard(id(node))
+            if not node.parents or id(node) in kept:
+                node.grad = g
+                found[id(node)] = g
+            if g is None:
                 continue
-            seen = grads.get(key)
-            if key in owned:
-                if type(vjp) is _RowScatter:
-                    vjp.add_into(seen, g)
-                else:
-                    seen += vjp(g)
-                continue
-            total = vjp(g) if seen is None else seen + vjp(g)
-            grads[key] = total
-            if type(total) is np.ndarray and (fresh or seen is not None):
-                owned.add(key)
+            fresh = node.op in FRESH_VJP_OPS
+            for parent, vjp in zip(node.parents, node.vjps):
+                key = id(parent)
+                if key not in live:
+                    continue
+                if later and key in later:
+                    join(key)
+                seen = grads.get(key)
+                if key in owned:
+                    if type(vjp) is _RowScatter:
+                        vjp.add_into(seen, g)
+                    else:
+                        seen += vjp(g)
+                    continue
+                if seen is None and type(vjp) is _Later:
+                    later[key] = vjp.start(g)
+                    continue
+                total = vjp(g) if seen is None else seen + vjp(g)
+                grads[key] = total
+                if type(total) is np.ndarray and (fresh or seen is not None):
+                    owned.add(key)
+    finally:
+        for product in later.values():
+            product.drop()
     if wrt is None:
         return None
     return [g if (g := found.get(id(t))) is not None else np.zeros_like(t.values) for t in wrt]

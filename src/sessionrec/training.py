@@ -6,9 +6,10 @@ fusion, readouts on the intra side) decays every three. Examples are shuffled
 with a seeded generator and batched by prefix length. Each batch runs as one
 packed forward and one backward of its summed loss scaled by 1/B, so
 gradients are averaged over the batch, and a checkpoint plus one JSON log line
-is written per epoch. The checkpoint is written on the helper thread while the
-next epoch's first batch runs forward and backward, which only read the
-parameters; the write is joined before that batch's optimizer step.
+is written per epoch. The checkpoint is written on the helper thread while
+validation runs and the next epoch's first batch runs forward and backward,
+all of which only read the parameters; the write is joined before that
+batch's optimizer step.
 Early stopping watches Recall@10 on the most recent slice of the training
 sessions.
 """
@@ -146,9 +147,11 @@ def train(
     Recall@10 when measured, seconds spent fitting and fitted examples per
     second, seconds in the optimizer, in validation and, with ``out_dir``,
     in writing the checkpoint, wall time, and the fit cases' mean neighbour
-    count and share with no neighbours). Epoch n's line is appended once its
-    checkpoint is on disk, and no write is left in flight when this returns
-    or raises; a failed write raises its own error, ahead of any later one.
+    count and share with no neighbours). Epoch n's checkpoint is written
+    while its validation runs, and its line is appended once both are done;
+    an epoch whose validation raises gets no line. No write is left in
+    flight when this returns or raises; a failed write raises its own error,
+    ahead of any later one.
     """
     model_config.validate()
     config.validate()
@@ -194,15 +197,18 @@ def train(
 
     history: list[dict] = []
     checkpoints: list[Path] = []
-    pending = None  # the checkpoint write in flight: (future, its epoch's entry, path)
+    pending = None  # the checkpoint write in flight: (future, path, its epoch's entry once validated)
 
     def settle() -> None:
-        """Wait for the write in flight, then log its epoch."""
+        """Wait for the write in flight, then log its epoch if validation finished."""
         nonlocal pending
         if pending is not None:
-            write, entry, ckpt = pending
+            write, ckpt, entry = pending
             pending = None
-            entry["checkpoint_s"] = write.result()
+            seconds = write.result()
+            if entry is None:
+                return
+            entry["checkpoint_s"] = seconds
             checkpoints.append(ckpt)
             with open(out_path / LOG_FILENAME, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -252,6 +258,16 @@ def train(
                 **coverage,
             }
 
+            if out_path is not None:
+                ckpt = out_path / f"epoch_{epoch}.ckpt"
+                meta = {
+                    "model": model_config.to_dict(),
+                    "retrieval": asdict(config.retrieval),
+                    "epoch": epoch,
+                    "seed": config.seed,
+                }
+                pending = (gk.helper().submit(_save_timed, ckpt, store, meta), ckpt, None)
+
             val_started = time.perf_counter()
             if val_examples:
                 val_report = evaluate_model(
@@ -267,16 +283,8 @@ def train(
                 "epoch %d loss %.6f lr %.2g/%.2g val_recall10 %s",
                 epoch, mean_loss, lrs["intra_shared"], lrs["inter"], entry["val_recall10"],
             )
-
-            if out_path is not None:
-                ckpt = out_path / f"epoch_{epoch}.ckpt"
-                meta = {
-                    "model": model_config.to_dict(),
-                    "retrieval": asdict(config.retrieval),
-                    "epoch": epoch,
-                    "seed": config.seed,
-                }
-                pending = (gk.helper().submit(_save_timed, ckpt, store, meta), entry, ckpt)
+            if pending is not None:
+                pending = (*pending[:2], entry)
 
             if val_examples:
                 if entry["val_recall10"] > best_val:

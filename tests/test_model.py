@@ -23,7 +23,8 @@ from reference_model import (
 )
 from sessionrec import gradkit as gk
 from sessionrec import graphs, model
-from sessionrec.errors import ConfigError, ShapeError
+from sessionrec.errors import ConfigError, NumericsError, ShapeError
+from sessionrec.gradkit import tensor as tensor_module
 from sessionrec.graphs import pack_inter, pack_intra
 from sessionrec.model import (
     GatLayer,
@@ -429,6 +430,93 @@ def test_fused_score_loss_is_one_tape_node_and_rejects_bad_shapes():
     for a, b in [((2, 3), (5, 4)), ((3,), (5, 3)), ((2, 3), (5,))]:
         with pytest.raises(ShapeError):
             gk.score_loss(gk.Tensor(np.zeros(a)), gk.Tensor(np.zeros(b)), [1, 4])
+
+
+def test_score_loss_rejects_an_empty_batch():
+    with pytest.raises(ShapeError, match="B >= 1"):
+        gk.score_loss(gk.Tensor(np.zeros((0, 3))), gk.Tensor(np.eye(5, 3)), np.array([], dtype=np.int64))
+
+
+def split_every_score_loss(monkeypatch) -> list:
+    """Split score_loss blocks of any size; record the row halves of each split pass."""
+    monkeypatch.setattr(tensor_module, "SCORE_SPLIT_MIN", 1)
+    halves = []
+    in_halves = tensor_module.in_halves
+
+    def recording(fn, first, second):
+        halves.append((first[-1], second[-1]))
+        return in_halves(fn, first, second)
+
+    monkeypatch.setattr(tensor_module, "in_halves", recording)
+    return halves
+
+
+@pytest.mark.parametrize(
+    "rows, items, dim, spread, targets",
+    [
+        (1, 7, 4, 1.0, [3]),
+        (5, 11, 4, 1.0, [2, 0, 10, 4, 7]),   # odd: three rows on the caller, two on the helper
+        (6, 9, 3, 1.0, [4, 4, 1, 4, 1, 8]),  # repeated targets
+        (4, 8, 5, 12.0, [0, 3, 3, 7]),       # only the helper's rows clamp: the whole-block path
+        (128, 500, 100, 0.3, list(range(0, 500, 4)) + [3, 3, 499]),
+    ],
+    ids=["one-row", "odd-rows", "repeated-targets", "clamped-half", "wide"],
+)
+def test_split_score_loss_equals_the_chain_bit_for_bit(rows, items, dim, spread, targets, monkeypatch):
+    halves = split_every_score_loss(monkeypatch)
+    rng = np.random.default_rng(rows * 100 + items)
+    s, e = rng.normal(0.0, spread, (rows, dim)), rng.normal(0.0, spread, (items, dim))
+    cut = (rows + 1) // 2
+    if spread > 1.0:  # the caller's rows stay mild, the helper's point along their targets
+        s[:cut] = rng.normal(0.0, 0.01, (cut, dim))
+        s[cut:] = 3.0 * e[targets[cut:]]
+        p = score_and_predict(gk.Tensor(s), gk.Tensor(e)).values
+        clamped = (p < gk.PROB_CLAMP) | (p > 1.0 - gk.PROB_CLAMP)
+        assert not clamped[:cut].any() and clamped[cut:].all(axis=1).any()
+    chain, fused = _chain_and_fused(s, e, targets, 1.0 / rows)
+    for want, got in zip(chain, fused):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # forward and backward each cut the rows once; one row is not cut
+    assert halves == ([] if rows == 1 else [(slice(0, cut), slice(cut, rows))] * 2)
+
+
+def test_split_score_loss_matches_central_differences(monkeypatch):
+    halves = split_every_score_loss(monkeypatch)
+    rng = np.random.default_rng(5)
+    s_h, embedding = gk.Tensor(rng.normal(size=(3, 4))), gk.Tensor(rng.normal(size=(6, 4)))
+    worst = gk.grad_check(lambda s, e: gk.score_loss(s, e, [5, 0, 5]), [s_h, embedding])
+    assert worst < 1e-6 and halves
+
+
+def test_backward_without_the_embedding_forms_no_embedding_gradient(monkeypatch):
+    split_every_score_loss(monkeypatch)
+    started = []
+
+    class Recording(tensor_module.Deferred):
+        def __init__(self, fn, *args):
+            started.append(fn)
+            super().__init__(fn, *args)
+
+    monkeypatch.setattr(tensor_module, "Deferred", Recording)
+    rng = np.random.default_rng(8)
+    s, e = rng.normal(size=(5, 4)), rng.normal(size=(9, 4))
+    got = []
+    for with_embedding in (False, True):
+        s_h, embedding = gk.Tensor(s.copy()), gk.Tensor(e.copy())
+        objective = gk.score_loss(gk.tanh(s_h), embedding, [1, 2, 3, 4, 5])
+        got.append(gk.backward(objective, wrt=[s_h, embedding][: 1 + with_embedding])[0])
+        assert len(started) == with_embedding  # the (V, d) product is started only when wanted
+    assert got[0].tobytes() == got[1].tobytes()
+
+
+def test_a_non_finite_row_in_the_helpers_half_raises(monkeypatch):
+    halves = split_every_score_loss(monkeypatch)
+    s, e = np.ones((4, 3)), np.full((6, 3), 1e200)
+    s[2:] = 1e200  # the helper's rows overflow to inf logits, so their softmax is NaN
+    with np.errstate(all="ignore"):  # the bad values are the point here
+        with pytest.raises(NumericsError, match="score_loss"):
+            gk.score_loss(gk.Tensor(s), gk.Tensor(e), [0, 1, 2, 3])
+    assert halves == [(slice(0, 2), slice(2, 4))]
 
 
 # ---------------------------------------------------------------------------

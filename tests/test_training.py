@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -246,6 +247,66 @@ def test_failed_checkpoint_write_stops_training_after_the_previous_epoch(tmp_pat
     _, meta = gk.load_params(tmp_path / "epoch_0.ckpt")
     assert meta["epoch"] == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_0.ckpt", LOG_FILENAME]
+    lines = (tmp_path / LOG_FILENAME).read_text().splitlines()
+    assert [json.loads(line)["epoch"] for line in lines] == [0]
+
+
+def test_checkpoint_write_overlaps_its_epochs_validation(tmp_path, monkeypatch):
+    """Each epoch's write is under way while its validation runs, the last
+    epoch's too, and the epoch's line is appended only once both are done."""
+    import sessionrec.training as training
+
+    save, evaluate = gk.save_params, training.evaluate_model
+    writing = threading.Event()
+    seen = []
+
+    def slow_save(path, store, meta):
+        writing.set()
+        time.sleep(0.1)
+        save(path, store, meta)
+
+    def validate(*args, **kwargs):
+        seen.append((writing.wait(5), len((tmp_path / LOG_FILENAME).read_text().splitlines())))
+        writing.clear()
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(gk, "save_params", slow_save)
+    monkeypatch.setattr(training, "evaluate_model", validate)
+    corpus = small_chain()
+    cfg = fast_train_config(epochs=3, patience=10, val_fraction=0.25)
+    result = train(corpus, small_model(corpus), cfg, out_dir=tmp_path)
+    assert seen == [(True, 0), (True, 1), (True, 2)]  # epoch n validates with n lines logged
+    logged = [json.loads(line) for line in (tmp_path / LOG_FILENAME).read_text().splitlines()]
+    assert logged == result.history and len(logged) == 3
+    assert all(entry["checkpoint_s"] >= 0.1 for entry in logged)
+
+
+def test_failed_validation_joins_the_write_and_logs_no_line_for_its_epoch(tmp_path, monkeypatch):
+    import sessionrec.training as training
+
+    save, evaluate = gk.save_params, training.evaluate_model
+    written, validated = [], []
+
+    def slow_save(path, store, meta):
+        time.sleep(0.1)
+        save(path, store, meta)
+        written.append(meta["epoch"])
+
+    def failing_at_epoch_1(*args, **kwargs):
+        validated.append(len(validated))
+        if validated[-1] == 1:
+            raise RuntimeError("validation failed")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(gk, "save_params", slow_save)
+    monkeypatch.setattr(training, "evaluate_model", failing_at_epoch_1)
+    corpus = small_chain()
+    cfg = fast_train_config(epochs=4, patience=10, val_fraction=0.25)
+    with pytest.raises(RuntimeError, match="validation failed"):
+        train(corpus, small_model(corpus), cfg, out_dir=tmp_path)
+    assert written == [0, 1]  # epoch 1's write finished before train raised
+    _, meta = gk.load_params(tmp_path / "epoch_1.ckpt")
+    assert meta["epoch"] == 1
     lines = (tmp_path / LOG_FILENAME).read_text().splitlines()
     assert [json.loads(line)["epoch"] for line in lines] == [0]
 
