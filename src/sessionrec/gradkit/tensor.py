@@ -623,8 +623,11 @@ def item_targets(target, rows: int, n: int) -> Array:
     """``target`` as one item index in [0, n) per row of a (rows, n) block.
 
     Takes an integer or a flat sequence of ``rows`` integers; anything else
-    (floats, strings, nested lists, bools) raises ConfigError.
+    (floats, strings, nested lists, bools) raises ConfigError. A block of no
+    rows raises ShapeError.
     """
+    if rows < 1:
+        raise ShapeError(f"a loss needs a block of B >= 1 rows, got {rows}")
     try:
         found = np.asarray(target)
     except ValueError:  # a ragged nest of lists
@@ -680,8 +683,8 @@ def score_loss(s_h: Tensor, embedding: Tensor, targets) -> Tensor:
     that ``backward`` starts the embedding's product before s_h's.
     """
     sv, ev = s_h.values, embedding.values
-    if sv.ndim != 2 or ev.ndim != 2 or sv.shape[1] != ev.shape[1] or not sv.shape[0]:
-        raise ShapeError(f"score_loss takes (B, d) and (V, d) with B >= 1, got {sv.shape} and {ev.shape}")
+    if sv.ndim != 2 or ev.ndim != 2 or sv.shape[1] != ev.shape[1]:
+        raise ShapeError(f"score_loss takes (B, d) and (V, d), got {sv.shape} and {ev.shape}")
     rows, n = sv.shape[0], ev.shape[0]
     flat = np.arange(rows) * n + item_targets(targets, rows, n)
     probs = np.matmul(sv, ev.T)  # the softmax runs in place in the logits

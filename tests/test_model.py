@@ -432,9 +432,12 @@ def test_fused_score_loss_is_one_tape_node_and_rejects_bad_shapes():
             gk.score_loss(gk.Tensor(np.zeros(a)), gk.Tensor(np.zeros(b)), [1, 4])
 
 
-def test_score_loss_rejects_an_empty_batch():
+def test_both_losses_reject_an_empty_batch():
+    no_targets = np.array([], dtype=np.int64)
     with pytest.raises(ShapeError, match="B >= 1"):
-        gk.score_loss(gk.Tensor(np.zeros((0, 3))), gk.Tensor(np.eye(5, 3)), np.array([], dtype=np.int64))
+        gk.score_loss(gk.Tensor(np.zeros((0, 3))), gk.Tensor(np.eye(5, 3)), no_targets)
+    with pytest.raises(ShapeError, match="B >= 1"):
+        model.loss(gk.Tensor(np.zeros((0, 5))), no_targets)
 
 
 def split_every_score_loss(monkeypatch) -> list:
