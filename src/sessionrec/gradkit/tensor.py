@@ -573,13 +573,45 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, (a,), (lambda g: g * (1.0 - out * out),), op="tanh")
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    """v where v > 0, else slope * v: the larger of the two for slope <= 1, else the
-    smaller; numpy returns the second operand on ties, so v = +-0 gives slope * v."""
-    v = a.values
-    out = (np.maximum if slope <= 1 else np.minimum)(v, slope * v)
-    factors = np.array([slope, 1.0])
-    return Tensor(out, (a,), (lambda g: g * factors[(v > 0).view(np.int8)],), op="leaky_relu")
+def edge_softmax(scores: Tensor, src, dst, out, n: int, slope: float = 0.2) -> Tensor:
+    """GAT attention, (E, H, 1), from (N, 2, H) self and peer scores, as one tape node.
+
+    Edge e's logit is leaky_relu(self score of dst[e] + peer score of src[e])
+    by the select formula: numpy's max (min for slope > 1) of v and slope * v,
+    which gives slope * v at v = +-0. Each result row ``out[e]``, ascending
+    below ``n``, takes a softmax over its edges, shifted by its largest logit.
+    Value and gradient are bit-identical to the chain slice_rows, add, leaky_relu,
+    sub, exp, segment_sum, slice_rows, div: the VJP repeats its backward in order.
+    """
+    sv = scores.values
+    s, t, o = (np.asarray(i, dtype=np.intp) for i in (src, dst, out))
+    if (sv.ndim != 3 or sv.shape[1] != 2 or s.ndim != 1 or not s.size
+            or not s.shape == t.shape == o.shape
+            or np.maximum.reduce(np.concatenate((s, t)).view(np.uintp)) >= len(sv)  # negatives too
+            or o[0] < 0 or o[-1] >= n or np.minimum.reduce(o[1:] - o[:-1], initial=0) < 0):
+        raise ShapeError(f"edge_softmax takes (N, 2, H) scores, got {sv.shape}, and E >= 1 "
+                         f"edges whose rows are in range and whose out rows ascend below {n}")
+    v = sv[t, 0] + sv[s, 1]  # (E, H)
+    e = (np.maximum if slope <= 1 else np.minimum)(v, slope * v)
+    if not math.isfinite(np.add.reduce(e, axis=None)):  # finite logits give weights in [0, 1]
+        raise NumericsError("edge_softmax produced non-finite values")
+    first = np.concatenate(([True], o[1:] != o[:-1]))
+    starts, run = first.nonzero()[0], np.cumsum(first) - 1  # a row's first edge; an edge's row
+    w = np.exp(e - np.maximum.reduceat(e, starts, axis=0)[run])
+    totals = _run_sums(w, starts)[run]
+
+    def vjp(g: Array) -> Array:
+        g = g.reshape(w.shape)
+        grad = g / totals
+        grad += _run_sums(-g * w / (totals * totals), starts)[run]
+        grad *= w
+        grad *= np.where(v > 0, 1.0, slope)
+        halves = np.zeros(sv.shape)  # the chain sets the self half and adds the peer half
+        halves[:, 0] = _segment_rows(grad, t, len(sv))
+        halves[:, 1] += _segment_rows(grad, s, len(sv))
+        return halves
+
+    return Tensor((w / totals)[:, :, None], (scores,), (vjp,), op="edge_softmax", screen=False)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -803,8 +835,8 @@ def tape(output: Tensor) -> list[Tensor]:
 # Ops whose every VJP returns a new array that nothing else holds. The others
 # (add, sub, transpose, reshape, concat) may hand a parent g or a view of it.
 FRESH_VJP_OPS = frozenset({
-    "mul", "div", "neg", "matmul", "slice_rows", "segment_sum", "edge_sum", "sigmoid",
-    "tanh", "leaky_relu", "exp", "log", "clip", "softmax", "sum", "mean", "score_loss",
+    "mul", "div", "neg", "matmul", "slice_rows", "segment_sum", "edge_sum", "edge_softmax",
+    "sigmoid", "tanh", "exp", "log", "clip", "softmax", "sum", "mean", "score_loss",
 })
 
 

@@ -71,6 +71,8 @@ def _lay_out(groups: Sequence[Sequence[Collection[int]]], edges: Callable, kind:
     ``edges(a, b, n)`` gives the (src, dst, weight) edge list of n nodes from
     the node rows of each consecutive click pair a -> b inside one sequence.
     """
+    if not groups:
+        raise GraphError("a batch needs at least one graph")
     sizes = np.fromiter(map(len, groups), np.intp, len(groups))
     seqs = list(chain.from_iterable(groups))
     lengths = np.fromiter(map(len, seqs), np.intp, len(seqs))
@@ -79,7 +81,13 @@ def _lay_out(groups: Sequence[Sequence[Collection[int]]], edges: Callable, kind:
         raise GraphError("cannot build a graph from an empty session")
     if not lengths.all():
         raise GraphError("neighbor sessions must be non-empty")
-    items = np.array(list(chain.from_iterable(seqs))).astype(np.intp, casting="same_kind")
+    try:
+        items = np.array(list(chain.from_iterable(seqs)))
+    except ValueError:  # a click that is itself a sequence
+        raise GraphError("each click must be one item id, got a nested sequence") from None
+    if items.dtype.kind not in "iu":
+        raise GraphError(f"item ids must be integers, got {items.dtype} values")
+    items = items.astype(np.intp, copy=False)
     graph = np.repeat(np.repeat(np.arange(len(sizes)), sizes), lengths)  # each click's graph
     first, rows = first_occurrences(items, graph)
     inside = np.ones(len(rows) - 1, dtype=bool)

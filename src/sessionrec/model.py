@@ -260,22 +260,18 @@ def session_readout(
     return gk.concat([s_last, s_global], axis=1) @ p.w_compress
 
 
-def _edge_logits(
-    z: Tensor, attn: Tensor, src: np.ndarray, dst: np.ndarray, slope: float
-) -> Tensor:
-    """leaky_relu(a_self . z[dst] + a_peer . z[src]) per edge and head, (E, H, 1).
+def _edge_logits(z: Tensor, attn: Tensor) -> Tensor:
+    """Each node's self and peer attention score under every head, (N, 2, H).
 
     ``z`` is (N, H, d_out) and ``attn`` (H, 2 d_out). One batched product
     scores every node against both halves of its head's vector.
     """
-    n, heads, d_out = z.shape
+    heads, d_out = z.shape[1:]
     halves = gk.reshape(attn, (heads, 2, d_out)) @ gk.transpose(z, (1, 2, 0))  # (H, 2, N)
-    return _scored_edges(gk.transpose(halves, (2, 1, 0)), src, dst, slope)
+    return gk.transpose(halves, (2, 1, 0))
 
 
-def _folded_logits(
-    h: Tensor, w: Tensor, attn: Tensor, src: np.ndarray, dst: np.ndarray, slope: float
-) -> Tensor:
+def _folded_logits(h: Tensor, w: Tensor, attn: Tensor) -> Tensor:
     """:func:`_edge_logits` of z_h = h W_h without forming z: a . (h W_h) = h . (W_h a).
 
     ``h`` is (N, d_in) and ``w`` the (H, d_in, d_out) view of a layer's
@@ -287,33 +283,7 @@ def _folded_logits(
     heads, _, d_out = w.shape
     halves = gk.transpose(gk.reshape(attn, (heads, 2, d_out)), (0, 2, 1))       # (H, d_out, 2)
     fold = gk.reshape(gk.transpose(w @ halves, (1, 2, 0)), (d_in, 2 * heads))  # (d_in, 2H)
-    return _scored_edges(gk.reshape(h @ fold, (n, 2, heads)), src, dst, slope)
-
-
-def _scored_edges(scores: Tensor, src: np.ndarray, dst: np.ndarray, slope: float) -> Tensor:
-    """leaky_relu(self score of dst + peer score of src) per edge and head, (E, H, 1).
-
-    ``scores`` is (N, 2, H): each node's self and peer score under every
-    head. The self score of node i lands in row 2i and the peer score in row
-    2i + 1.
-    """
-    n, _, heads = scores.shape
-    flat = gk.reshape(scores, (2 * n, heads, 1))
-    e = gk.slice_rows(flat, 2 * dst) + gk.slice_rows(flat, 2 * src + 1)
-    return gk.leaky_relu(e, slope)
-
-
-def _edge_softmax_parts(e: Tensor, dst: np.ndarray, n: int) -> tuple[Tensor, Tensor]:
-    """exp(e) over each destination's edges and its sum per destination.
-
-    ``dst`` must ascend. Each segment's max is subtracted as a constant: a
-    softmax is invariant to per-segment shifts, so the gradient stays exact
-    while the exp stays in range.
-    """
-    first = np.concatenate(([True], dst[1:] != dst[:-1]))
-    peaks = np.maximum.reduceat(e.values, first.nonzero()[0], axis=0)
-    weights = gk.exp(e - gk.Tensor(peaks[np.cumsum(first) - 1]))
-    return weights, gk.segment_sum(weights, dst, n)
+    return gk.reshape(h @ fold, (n, 2, heads))
 
 
 # The output layer's aggregate-then-project order skips projecting every row it
@@ -362,11 +332,12 @@ def gat_layer(
     sigmoid per head and concatenate (N, heads * d_out); the output layer
     averages the per-head aggregates first and applies one sigmoid (N, d_out).
     With ``uniform=True`` attention is fixed at 1/|neighborhood| (structure
-    only, no learned scores).
+    only): zero scores go through the same softmax.
 
-    All heads share one projection GEMM; ``edge_sum`` scatters the
-    normalized attention into dense (heads, rows, columns) blocks, one or
-    more graphs each, and multiplies them by the source projections.
+    All heads share one projection GEMM; ``edge_softmax`` turns the scores
+    into attention as one tape node; ``edge_sum`` scatters it into dense
+    (heads, rows, columns) blocks, one or more graphs each, and multiplies
+    them by the source projections.
     With ``targets`` (ascending node rows) only the edges into them run, only
     the rows those edges read are used, and each target gets its row of
     the full layer: the same edges in the same order.
@@ -393,14 +364,11 @@ def gat_layer(
         x = h                                                            # (rows, d_in), shared
     else:
         x = gk.reshape(h @ layer.w, (rows, heads, d_out))                # (rows, H, d_out)
-    if uniform:
-        degree = np.bincount(out, minlength=n)[out, None, None]
-        alpha = gk.Tensor(np.ones((len(out), heads, 1)) / degree)
+    if uniform:  # every edge weighs exp(0 - 0) = 1, so alpha is 1 / degree
+        scores = gk.Tensor(np.zeros((rows, 2, heads)))
     else:
-        e = (_folded_logits(h, w, layer.attn, src, dst, slope) if reorder
-             else _edge_logits(x, layer.attn, src, dst, slope))
-        weights, totals = _edge_softmax_parts(e, out, n)
-        alpha = weights / gk.slice_rows(totals, out)                     # (E, H, 1)
+        scores = _folded_logits(h, w, layer.attn) if reorder else _edge_logits(x, layer.attn)
+    alpha = gk.edge_softmax(scores, src, dst, out, n, slope)            # (E, H, 1)
     aggregates = gk.edge_sum(x, alpha, src, out, n)                      # (n, H, d_in or d_out)
     if reorder:  # (H, n, d_in) @ (H, d_in, d_out), averaged over the heads
         return gk.sigmoid(gk.mean(gk.transpose(aggregates, (1, 0, 2)) @ w, axis=0))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from numbers import Real
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -159,11 +158,11 @@ def build_index(corpus: SessionCorpus) -> InvertedIndex:
     return InvertedIndex(postings, items, offsets, raw_len, start_time)
 
 
-def _check_count(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RetrievalError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise RetrievalError(f"{name} must be >= 1, got {value}")
+def _check(config: RetrievalConfig) -> None:
+    try:  # the validate() of every config section raises ConfigError
+        config.validate()
+    except ConfigError as exc:
+        raise RetrievalError(str(exc)) from None
 
 
 def _windows(
@@ -199,7 +198,7 @@ def candidates(
     """
     if not prefix:
         raise RetrievalError("cannot retrieve candidates for an empty prefix")
-    _check_count("candidate budget", m)
+    _check(RetrievalConfig(m=m))
     windows = _windows(index, dict.fromkeys(prefix), m, _cutoff(index, now))
     if not windows:
         return np.zeros(0, dtype=np.int64)
@@ -209,18 +208,6 @@ def candidates(
         pool.sort()
         pool = pool[np.concatenate((pool[1:] != pool[:-1], [True]))][-m:]
     return pool[::-1]
-
-
-def _check_retrieval(config: RetrievalConfig) -> None:
-    _check_count("neighbor count", config.k)
-    threshold = config.threshold
-    if not isinstance(threshold, Real) or isinstance(threshold, bool):
-        raise RetrievalError(f"threshold must be a number, got {threshold!r}")
-    if not 0.0 <= threshold <= 1.0:
-        raise RetrievalError(f"threshold must be in [0, 1], got {threshold}")
-    if not isinstance(config.raw_length, bool):
-        raise RetrievalError(f"raw_length must be true or false, got {config.raw_length!r}")
-    _check_count("candidate budget", config.m)
 
 
 def _no_neighbors(n_queries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,7 +289,7 @@ def retrieve(
     ranked by similarity with ties going to the more recent session, and the
     best ``k`` are kept.
     """
-    _check_retrieval(config)
+    _check(config)
     if nows is None:
         nows = [None] * len(prefixes)
     elif len(nows) != len(prefixes):

@@ -20,7 +20,7 @@ from sessionrec.cli import main
 from sessionrec.corpus import augment, filter_corpus, split_by_time
 from sessionrec.evaluation import RetrievalConfig, evaluate_model, report_from_ranks
 from sessionrec.graphs import build_inter_graph, build_intra_graph
-from sessionrec.model import FusionParams, _edge_logits, _edge_softmax_parts, fuse
+from sessionrec.model import FusionParams, _edge_logits, fuse
 from sessionrec.synthetic import (
     chain_corpus,
     chain_events,
@@ -153,8 +153,9 @@ def test_attention_rows_normalize_and_fusion_stays_between_inputs():
     """1,000 random attention instances and gate blends hold their invariants.
 
     Every attention row must be a probability distribution over the node's
-    masked neighborhood (sum 1 within 1e-9), and the gated blend of the two
-    session vectors must land coordinatewise inside [min, max] of its inputs.
+    masked neighborhood (sum 1 within 1e-9), learned or uniform, and the
+    gated blend of the two session vectors must land coordinatewise inside
+    [min, max] of its inputs.
     """
     rng = np.random.default_rng(4242)
     for _ in range(1000):
@@ -171,10 +172,10 @@ def test_attention_rows_normalize_and_fusion_stays_between_inputs():
         w = gk.Tensor(rng.normal(0.0, 1.0, (d, d_out)))
         attn = gk.Tensor(rng.normal(0.0, 1.0, (1, 2 * d_out)))
         dst, src = np.nonzero(mask)
-        e = _edge_logits(gk.reshape(h @ w, (n, 1, d_out)), attn, src, dst, 0.2)
-        weights, totals = _edge_softmax_parts(e, dst, n)
-        alphas = (weights / gk.slice_rows(totals, dst)).values.reshape(-1)
-        assert np.abs(np.bincount(dst, alphas, minlength=n) - 1.0).max() <= 1e-9
+        for scores in (_edge_logits(gk.reshape(h @ w, (n, 1, d_out)), attn),
+                       gk.Tensor(np.zeros((n, 2, 1)))):  # learned, then uniform
+            alphas = gk.edge_softmax(scores, src, dst, dst, n, 0.2).values.reshape(-1)
+            assert np.abs(np.bincount(dst, alphas, minlength=n) - 1.0).max() <= 1e-9
 
         dim = int(rng.integers(2, 9))
         s_intra = gk.Tensor(rng.normal(0.0, 1.0, (1, dim)))

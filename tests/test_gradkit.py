@@ -413,14 +413,6 @@ def test_grad_nonlinearities():
     fd_check(lambda y: gk.sum(gk.log(y)), [y])
 
 
-def test_grad_leaky_relu_away_from_kink():
-    x = Tensor([-3.0, -0.5, 0.5, 2.0])
-    fd_check(lambda x: gk.sum(gk.leaky_relu(x)), [x], tol=1e-9)
-    y = gk.sum(gk.leaky_relu(x))
-    (g,) = gk.backward(y, wrt=[x])
-    assert g.tolist() == [0.2, 0.2, 1.0, 1.0]
-
-
 def edge_and_random_values():
     """Signed zeros and saturating inputs spread through random ones, at an
     odd length so vectorised loops also run their tails."""
@@ -447,13 +439,98 @@ def test_sigmoid_matches_the_select_formula_bit_for_bit():
     assert g.tobytes() == (w * want * (1.0 - want)).tobytes()
 
 
-@pytest.mark.parametrize("slope", [0.2, 1.0, 1.5, -0.1])
+# ---------------------------------------------------------------------------
+# edge_softmax: GAT attention as one tape node
+
+
+def attention_chain(scores, src, dst, out, n, slope):
+    """edge_softmax spelled out in tape ops, with leaky_relu as the select formula:
+    a product with the constant mask that is 1 where the logit is positive, else slope."""
+    m, _, heads = scores.shape
+    flat = gk.reshape(scores, (2 * m, heads, 1))
+    v = gk.slice_rows(flat, 2 * dst) + gk.slice_rows(flat, 2 * src + 1)
+    e = v * Tensor(np.where(v.values > 0, 1.0, slope))
+    first = np.concatenate(([True], out[1:] != out[:-1]))
+    peaks = np.maximum.reduceat(e.values, first.nonzero()[0], axis=0)
+    weights = gk.exp(e - Tensor(peaks[np.cumsum(first) - 1]))
+    return weights / gk.slice_rows(gk.segment_sum(weights, out, n), out)
+
+
+def attention_case(seed, m=40, n=25, edges=160, heads=3):
+    """Scores with signed zeros and saturating values, unsorted sources, and
+    ascending result rows that are not the destinations, some holding one edge."""
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal((m, 2, heads))
+    spread = scores.reshape(-1)[::7]
+    spread[:] = np.resize([0.0, -0.0, 800.0, -800.0], len(spread))
+    scores[0], scores[1] = 0.0, -0.0  # node 0 scores +0 and node 1 -0, both halves, every head
+    src, dst = rng.integers(0, m, edges), rng.integers(0, m, edges)
+    src[:2] = dst[:2] = [0, 1]    # so two edges' logits are +0 and -0
+    out = np.concatenate((np.sort(rng.integers(0, n - 2, edges - 2)), [n - 2, n - 1]))
+    return scores, src, dst, out, n
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.5, -0.1, 0.2, 1.0, 1.5, 3])
 def test_leaky_relu_matches_the_select_formula_bit_for_bit(slope):
-    v = edge_and_random_values()
-    w = np.random.default_rng(1).standard_normal(v.shape)
-    out, g = values_and_grad(lambda x: gk.leaky_relu(x, slope), v, w)
-    assert out.tobytes() == np.where(v > 0, v, slope * v).tobytes()
-    assert g.tobytes() == (w * np.where(v > 0, 1.0, slope)).tobytes()
+    """edge_softmax's values and gradient are those of the chain, byte for byte,
+    with leaky_relu as the select formula, for result rows that are the
+    destinations and for rows that are not."""
+    for seed in range(3):
+        scores, src, dst, out, n = attention_case(seed)
+        cases = [(src, dst, out, n), (src, np.sort(dst), np.sort(dst), len(scores))]
+        for s, d, o, rows in cases:
+            w = np.random.default_rng(seed + 10).standard_normal((len(s), scores.shape[2], 1))
+            got, want = Tensor(scores.copy()), Tensor(scores.copy())
+            alpha = gk.edge_softmax(got, s, d, o, rows, slope)
+            chained = attention_chain(want, s, d, o, rows, slope)
+            assert alpha.shape == chained.shape
+            assert alpha.values.tobytes() == chained.values.tobytes()
+            (g,) = gk.backward(gk.sum(alpha * Tensor(w)), wrt=[got])
+            (g_chain,) = gk.backward(gk.sum(chained * Tensor(w)), wrt=[want])
+            assert g.tobytes() == g_chain.tobytes()
+
+
+def test_grad_leaky_relu_away_from_kink():
+    """edge_softmax against central differences, every logit at least 0.8 from
+    leaky_relu's kink; a row of one edge weighs exactly 1 and passes no gradient."""
+    rng = np.random.default_rng(8)
+    m, heads = 9, 2
+    values = np.empty((m, 2, heads))
+    values[:, 0] = rng.uniform(-0.1, 0.1, (m, heads))                         # self scores
+    values[:, 1] = rng.choice([-1.0, 1.0], (m, heads)) * rng.uniform(1.0, 2.0, (m, heads))
+    src, dst = rng.integers(0, m, 30), np.sort(rng.integers(0, m, 30))
+    w = Tensor(rng.standard_normal((30, heads, 1)))
+    for slope in (0.2, -0.5, 3.0):
+        fd_check(lambda s: gk.sum(gk.edge_softmax(s, src, dst, dst, m, slope) * w),
+                 [Tensor(values)], tol=1e-6)
+    scores = Tensor(values)
+    alpha = gk.edge_softmax(scores, [2, 0, 1], [0, 1, 2], [0, 1, 2], 3)
+    (g,) = gk.backward(gk.sum(alpha * Tensor(rng.standard_normal((3, heads, 1)))), wrt=[scores])
+    assert alpha.values.tolist() == [[[1.0]] * heads] * 3
+    assert not g.any()
+
+
+def test_edge_softmax_checks_its_inputs():
+    scores = Tensor(np.zeros((3, 2, 2)))
+    for args in [
+        (Tensor(np.zeros((3, 3, 2))), [0], [0], [0], 1),  # not a (N, 2, H) block
+        (scores, [0, 1], [0], [0, 0], 1),                 # src and dst differ in length
+        (scores, [0], [0], [0, 0], 1),                    # one result row per edge
+        (scores, [], [], [], 1),                          # no edges
+        (scores, [3], [0], [0], 1),                       # source out of range
+        (scores, [0], [-1], [0], 1),                      # destination out of range
+        (scores, [0, 1], [0, 1], [1, 0], 2),              # result rows must ascend
+        (scores, [0, 1], [0, 1], [0, 2], 2),              # result row out of range
+    ]:
+        with pytest.raises(ShapeError):
+            gk.edge_softmax(*args)
+    with np.errstate(all="ignore"):
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.ones((3, 2, 2))
+            values[1, 1, 0] = bad  # one peer score: one edge's logit
+            with pytest.raises(NumericsError, match="edge_softmax"):
+                scores = Tensor(values, screen=False)  # as a reshape would pass it on
+                gk.edge_softmax(scores, [0, 1, 2], [0, 0, 1], [0, 0, 1], 2)
 
 
 def test_grad_clip_blocks_out_of_range():
@@ -558,7 +635,8 @@ def _fresh_op_outputs(monkeypatch) -> list:
         a @ t((4, 2)), a @ t((4,)), t((2, 3, 4)) @ t((4, 5)), a @ gk.transpose(t((2, 4))),
         gk.slice_rows(a, [2, 0, 2]), gk.slice_rows(a, [0, 1, 2]), gk.slice_rows(a, []),
         gk.segment_sum(a, [1, 1, 0], 2), gk.segment_sum(a, [0, 1, 2], 3),
-        gk.sigmoid(a), gk.tanh(a), gk.leaky_relu(a), gk.exp(a), gk.log(pos),
+        gk.sigmoid(a), gk.tanh(a), gk.exp(a), gk.log(pos),
+        gk.edge_softmax(z, src, dst, dst, 12), gk.edge_softmax(z, src, dst, np.sort(src), 12, 3.0),
         gk.clip(a, -0.5, 0.5), gk.softmax(a), gk.sum(a), gk.sum(a, axis=1), gk.mean(a),
         gk.mean(a, axis=0, keepdims=True), gk.score_loss(a, t((5, 4)), [0, 4, 4]),
         gk.edge_sum(z, alpha, src, dst, 12), gk.edge_sum(z, alpha, src[::-1], dst[::-1], 12),

@@ -101,6 +101,22 @@ def test_empty_prefix_rejected():
         build_inter_graph([], [])
 
 
+def test_bad_item_ids_raise_graph_error():
+    """Clicks that are not integer item ids, and a batch of no graphs, fail
+    with a GraphError naming the problem, not numpy's TypeError or ValueError."""
+    for build, match in [
+        (lambda: build_intra_graph([1.5, 2]), "integers"),
+        (lambda: build_inter_graph([1, 2], [[0.5]]), "integers"),
+        (lambda: build_intra_graph(["a"]), "integers"),
+        (lambda: build_intra_graph([None]), "integers"),
+        (lambda: build_inter_graph([1], [[1, [2]]]), "nested"),
+        (lambda: pack_intra([]), "at least one graph"),
+        (lambda: pack_inter([], []), "at least one graph"),
+    ]:
+        with pytest.raises(GraphError, match=match):
+            build()
+
+
 def test_inter_graph_small():
     g = build_inter_graph([0, 1], [[1, 2], [3, 2]])
     assert g.node_items.tolist() == [0, 1, 2, 3]

@@ -23,13 +23,14 @@ from reference_model import (
 )
 from sessionrec import gradkit as gk
 from sessionrec import graphs, model
-from sessionrec.errors import ConfigError, NumericsError, ShapeError
+from sessionrec.errors import ConfigError, GraphError, NumericsError, ShapeError
 from sessionrec.gradkit import tensor as tensor_module
 from sessionrec.graphs import pack_inter, pack_intra
 from sessionrec.model import (
     GatLayer,
     ModelConfig,
     build_params,
+    encode_batch,
     forward,
     forward_batch,
     fuse,
@@ -650,6 +651,15 @@ def test_batch_tape_has_as_many_nodes_as_a_batch_of_one(variant):
     assert len(eight) == len(one)
 
 
+def test_non_integer_items_fail_as_graph_errors():
+    cfg = small_config()
+    params = build_params(cfg, seed=3)
+    with pytest.raises(GraphError, match="integers"):
+        forward([1.5], [], params, cfg)
+    with pytest.raises(GraphError, match="nested"):
+        encode_batch([[1]], [[[1, [2]]]], params, cfg)
+
+
 @pytest.mark.parametrize("bad", [-1, 2**40])
 def test_out_of_range_items_in_a_batch_fail_loudly(bad):
     """An item outside the vocabulary is its own node, never merged with another graph's."""
@@ -683,6 +693,18 @@ def test_grad_check_fixture_tape_stays_under_157_nodes():
     params = build_params(cfg, seed=0)
     yhat, _ = forward([0, 1, 2], [[3, 4, 5, 1]], params, cfg)
     assert len(gk.tape(loss(yhat, 4))) < 157
+
+
+def test_grad_check_fixture_tape_scores_attention_in_one_node_per_layer():
+    """Each learned GAT layer turns its scores into attention with one
+    edge_softmax node, so the grad check's fixture records at most 109 nodes
+    and no exp; the uniform variant runs the same op on zero scores."""
+    for variant, most in (("full", 109), ("mean_gat", 101)):
+        cfg = ModelConfig(vocab_size=6, dim=8, variant=variant)
+        yhat, _ = forward([0, 1, 2], [[3, 4, 5, 1]], build_params(cfg, seed=0), cfg)
+        ops = [node.op for node in gk.tape(loss(yhat, 4))]
+        assert len(ops) <= most
+        assert ops.count("edge_softmax") == cfg.gat_layers and "exp" not in ops
 
 
 batches = st.lists(

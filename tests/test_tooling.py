@@ -1,6 +1,7 @@
 """Repository tooling: the pytest configuration and the README stay in step with the code."""
 
 import ast
+import importlib
 import json
 import re
 import subprocess
@@ -79,6 +80,28 @@ def test_readme_names_only_real_constants():
     for module, name in named:
         assert name in defined, f"README names {name}, which no module defines"
         assert not module or module[:-1] in defined[name], f"README names {module}{name}"
+
+
+def test_readme_dotted_names_resolve():
+    """Every backticked dotted name in README that starts at the package or at
+    one of its modules (`gradkit.edge_sum`, `model._aggregate_first`) names a
+    real attribute."""
+    package = ROOT / "src" / "sessionrec"
+    modules = {p.stem for p in package.glob("*.py")}
+    modules |= {p.parent.name for p in package.glob("*/__init__.py")}
+    readme = (ROOT / "README.md").read_text()
+    named = [name for name in re.findall(r"`((?:\w+\.)+\w+)`", readme)
+             if name.split(".")[0] in modules | {"sessionrec"}]
+    assert len(named) >= 15, named
+    for name in named:
+        first, *rest = name.removeprefix("sessionrec.").split(".")
+        if first in modules:  # the module, though the package's `neighbors` is a function
+            owner = importlib.import_module(f"sessionrec.{first}")
+        else:
+            owner, rest = importlib.import_module("sessionrec"), [first, *rest]
+        for part in rest:
+            assert hasattr(owner, part), f"README names {name}, which does not resolve"
+            owner = getattr(owner, part)
 
 
 def test_readme_log_row_names_the_keys_of_an_epoch_line(tmp_path):
