@@ -8,7 +8,7 @@ import numpy as np
 
 from .corpus import SessionCorpus
 from .errors import RetrievalError
-from .neighbors import InvertedIndex, NeighborTable, Neighbors, build_index
+from .neighbors import InvertedIndex, NeighborTable, Neighbors, build_index, check_items
 
 
 def pop_scores(corpus: SessionCorpus) -> np.ndarray:
@@ -66,6 +66,7 @@ class ItemKnn:
     def scores(self, prefix: Sequence[int]) -> np.ndarray:
         if not prefix:
             raise RetrievalError("cannot score an empty prefix")
+        check_items(prefix)
         n_with = self._n_sessions_with
         sids = self._index.postings.get(prefix[-1])
         if sids is None:

@@ -13,12 +13,13 @@ reshape, concat, slice_rows) skip that check.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import ConfigError, NumericsError, ShapeError
-from .threads import Deferred, in_halves
+from .threads import drop, helper, in_halves
 
 Array = np.ndarray
 TensorLike = Union["Tensor", Array, float, int]
@@ -691,11 +692,12 @@ SCORE_SPLIT_MIN = 1 << 17
 class _Later:
     """A VJP whose product ``backward`` starts on the helper thread and joins
     only where the parent's gradient is next needed. ``start(g)`` returns the
-    ``Deferred`` product, a fresh array; called, the VJP returns it joined."""
+    helper's future of the product, a fresh array; called, the VJP returns it
+    joined."""
 
     __slots__ = ("start",)
 
-    def __init__(self, start: Callable[[Array], Deferred]):
+    def __init__(self, start: Callable[[Array], Future]):
         self.start = start
 
     def __call__(self, g: Array) -> Array:
@@ -779,7 +781,7 @@ def score_loss(s_h: Tensor, embedding: Tensor, targets) -> Tensor:
         return np.matmul(logit_grad(g), ev)
 
     if split:
-        vjp_e = _Later(lambda g: Deferred(np.matmul, logit_grad(g).T, sv))
+        vjp_e = _Later(lambda g: helper().submit(np.matmul, logit_grad(g).T, sv))
     return Tensor(out, (embedding, s_h), (vjp_e, vjp_s), op="score_loss")
 
 
@@ -873,7 +875,7 @@ def backward(
             live.add(id(node))
     grads: dict[int, Array] = {id(output): np.ones_like(output.values)}
     owned: set[int] = set()  # keys of the gradients in grads that backward may write into
-    later: dict[int, Deferred] = {}  # gradients a _Later VJP is forming on the helper thread
+    later: dict[int, Future] = {}  # gradients a _Later VJP is forming on the helper thread
     found: dict[int, Array] = {}
 
     def join(key: int) -> None:
@@ -914,7 +916,7 @@ def backward(
                     owned.add(key)
     finally:
         for product in later.values():
-            product.drop()
+            drop(product)
     if wrt is None:
         return None
     return [g if (g := found.get(id(t))) is not None else np.zeros_like(t.values) for t in wrt]

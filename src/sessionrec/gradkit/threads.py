@@ -1,10 +1,11 @@
-"""The one helper thread gradkit and training share, and how work is handed to it.
+"""gradkit's one compute helper thread, and how work is handed to it.
 
 ``adam_step`` and ``score_loss`` cut large passes in two with ``in_halves``;
-``backward`` joins the embedding's gradient product, started as a
-``Deferred``, only where that gradient is next needed; training writes its
-checkpoints there. The helper runs each call in a copy of its submitter's
-context, so numpy's error state (``np.errstate``) holds on both threads.
+``backward`` submits the embedding's gradient product and joins it only where
+that gradient is next needed. Each caller joins what it submitted before it
+hands the helper more, so no call waits behind another. The helper runs each
+call in a copy of its submitter's context, so numpy's error state
+(``np.errstate``) holds on both threads.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ from typing import Callable, Sequence
 
 
 class _Helper(ThreadPoolExecutor):
-    """One worker thread that keeps its unfinished calls in submission order."""
+    """One worker thread that runs each call in its submitter's context."""
 
     def __init__(self) -> None:
         super().__init__(max_workers=1, thread_name_prefix="gradkit-helper")
-        self.calls: list[Future] = []
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = super().submit(contextvars.copy_context().run, fn, *args, **kwargs)
-        self.calls = [call for call in self.calls if not call.done()] + [future]
-        return future
+        return super().submit(contextvars.copy_context().run, fn, *args, **kwargs)
 
 
 _helpers: dict[int, _Helper] = {}  # by process id: a forked child inherits no thread
@@ -39,32 +37,10 @@ def helper() -> ThreadPoolExecutor:
     return _helpers[pid]
 
 
-class Deferred:
-    """``fn(*args)`` started on the helper thread, to be joined with ``result``.
-
-    If work submitted earlier (a checkpoint write, say) is still unfinished
-    when the call is joined, the call has not started: it is taken back and
-    made on the caller, so the caller never waits behind that work.
-    """
-
-    __slots__ = ("fn", "args", "ahead", "future")
-
-    def __init__(self, fn: Callable, *args) -> None:
-        pool = helper()
-        self.fn, self.args = fn, args
-        self.ahead = [call for call in pool.calls if not call.done()]
-        self.future = pool.submit(fn, *args)
-
-    def result(self):
-        """The call's value; its error is raised here."""
-        if not all(call.done() for call in self.ahead) and self.future.cancel():
-            return self.fn(*self.args)  # still queued behind earlier work
-        return self.future.result()
-
-    def drop(self) -> None:
-        """Cancel the call or wait it out, ignoring its value and its error."""
-        if not self.future.cancel():
-            wait((self.future,))
+def drop(future: Future) -> None:
+    """Cancel the call or wait it out, ignoring its value and its error."""
+    if not future.cancel():
+        wait((future,))
 
 
 def in_halves(fn: Callable, first: Sequence, second: Sequence) -> tuple:
@@ -75,10 +51,10 @@ def in_halves(fn: Callable, first: Sequence, second: Sequence) -> tuple:
     finished or been cancelled. Either half's value and error are those of
     the same call made serially.
     """
-    later = Deferred(fn, *second)
+    later = helper().submit(fn, *second)
     try:
         done = fn(*first)
     except BaseException:
-        later.drop()
+        drop(later)
         raise
     return done, later.result()

@@ -288,7 +288,7 @@ def _folded_logits(h: Tensor, w: Tensor, attn: Tensor) -> Tensor:
 
 # The output layer's aggregate-then-project order skips projecting every row it
 # reads through the (d_in, H d_out) weight, but reads that weight a second time
-# (the logit fold) and records about ten more tape nodes. REORDER_ROWS is that
+# (the logit fold) and records five more tape nodes. REORDER_ROWS is that
 # fixed cost in rows of the projection it skips. Measured on one thread of a
 # 2-vCPU host, the output layer of 600 seed-1 bench serve requests (d=100, 8
 # heads, d_in=800, mostly 1-3 targets), each order timed per request, min of 3:

@@ -165,6 +165,14 @@ def _check(config: RetrievalConfig) -> None:
         raise RetrievalError(str(exc)) from None
 
 
+def check_items(prefix: Iterable) -> None:
+    """Raise ``RetrievalError`` unless every item is an int or a numpy
+    integer; a bool is not an item."""
+    for item in prefix:
+        if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
+            raise RetrievalError(f"items must be integers, got {item!r}")
+
+
 def _windows(
     index: InvertedIndex, items: Iterable[int], m: int, cutoff: int
 ) -> list[np.ndarray]:
@@ -198,6 +206,7 @@ def candidates(
     """
     if not prefix:
         raise RetrievalError("cannot retrieve candidates for an empty prefix")
+    check_items(prefix)
     _check(RetrievalConfig(m=m))
     windows = _windows(index, dict.fromkeys(prefix), m, _cutoff(index, now))
     if not windows:
@@ -228,6 +237,7 @@ def _retrieve_chunk(
     for query, (prefix, now) in enumerate(zip(prefixes, nows)):
         if not prefix:
             raise RetrievalError("cannot retrieve candidates for an empty prefix")
+        check_items(prefix)
         items = dict.fromkeys(prefix)
         lq[query] = len(prefix) if config.raw_length else len(items)
         found = _windows(index, items, m, _cutoff(index, now))

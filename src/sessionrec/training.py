@@ -6,10 +6,10 @@ fusion, readouts on the intra side) decays every three. Examples are shuffled
 with a seeded generator and batched by prefix length. Each batch runs as one
 packed forward and one backward of its summed loss scaled by 1/B, so
 gradients are averaged over the batch, and a checkpoint plus one JSON log line
-is written per epoch. The checkpoint is written on the helper thread while
+is written per epoch. The checkpoint is written on a thread of its own while
 validation runs and the next epoch's first batch runs forward and backward,
 all of which only read the parameters; the write is joined before that
-batch's optimizer step.
+batch's optimizer step. gradkit's compute helper never holds a write.
 Early stopping watches Recall@10 on the most recent slice of the training
 sessions.
 """
@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -149,9 +150,10 @@ def train(
     in writing the checkpoint, wall time, and the fit cases' mean neighbour
     count and share with no neighbours). Epoch n's checkpoint is written
     while its validation runs, and its line is appended once both are done;
-    an epoch whose validation raises gets no line. No write is left in
-    flight when this returns or raises; a failed write raises its own error,
-    ahead of any later one.
+    an epoch whose validation raises gets no line. The writes run on one
+    thread of their own, started by the first write; it has ended, and no
+    write is left in flight, when this returns or raises. A failed write
+    raises its own error, ahead of any later one.
     """
     model_config.validate()
     config.validate()
@@ -197,6 +199,7 @@ def train(
 
     history: list[dict] = []
     checkpoints: list[Path] = []
+    writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint-writer")
     pending = None  # the checkpoint write in flight: (future, path, its epoch's entry once validated)
 
     def settle() -> None:
@@ -266,7 +269,7 @@ def train(
                     "epoch": epoch,
                     "seed": config.seed,
                 }
-                pending = (gk.helper().submit(_save_timed, ckpt, store, meta), ckpt, None)
+                pending = (writer.submit(_save_timed, ckpt, store, meta), ckpt, None)
 
             val_started = time.perf_counter()
             if val_examples:
@@ -296,6 +299,7 @@ def train(
                         logger.info("early stop at epoch %d (stagnant validation)", epoch)
                         break
     finally:
+        writer.shutdown()  # waits out the write in flight and ends the thread
         settle()
 
     return TrainResult(params, model_config, history, checkpoints)

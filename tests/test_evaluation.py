@@ -195,6 +195,16 @@ def test_itemknn_unseen_item_scores_nothing():
     assert ItemKnn(corpus).scores([1]).tolist() == [0.0, 0.0]
 
 
+def test_itemknn_rejects_items_that_are_not_integers():
+    # 2.0 used to raise numpy's IndexError and True its ValueError
+    knn = ItemKnn(corpus_of([[0, 1], [0, 2], [0, 1]]))
+    for bad in ([2.0], [True], [np.bool_(True)], ["x"], [None], [1, 2.5]):
+        with pytest.raises(RetrievalError, match="items must be integers"):
+            knn.scores(bad)
+    assert knn.scores([np.int64(1)]).tolist() == knn.scores([1]).tolist()
+    assert knn.scores([7]).tolist() == [0.0, 0.0, 0.0]  # an integer no session holds
+
+
 item_lists = st.lists(st.integers(0, 7), min_size=1, max_size=6)
 
 

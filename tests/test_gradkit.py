@@ -1065,26 +1065,6 @@ def test_only_steps_of_at_least_the_split_minimum_are_split(monkeypatch):
     assert len(runs) == 3  # the small step in one run, the large one in two
 
 
-def test_a_half_queued_behind_other_helper_work_runs_on_the_caller():
-    """While the helper is busy (a checkpoint write, say), a half or a deferred
-    call waiting behind that work is taken back and made on the caller; with
-    the helper idle, the second half runs there."""
-    from sessionrec.gradkit.threads import Deferred, in_halves
-
-    here = threading.get_ident()
-    release = threading.Event()
-    write = gk.helper().submit(release.wait, 10)
-    try:
-        assert in_halves(threading.get_ident, (), ()) == (here, here)
-        assert Deferred(threading.get_ident).result() == here
-        assert not write.done()
-    finally:
-        release.set()
-        write.result()
-    first, second = in_halves(threading.get_ident, (), ())
-    assert first == here != second
-
-
 def test_in_halves_raises_the_callers_error_ahead_of_the_helpers():
     from sessionrec.gradkit.threads import in_halves
 
@@ -1101,11 +1081,11 @@ def test_in_halves_raises_the_callers_error_ahead_of_the_helpers():
 
 
 def test_the_helper_runs_with_the_callers_numpy_error_state():
-    from sessionrec.gradkit.threads import Deferred
+    from sessionrec.gradkit.threads import helper
 
     with np.errstate(over="ignore"):
-        assert Deferred(np.geterr).result()["over"] == "ignore"
-    assert Deferred(np.geterr).result()["over"] == np.geterr()["over"]
+        assert helper().submit(np.geterr).result()["over"] == "ignore"
+    assert helper().submit(np.geterr).result()["over"] == np.geterr()["over"]
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,31 @@ def test_neighbor_table_select_rejects_non_integer_rows():
     assert table.select(np.array([1], dtype=np.uint8))[0] == table[1]
 
 
+@pytest.mark.parametrize(
+    "bad", [[2.0, 3.0], [True, 3], [2.5, 3.5], ["x"], [None], [2, 2.0], [np.bool_(True)], [np.float64(2)]]
+)
+def test_retrieval_rejects_items_that_are_not_integers(bad):
+    # 2.0 and True used to be read as items 2 and 1, and 2.5, "x" and None to find nothing
+    idx = build_index(chain_corpus(n_sessions=30, n_chains=2, chain_len=4, seed=3))
+    with pytest.raises(RetrievalError, match="items must be integers"):
+        neighbors(idx, bad, threshold=0.0)
+    with pytest.raises(RetrievalError, match="items must be integers"):
+        candidates(idx, bad)
+    with pytest.raises(RetrievalError, match="items must be integers"):
+        retrieve(idx, [[2, 3], bad], RetrievalConfig(threshold=0.0))
+
+
+def test_retrieval_takes_numpy_integers_and_finds_nothing_for_unheld_items():
+    idx = build_index(chain_corpus(n_sessions=30, n_chains=2, chain_len=4, seed=3))
+    want = neighbors(idx, [2, 3], threshold=0.0)
+    assert want
+    assert neighbors(idx, [np.int64(2), np.uint8(3)], threshold=0.0) == want
+    assert candidates(idx, [np.int32(2), np.int64(3)]).tolist() == candidates(idx, [2, 3]).tolist()
+    for unheld in ([10**6], [-1], [np.int64(10**12)]):
+        assert neighbors(idx, unheld, threshold=0.0) == []
+        assert len(candidates(idx, unheld)) == 0
+
+
 def test_retrieve_rejects_nows_of_another_length():
     # zipped, a short nows used to leave the later prefixes with empty rows
     idx = build_index(corpus_from_items([[0, 1], [1, 2]]))

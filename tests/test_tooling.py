@@ -142,6 +142,48 @@ def test_serving_and_session_knn_start_no_thread():
     assert after == before
 
 
+TRAIN_THREADS_PROBE = """
+import tempfile
+import threading
+import sessionrec as sr
+import sessionrec.training as training
+from sessionrec.synthetic import chain_corpus
+corpus = chain_corpus(n_sessions=16, n_chains=2, chain_len=4, seed=3)
+model = sr.ModelConfig(vocab_size=len(corpus.vocab), dim=4, heads=2, gat_layers=1)
+config = sr.TrainConfig(epochs=2, seed=1, patience=1, val_fraction=0.25)
+before = threading.active_count()
+with tempfile.TemporaryDirectory() as out:
+    sr.train(corpus, model, config, out_dir=out)
+returned = threading.active_count()
+
+
+def failing(*args, **kwargs):
+    raise RuntimeError("validation failed")
+
+
+training.evaluate_model = failing  # raises while epoch 0's checkpoint is being written
+with tempfile.TemporaryDirectory() as out:
+    try:
+        sr.train(corpus, model, config, out_dir=out)
+    except RuntimeError as exc:
+        assert str(exc) == "validation failed"
+    else:
+        raise AssertionError("train did not raise")
+print(before, returned, threading.active_count())
+"""
+
+
+def test_training_with_checkpoints_leaves_no_thread_behind():
+    """A small-model ``train`` with an output directory, whether it returns
+    or raises, leaves the thread count as it was: its checkpoint writer ends
+    with it, and a model this small never starts gradkit's helper."""
+    done = subprocess.run([sys.executable, "-c", TRAIN_THREADS_PROBE], capture_output=True,
+                          text=True, timeout=300, cwd=ROOT)
+    assert done.returncode == 0, done.stderr[-3000:]
+    before, returned, raised = map(int, done.stdout.split())
+    assert returned == before and raised == before
+
+
 def test_train_leaves_no_checkpoint_write_in_flight(tmp_path, monkeypatch):
     """Whether ``train`` returns or raises, every checkpoint write it started
     has finished."""

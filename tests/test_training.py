@@ -281,6 +281,43 @@ def test_checkpoint_write_overlaps_its_epochs_validation(tmp_path, monkeypatch):
     assert all(entry["checkpoint_s"] >= 0.1 for entry in logged)
 
 
+def test_a_checkpoint_write_in_flight_leaves_the_helper_to_score_loss(tmp_path, monkeypatch):
+    """While epoch 0's checkpoint is still being written, the next epoch's
+    first batch hands score_loss's second row half to gradkit's helper: the
+    write holds a thread of its own, not the helper."""
+    from sessionrec.gradkit import tensor as tensor_module
+
+    save, in_halves = gk.save_params, tensor_module.in_halves
+    writing, halves = [], []  # halves: (thread name, epochs being written) of each second half
+    release = threading.Event()
+
+    def held_save(path, store, meta):
+        writing.append(meta["epoch"])
+        release.wait(10)  # held until a second half has run during the write
+        save(path, store, meta)
+        writing.remove(meta["epoch"])
+
+    def recording(fn, first, second):
+        def run(*args):
+            if args[-1] == second[-1]:
+                halves.append((threading.current_thread().name, list(writing)))
+                if writing:
+                    release.set()
+            return fn(*args)
+
+        return in_halves(run, first, second)
+
+    monkeypatch.setattr(tensor_module, "SCORE_SPLIT_MIN", 1)
+    monkeypatch.setattr(tensor_module, "in_halves", recording)
+    monkeypatch.setattr(gk, "save_params", held_save)
+    corpus = small_chain()
+    result = train(corpus, small_model(corpus), fast_train_config(epochs=2), out_dir=tmp_path)
+    assert release.is_set() and writing == []
+    assert any(epochs for _, epochs in halves), halves
+    assert all(name.startswith("gradkit-helper") for name, _ in halves), halves
+    assert result.checkpoints == [tmp_path / f"epoch_{n}.ckpt" for n in range(2)]
+
+
 def test_failed_validation_joins_the_write_and_logs_no_line_for_its_epoch(tmp_path, monkeypatch):
     import sessionrec.training as training
 
